@@ -32,7 +32,8 @@ travels as ``SimConfig.trace_seed``.
 Determinism contract: parameter jitter and the segment stream derive
 from ``zlib.crc32`` of ``(family, seed, purpose)`` - never ``hash()``,
 which is randomized per process and would break cross-worker
-reproducibility.
+reproducibility. A recording's family identity for that purpose is a
+crc32 of its parsed content, not its path.
 """
 
 from __future__ import annotations
@@ -272,11 +273,14 @@ class RecordedTrace(PowerTrace):
             self._tiles += 1
 
 
-#: per-path recording cache: (starts, powers, period_ns)
-_RECORDED_CACHE: dict[str, tuple[list[int], list[float], int]] = {}
+#: per-path recording cache: (starts, powers, period_ns, content_id)
+_RECORDED_CACHE: dict[str, tuple[list[int], list[float], int, str]] = {}
 
 
-def _load_recording(path: str) -> tuple[list[int], list[float], int]:
+def _load_recording(path: str) -> tuple[list[int], list[float], int, str]:
+    """The parsed recording at ``path``, its tiling period, and an
+    identity derived from its content (never its path), so one CSV
+    stored at two paths seeds the same phase rotations."""
     rec = _RECORDED_CACHE.get(path)
     if rec is None:
         tr = load_csv(path)
@@ -287,7 +291,9 @@ def _load_recording(path: str) -> tuple[list[int], list[float], int]:
             mean_dur = max(1, (starts[-1] - starts[0]) // (len(starts) - 1))
         else:
             mean_dur = 10**6  # single segment: 1 ms tiles of constant power
-        rec = (starts, powers, starts[-1] + mean_dur)
+        content = zlib.crc32(repr((starts, powers)).encode())
+        rec = (starts, powers, starts[-1] + mean_dur,
+               f"{RECORDED_PREFIX}{content:08x}")
         _RECORDED_CACHE[path] = rec
     return rec
 
@@ -300,15 +306,18 @@ def recorded_trace(name: str, seed: int | None = None) -> RecordedTrace:
     ensemble over one recording decorrelates program progress from the
     recorded fade schedule while preserving the power distribution
     exactly - energy over any whole number of periods is seed-invariant.
+    The rotation derives from the recording's content and the seed, not
+    from the path, so campaign shards that read copies of one recording
+    at different paths build identical traces.
     """
     if not name.startswith(RECORDED_PREFIX):
         raise TraceError(f"recorded trace family must start with "
                          f"{RECORDED_PREFIX!r}, got {name!r}")
     path = name[len(RECORDED_PREFIX):]
-    starts, powers, period = _load_recording(path)
+    starts, powers, period, content_id = _load_recording(path)
     if seed:
         offset = random.Random(
-            derive_seed(name, seed, "phase")).randrange(period)
+            derive_seed(content_id, seed, "phase")).randrange(period)
     else:
         offset = 0
     return RecordedTrace(starts, powers, period, offset, name)

@@ -1,11 +1,12 @@
-"""Basic-block + trace JIT for the guest interpreter.
+"""Trace JIT for the guest interpreter.
 
 Compiles each :class:`~repro.isa.program.Program` into specialized Python
-functions (generated source + ``exec``) at two granularities - one
-function per basic block, plus superblock *traces* for budget-rich chunks
-- and installs a two-tier dispatch ``run_chunk`` on the core, with a
-process-global code cache shared across every sweep point that runs the
-same kernel. Enable with ``SimConfig(jit=True)``, ``--jit`` on the CLI,
+functions (generated source + ``exec``): superblock *traces* for chunks
+of at least ``TRACE_CAP`` instructions, run by a ``run_chunk`` installed
+on the core that leaves smaller chunks to the interpreter, plus one
+function per basic block for the batch recorder. A process-global code
+cache is shared across every sweep point that runs the same kernel.
+Enable with ``SimConfig(jit=True)``, ``--jit`` on the CLI,
 or ``REPRO_JIT=1`` in the environment. See ``docs/jit.md`` for the
 compilation model, cache lifetime, and fallback rules.
 """

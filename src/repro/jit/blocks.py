@@ -33,8 +33,9 @@ set to 1 by exits that parked on a HALT.
 Two granularities are generated from the same emitter:
 
 * **Basic blocks** (:func:`compile_blocks_source`): one function per CFG
-  block; every exit retires the full block, so the dispatcher can bound
-  retirement exactly - the tier used when the chunk budget is tight.
+  block; every exit retires the full block, so the exit sequence names
+  the exact block stream - what the batch recorder (record mode, below)
+  runs.
 * **Traces** (:func:`compile_trace_source`): superblocks rooted at any
   pc that keep going *through* unconditional jumps, calls (static link
   values), and conditional-branch fall-throughs; taken branches become
@@ -711,10 +712,9 @@ def compile_suffix_source(program: Program, costs: CycleCosts,
                           memfast: str | bool = False,
                           record: bool = False) -> str:
     """Source for a *suffix block* ``[start, end)`` - the tail of a basic
-    block, compiled on demand when execution resumes mid-block (a chunk
-    budget or power failure interrupted the enclosing block; in record
-    mode, when an indirect ``jalr`` lands on a non-leader pc). The
-    module's ``_bind`` returns a single ``(fn, length)`` entry."""
+    block, compiled on demand when the recorder's indirect ``jalr``
+    lands on a non-leader pc. The module's ``_bind`` returns a single
+    ``(fn, length)`` entry."""
     emitter = _BlockEmitter(program, costs, memfast, record)
     src, _halts = emitter.emit(start, end, f"_s{start}")
     return "\n".join([

@@ -2,17 +2,20 @@
 
 A sweep builds one ``System`` per grid point, and pool workers rebuild
 workload programs from scratch, so caching compiled code on a ``Program``
-instance alone would recompile per point. Instead compiled modules are
+instance alone would recompile per point. Instead compiled programs are
 cached process-globally under a content key - ``(name, mem_bytes,
 instruction tuple)`` plus the frozen :class:`CycleCosts` - so a 500-point
 sweep compiles each kernel once per cost model per process. A per-program
-``meta`` shortcut skips even the key lookup after the first attach.
+``meta`` shortcut skips even the key lookup after the first fetch.
 
-What is cached is the compiled *module code object* (whose ``_bind``
-builds the dispatch table); binding executes it in a fresh namespace per
-core, producing cheap per-core function objects closed over that core's
-memory-system methods. Suffix blocks (mid-block resume points, common
-under small chunk budgets) are compiled lazily and cached alongside.
+A :class:`CompiledProgram` keeps the rendered whole-program block source
+and compiles it into a module (whose ``_bind`` builds the basic-block
+dispatch table) only when :meth:`CompiledProgram.bind` first asks -
+which only the batch recorder does. Traces (the live dispatcher's unit)
+and suffix blocks (the recorder's indirect ``jalr`` into a block
+interior) compile lazily per pc and are shared across cores; binding
+executes a code object in a fresh namespace per core, closed over that
+core's memory-system methods.
 
 When the persistent artifact store is enabled (:mod:`repro.store`),
 every rendered source is persisted under its content key + the jit
@@ -40,8 +43,8 @@ _COMPILED_KEY = "_jit_compiled"
 
 #: Maximum instructions a trace may inline. Also the dispatch threshold:
 #: the dispatcher only runs traces while the remaining chunk budget is at
-#: least this large, so a trace can never overshoot the budget and tight
-#: (power-trace) chunks keep using exactly-bounded basic blocks.
+#: least this large, so a trace can never overshoot the budget, and a
+#: tight (power-trace) chunk runs on the interpreter.
 TRACE_CAP = 256
 
 #: content-key -> CompiledProgram; bounded only by distinct (kernel, cost
@@ -80,6 +83,7 @@ class CompiledProgram:
     :mod:`repro.batch`) and support blocks/suffixes only - recording
     needs the exact basic-block sequence, which traces erase. Each mode
     is cached separately because the generated source differs.
+    ``module_code`` stays ``None`` until :meth:`bind` first needs it.
     """
 
     __slots__ = ("program", "costs", "memfast", "record", "n", "source",
@@ -102,8 +106,7 @@ class CompiledProgram:
             # is a pure function of the block partition (see block_meta)
             self.source = source
             self.block_meta = block_meta(program)
-        self.module_code = compile(
-            self.source, f"<jit:{program.name}>", "exec")
+        self.module_code = None
         self._starts = sorted(s for s, _e in block_spans(program))
         self._suffix_codes: dict[int, object] = {}
         self._trace_codes: dict[int, object] = {}
@@ -114,7 +117,11 @@ class CompiledProgram:
 
     def bind(self, args: tuple) -> list:
         """Instantiate the per-core dispatch table: ``table[leader] =
-        (fn, length)``, ``None`` at non-leader indices."""
+        (fn, length)``, ``None`` at non-leader indices. The block module
+        is compiled on the first call."""
+        if self.module_code is None:
+            self.module_code = compile(
+                self.source, f"<jit:{self.program.name}>", "exec")
         ns: dict = {}
         exec(self.module_code, ns)
         return ns["_bind"](*args)
@@ -125,7 +132,8 @@ class CompiledProgram:
 
     def suffix_entry(self, pc: int, args: tuple) -> tuple:
         """Bind the suffix block resuming at mid-block ``pc`` (compiling
-        it on first demand, then reusing the cached code object)."""
+        it on first demand, then reusing the cached code object). Only
+        the recorder asks, when an indirect ``jalr`` lands mid-block."""
         code = self._suffix_codes.get(pc)
         if code is None:
             j = bisect_right(self._starts, pc)
@@ -152,7 +160,7 @@ class CompiledProgram:
 
     def trace_entry(self, pc: int, args: tuple) -> tuple:
         """Bind the trace rooted at ``pc`` (compiled on first demand per
-        process, then shared across cores like the block module)."""
+        process, then shared across cores)."""
         assert not self.record, "record mode has no trace tier"
         code = self._trace_codes.get(pc)
         if code is None:

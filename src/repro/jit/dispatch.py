@@ -1,29 +1,30 @@
 """Attaching the JIT ``run_chunk`` to a core.
 
-:func:`attach_jit` swaps the core's per-instruction interpreter loop for a
-two-tier compiled dispatcher: *traces* (superblocks spanning jumps and
-branch fall-throughs, see :mod:`repro.jit.blocks`) while the chunk budget
-is comfortable, exactly-bounded *basic blocks* once it tightens, so the
-dispatcher loops once per trace/block instead of once per instruction.
-The replacement is an *instance attribute* -
-the same zero-overhead-when-off shadowing the trace recorder and the
-invariant checker use - so ``System.run`` picks it up through its ordinary
+:func:`attach_jit` swaps the core's per-instruction interpreter loop for
+a dispatcher keyed on the chunk budget: a chunk of at least
+:data:`~repro.jit.cache.TRACE_CAP` instructions runs compiled *traces*
+(superblocks spanning jumps and branch fall-throughs, see
+:mod:`repro.jit.blocks`) while that many instructions remain, so the
+dispatcher loops once per trace instead of once per instruction; a
+smaller chunk, and the remainder of a larger one, runs on the pristine
+interpreter. The replacement is an *instance attribute* - the same
+zero-overhead-when-off shadowing the trace recorder and the invariant
+checker use - so ``System.run`` picks it up through its ordinary
 ``core.run_chunk`` binding and nothing changes when the JIT is off.
 
 Fidelity contract (enforced by the differential tests):
 
-* Chunk semantics are bit-identical to the interpreter. Whole blocks run
-  only while they fit the remaining instruction budget; the tail of a
-  chunk (and any resume at a mid-block pc that a *previous* tail left
-  behind, until its suffix block is compiled) is delegated to the pristine
-  interpreter for exactly the remaining budget. Since per-chunk retirement
-  counts and cycle deltas match the interpreter exactly, the simulator's
-  float energy accounting - which is sensitive to chunk boundaries -
-  accumulates in the same order and stays bit-identical.
+* Chunk semantics are bit-identical to the interpreter. A trace retires
+  at most ``TRACE_CAP`` instructions, so it runs only while at least that
+  many remain in the budget, and the interpreter gets exactly the rest.
+  Since per-chunk retirement counts and cycle deltas match the
+  interpreter exactly, the simulator's float energy accounting - which
+  is sensitive to chunk boundaries - accumulates in the same order and
+  stays bit-identical.
 * The JIT refuses to attach (returns ``None``) when the methods it inlines
   around have been shadowed: a trace recorder wrapping ``run_chunk`` or
   the memory system's ``load``/``store``/``store_masked``, or the
-  invariant checker wrapping ``store_masked``. Compiled blocks bind those
+  invariant checker wrapping ``store_masked``. Compiled traces bind those
   methods at attach time and would silently bypass any later wrapper, so
   observability and checking always win over speed.
 
@@ -44,7 +45,7 @@ from repro.jit.cache import TRACE_CAP, CompiledProgram, get_compiled
 #: switches).
 ENV_VAR = "REPRO_JIT"
 
-#: Methods the compiled blocks bind directly; a wrapper on any of these
+#: Methods the compiled traces bind directly; a wrapper on any of these
 #: means the JIT must stand down.
 _INLINED_MEM_METHODS = ("load", "store", "store_masked")
 
@@ -55,15 +56,16 @@ def jit_enabled() -> bool:
 
 
 class JITState:
-    """Per-core JIT bookkeeping, parked on ``core._jit_state``."""
+    """Per-core JIT bookkeeping, parked on ``core._jit_state``.
 
-    __slots__ = ("compiled", "table", "traces", "bind_args")
+    ``compiled`` stays ``None`` until the first trace-sized chunk fetches
+    the program's compiled form (``memfast`` is its module variant)."""
 
-    def __init__(self, compiled: CompiledProgram, table: list,
-                 bind_args: tuple):
-        self.compiled = compiled
-        self.table = table
-        self.traces: dict[int, tuple] = {}  # root pc -> bound trace entry
+    __slots__ = ("compiled", "memfast", "bind_args")
+
+    def __init__(self, memfast: str | bool, bind_args: tuple):
+        self.compiled: CompiledProgram | None = None
+        self.memfast = memfast
         self.bind_args = bind_args
 
 
@@ -86,12 +88,13 @@ def _shadowed(core: InOrderCore) -> bool:
 
 
 def attach_jit(core: InOrderCore) -> JITState | None:
-    """Install the block-dispatch ``run_chunk`` on ``core``.
+    """Install the budget-keyed dispatch ``run_chunk`` on ``core``.
 
     Returns the :class:`JITState` on success, or ``None`` when the JIT
     disengages because the trace recorder / invariant checker has shadowed
-    the methods compiled blocks bind (observability always wins).
-    Attaching twice is a no-op returning the existing state.
+    the methods compiled traces bind (observability always wins).
+    Attaching twice is a no-op returning the existing state. Nothing is
+    compiled here.
     """
     state = getattr(core, "_jit_state", None)
     if state is not None:
@@ -111,18 +114,15 @@ def attach_jit(core: InOrderCore) -> JITState | None:
     # one compiled module is shared across every geometry sweep point of
     # a family.
     mf_state = getattr(mem, "_memfast_state", None)
-    mf = mf_state.jit_bindings() if mf_state is not None else None
-    mf_mode = (mf_state.store_shape or "base") if mf_state is not None \
-        else False
-    compiled = get_compiled(core.program, core.costs, memfast=mf_mode)
     # ``ic_lines`` is mutated in place everywhere (flush uses .clear()),
     # so binding the set object itself is safe for the core's lifetime.
     bind_args = (mem.load, mem.store, mem.store_masked, core.ic_lines,
                  _sdiv, _srem, ExecutionError)
-    if mf is not None:
-        bind_args += (mf,)
-    table = compiled.bind(bind_args)
-    state = JITState(compiled, table, bind_args)
+    if mf_state is None:
+        state = JITState(False, bind_args)
+    else:
+        state = JITState(mf_state.store_shape or "base",
+                         bind_args + (mf_state.jit_bindings(),))
     core.run_chunk = _make_run_chunk(core, state)
     core._jit_state = state
     return state
@@ -150,33 +150,30 @@ def detach_jit(core: InOrderCore) -> bool:
 
 
 def _make_run_chunk(core: InOrderCore, state: JITState):
-    """The two-tier dispatch loop, closed over one core's bound tables.
+    """The budget-keyed dispatch loop, closed over one core.
 
-    While the remaining budget is at least :data:`~repro.jit.cache.
-    TRACE_CAP`, dispatch runs *traces* (superblocks capped at that length,
-    so they can never overshoot the budget); once the budget tightens it
-    falls back to exactly-bounded basic blocks, and the final partial
-    block is delegated to the interpreter. Retirement and halting are read
-    back from ``st[7]``/``st[8]`` after every compiled call.
+    A budget below :data:`~repro.jit.cache.TRACE_CAP` goes straight to the
+    interpreter. Otherwise traces (capped at that length, so they can
+    never overshoot) run while at least ``TRACE_CAP`` instructions remain
+    and the interpreter retires the rest in one call. Retirement and
+    halting are read back from ``st[7]``/``st[8]`` after every trace.
     """
-    table = state.table
-    traces = state.traces
-    suffix_entry = state.compiled.suffix_entry
-    trace_entry = state.compiled.trace_entry
     bind_args = state.bind_args
     prog_n = len(core.program.instructions)
     trace_cap = TRACE_CAP
-    # pc-indexed memo of the bound trace functions: the hot dispatch is
-    # a list index instead of a dict probe plus tuple unpack
+    # pc-indexed memo of this core's bound trace functions
     tfns: list = [None] * prog_n
-    # the *pristine* interpreter, for budget tails (bound to the class so
-    # a shadowed instance attribute can never recurse into us)
+    # the *pristine* interpreter (bound to the class so a shadowed
+    # instance attribute can never recurse into us)
     interp = InOrderCore.run_chunk.__get__(core, InOrderCore)
-    name = core.program.name
 
     def run_chunk(max_instrs: int) -> tuple[int, int]:
-        if core.halted:
-            return (0, 0)
+        if max_instrs < trace_cap or core.halted:
+            return interp(max_instrs)
+        compiled = state.compiled
+        if compiled is None:
+            compiled = state.compiled = get_compiled(
+                core.program, core.costs, memfast=state.memfast)
         regs = core.regs  # re-read every call: restore_arch_state rebinds
         pc = core.pc
         cycle0 = core.cycle
@@ -184,39 +181,18 @@ def _make_run_chunk(core: InOrderCore, state: JITState):
               core.n_loads, core.n_stores, core.n_branches, 0, 0]
         n = 0
         halted = False
-        tail = False
         try:
-            while n < max_instrs:
-                rem = max_instrs - n
-                if rem >= trace_cap and 0 <= pc < prog_n:
-                    fn = tfns[pc]
-                    if fn is None:
-                        entry = traces.get(pc)
-                        if entry is None:
-                            entry = traces[pc] = trace_entry(pc, bind_args)
-                        fn = tfns[pc] = entry[0]
-                    pc = fn(regs, st)
-                    n += st[7]
-                    if st[8]:  # trace parked on HALT
-                        halted = True
-                        break
-                    continue
-                try:
-                    entry = table[pc]
-                except IndexError:
-                    raise ExecutionError(
-                        f"{name}: pc {pc} outside program") from None
-                if entry is None:  # mid-block resume: bind a suffix block
-                    entry = table[pc] = suffix_entry(pc, bind_args)
-                if entry[1] > rem:
-                    tail = True  # block exceeds the budget: interpret it
-                    break
-                pc = entry[0](regs, st)
+            # an out-of-program pc is left to the interpreter's error
+            while max_instrs - n >= trace_cap and 0 <= pc < prog_n:
+                fn = tfns[pc]
+                if fn is None:
+                    fn = tfns[pc] = compiled.trace_entry(pc, bind_args)[0]
+                pc = fn(regs, st)
                 n += st[7]
-                if st[8]:  # block ended on HALT
+                if st[8]:  # trace parked on HALT
                     halted = True
                     break
-        except BaseException:
+        finally:
             # mirror the interpreter's error contract: icache state and
             # retirement counters are flushed, pc/cycle/instret are not
             core.ic_last = st[1]
@@ -225,22 +201,14 @@ def _make_run_chunk(core: InOrderCore, state: JITState):
             core.n_loads = st[4]
             core.n_stores = st[5]
             core.n_branches = st[6]
-            raise
-        core.ic_last = st[1]
-        core.ic_fetches = st[2]
-        core.ic_misses = st[3]
-        core.n_loads = st[4]
-        core.n_stores = st[5]
-        core.n_branches = st[6]
         core.pc = pc
         core.cycle = st[0]
         core.instret += n
+        regs[0] = 0  # same rim insurance as the interpreter
         if halted:
             core.halted = True
-        regs[0] = 0  # same rim insurance as the interpreter
-        if tail:
-            done, _ = interp(max_instrs - n)
-            n += done
+        elif n < max_instrs:
+            n += interp(max_instrs - n)[0]
         return (n, core.cycle - cycle0)
 
     return run_chunk

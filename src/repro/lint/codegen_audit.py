@@ -490,8 +490,9 @@ def audit_module_source(source: str, unit: str,
 
 def audit_compiled(compiled) -> list[Finding]:
     """Audit one :class:`~repro.jit.cache.CompiledProgram`: the block
-    module, every materialized suffix/trace module, and the A005
-    recompile check that ties the source to the cache keying tuple."""
+    source (whether or not :meth:`bind` has compiled it into a module),
+    every materialized suffix/trace module, and the A005 recompile check
+    that ties the source to the cache keying tuple."""
     from repro.jit.blocks import (compile_blocks_source,
                                   compile_suffix_source,
                                   compile_trace_source)
@@ -834,8 +835,9 @@ def audit_store_loads() -> list[Finding]:
 def audit_suite(apps=None, designs=None,
                 scale: float = 1.0) -> dict[str, list[Finding]]:
     """Run the requested kernel x design grid with jit+memfast on, then
-    statically audit every module those runs compiled (blocks, suffixes,
-    traces, memfast handlers) plus each kernel's batch record modules,
+    statically audit every module those runs compiled (the block source
+    and traces of each core that ran a trace-sized chunk, memfast
+    handlers) plus each kernel's batch record modules,
     the replay walker, and the column engines a small lockstep sweep
     (first kernel, every requested design, traced and untraced)
     materializes. Returns ``{unit: findings}``."""
@@ -860,7 +862,8 @@ def audit_suite(apps=None, designs=None,
             system.run()
             jit_state = getattr(system.core, "_jit_state", None)
             if jit_state is not None:
-                findings.extend(audit_compiled(jit_state.compiled))
+                if jit_state.compiled is not None:  # a trace-sized chunk ran
+                    findings.extend(audit_compiled(jit_state.compiled))
                 rcosts = recording_costs(system.core.costs)
                 if rcosts not in record_costs_seen:
                     record_costs_seen.add(rcosts)

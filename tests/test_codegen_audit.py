@@ -261,6 +261,9 @@ class TestRealCodegen:
 
     def test_audit_compiled_clean(self):
         compiled = get_compiled(tiny_program(), SimConfig().costs)
+        # nothing has bound it yet, so no block module is compiled; the
+        # audit reads the block source either way
+        assert compiled.module_code is None
         assert audit_compiled(compiled) == []
 
     def test_tampered_source_fails_keying_check(self):
@@ -349,6 +352,20 @@ class TestLiveSystems:
                                 "lockstep:engines", "store:loads"}
         assert {k: [f.render() for f in v]
                 for k, v in results.items() if v} == {}
+
+    def test_audit_suite_skips_a_core_that_compiled_nothing(
+            self, monkeypatch):
+        # with no chunk reaching the trace threshold the live cores run
+        # on the interpreter and never fetch a compiled program; the
+        # suite still audits the kernel's record module
+        import repro.jit.dispatch as dispatch
+        monkeypatch.setattr(dispatch, "TRACE_CAP", 1 << 30)
+        system = build_system(tiny_program("auditprobe4"), "WL-Cache",
+                              None, SimConfig(jit=True, memfast=True))
+        system.run()
+        assert system.core._jit_state.compiled is None
+        results = audit_suite(["sha"], designs=["WL-Cache"], scale=0.2)
+        assert results["sha"] == []
 
 
 class TestLockstepEngineContract:

@@ -16,8 +16,9 @@ import pytest
 from repro.cpu.core import InOrderCore
 from repro.errors import ExecutionError
 from repro.isa.builder import ProgramBuilder
-from repro.jit import (attach_jit, clear_code_cache, code_cache_stats,
-                       detach_jit, get_compiled, jit_enabled)
+from repro.jit import (TRACE_CAP, attach_jit, clear_code_cache,
+                       code_cache_stats, detach_jit, get_compiled,
+                       jit_enabled)
 from repro.mem.memsys import NoCacheNVP
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
@@ -49,8 +50,11 @@ def _fresh_cache():
 def test_attach_is_idempotent():
     core = _core(build_sum_program())
     s1 = attach_jit(core)
+    assert s1.compiled is None  # attaching compiles nothing
+    core.run_chunk(TRACE_CAP)  # a trace-sized chunk fetches the program
     s2 = attach_jit(core)
-    assert s1 is s2
+    assert s1 is s2 and s2.compiled is not None
+    assert "run_chunk" in vars(core)
     assert code_cache_stats()["compiles"] == 1
 
 
@@ -126,10 +130,16 @@ def test_env_var_enables_jit(monkeypatch):
 
 def test_code_cache_shared_across_cores():
     prog = build_workload("qsort", 0.2)
-    _core(prog, jit=True)
-    _core(prog, jit=True)
+    a = _core(prog, jit=True)
+    b = _core(prog, jit=True)
+    a.run_chunk(TRACE_CAP)
+    traces = code_cache_stats()["trace_compiles"]
+    b.run_chunk(TRACE_CAP)
     stats = code_cache_stats()
     assert stats["compiles"] == 1 and stats["hits"] >= 1
+    assert a._jit_state.compiled is b._jit_state.compiled
+    # the second core binds the traces the first one compiled
+    assert stats["trace_compiles"] == traces > 0
 
 
 def test_code_cache_shared_across_program_rebuilds():
@@ -154,11 +164,26 @@ def test_distinct_costs_compile_separately():
     assert code_cache_stats()["compiles"] == 2
 
 
+def test_traced_lone_runs_compile_nothing():
+    # power-trace chunks (chunk_instrs <= 32) sit below TRACE_CAP, so a
+    # lone traced run stays on the interpreter and compiles nothing
+    prog = build_workload("sha", 0.2)
+    for design in DESIGNS:
+        ref = run_one(prog, design, "trace1", SimConfig())
+        on = run_one(prog, design, "trace1",
+                     SimConfig(jit=True, memfast=True))
+        assert on == ref, design
+    stats = code_cache_stats()
+    assert stats["compiles"] == 0
+    assert stats["suffix_compiles"] == 0
+    assert stats["trace_compiles"] == 0
+
+
 def test_traces_compile_only_under_generous_budgets():
     prog = build_workload("sha", 0.2)
     core = _core(prog, jit=True)
     while not core.halted:
-        core.run_chunk(64)  # below TRACE_CAP: basic blocks only
+        core.run_chunk(64)  # below TRACE_CAP: the interpreter
     assert code_cache_stats()["trace_compiles"] == 0
     clear_code_cache()
     core = _core(prog, jit=True)

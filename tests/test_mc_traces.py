@@ -7,6 +7,8 @@ while different seeds must denote *different* conditions drawn from the
 same distribution.
 """
 
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,20 @@ class TestRecorded:
         powers_by_seed = {s: make_trace(f"csv:{path}", s).power_w(40)
                           for s in (1, 2, 9)}
         assert len(set(powers_by_seed.values())) > 1  # phases really differ
+
+    def test_phase_keyed_on_content_not_path(self, tmp_path):
+        # campaign shards may read copies of one recording at different
+        # paths; the seed's phase rotation must not see the difference
+        a = self._write(tmp_path, [0, 100, 250], [0.1, 0.4, 0.2])
+        (tmp_path / "elsewhere").mkdir()
+        b = str(tmp_path / "elsewhere" / "copy.csv")
+        shutil.copyfile(a, b)
+        for seed in (1, 2, 9):
+            ta = make_trace(f"csv:{a}", seed)
+            tb = make_trace(f"csv:{b}", seed)
+            ta.power_w(2000)
+            tb.power_w(2000)
+            assert ta.starts == tb.starts and ta.powers == tb.powers, seed
 
     def test_deterministic_per_seed_any_query_order(self, tmp_path):
         path = self._write(tmp_path, [0, 100, 250], [0.1, 0.4, 0.2])

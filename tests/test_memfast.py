@@ -194,17 +194,25 @@ def test_jit_modules_keyed_by_store_family():
     # a fresh (non-memoized) program: build_workload caches Program
     # objects, whose per-program compile shortcut would hide the keying
     prog = build_sum_program()
+
+    def compiled_for(design, **flags):
+        # an untraced run's chunks are trace-sized: the first one fetches
+        # the compiled program for this design's store family
+        system = build_system(prog, design, None,
+                              SimConfig(jit=True, **flags))
+        system.run()
+        return system.core._jit_state.compiled
+
     # same program: plain, WL-shaped, and WB-shaped modules are distinct
-    build_system(prog, "WL-Cache", None, SimConfig(jit=True))
+    plain = compiled_for("WL-Cache")
     assert code_cache_stats()["compiles"] == 1
-    build_system(prog, "WL-Cache", None, SimConfig(jit=True, memfast=True))
+    wl = compiled_for("WL-Cache", memfast=True)
     assert code_cache_stats()["compiles"] == 2
-    build_system(prog, "NVSRAM(ideal)", None,
-                 SimConfig(jit=True, memfast=True))
+    wb = compiled_for("NVSRAM(ideal)", memfast=True)
     assert code_cache_stats()["compiles"] == 3
+    assert (plain.memfast, wl.memfast, wb.memfast) == (False, "wl", "wb")
     # ...and each variant is shared on re-attach
-    build_system(prog, "WL-Cache(eager)", None,
-                 SimConfig(jit=True, memfast=True))
+    assert compiled_for("WL-Cache(eager)", memfast=True) is wl
     assert code_cache_stats()["compiles"] == 3
 
 
