@@ -70,16 +70,19 @@ CACHE_DIR_ENV = "REPRO_STREAM_CACHE"
 #: recording serves every design family; only the cheap static-cycle
 #: expansion happens per family. Recordings are the big allocation
 #: (exit codes + memory ops), so the cache holds only the most recent
-#: few - enough for back-to-back grids over the same kernels (one per
-#: power trace) to record once.
+#: few - enough for every family of the kernel being planned to expand
+#: from one recording; the stream cache below serves later grids.
 _RECORDING_CACHE: dict[tuple, tuple] = {}
 _RECORDING_CACHE_CAP = 4
 
 #: (program content key, effective costs) -> GuestStream. Streams share
-#: their event list with the cached recording's skeleton, so the per-
-#: family entry adds only the cycle prefix sum.
+#: their event list with the kernel's skeleton, so the per-family entry
+#: adds only the cycle prefix sum. The cap holds a full figure grid - 23
+#: kernels x 2 cost families = 46 streams - so back-to-back grids over
+#: the same kernels (Figs. 4-6, one per power condition) expand each
+#: stream once.
 _STREAM_CACHE: dict[tuple, GuestStream] = {}
-_STREAM_CACHE_CAP = 8
+_STREAM_CACHE_CAP = 64
 _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
                  "replays": 0, "solo": 0, "lockstep": 0, "disk_hits": 0,
                  "disk_writes": 0}

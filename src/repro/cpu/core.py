@@ -29,6 +29,7 @@ optimizations keep it hot:
 
 from __future__ import annotations
 
+import hashlib
 import os
 
 from repro.cpu.costs import CycleCosts
@@ -87,11 +88,15 @@ def decode_cache_stats() -> dict:
 
 
 def program_content_key(program: Program) -> tuple:
-    """Hashable identity of a program's executable content (name included:
-    it is baked into execution-fault messages), cached on ``meta``."""
+    """Hashable identity of a program's content, cached on ``meta``: its
+    name (baked into execution-fault messages), memory size, instructions
+    and a digest of its initial data image (a recording captures the
+    values the kernel computed from that image)."""
     key = program.meta.get(_CONTENT_KEY)
     if key is None:
-        key = (program.name, program.mem_bytes, tuple(program.instructions))
+        digest = hashlib.sha256(repr(sorted(program.data.items())).encode())
+        code = tuple(program.instructions)
+        key = (program.name, program.mem_bytes, code, digest.hexdigest()[:16])
         program.meta[_CONTENT_KEY] = key
     return key
 

@@ -11,6 +11,7 @@ Data memory is word-addressed internally; the initial image is a dict of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblyError
@@ -84,9 +85,16 @@ class Program:
                     f"{self.name}: data value {val:#x} not a u32 at word {widx}"
                 )
 
-    def initial_memory(self) -> list[int]:
-        """Materialize the zero-filled word array with the data image applied."""
-        words = [0] * (self.mem_bytes // 4)
+    def initial_memory(self) -> array:
+        """Materialize the zero-filled word array with the data image applied.
+
+        The image is an ``array("I")`` of u32 words: one flat buffer whose
+        only referent is its type, so a garbage-collection pass visits one
+        object instead of every word; it pickles as raw bytes and compares
+        at C speed. Every memory model (NVM, the oracle's functional
+        memory, the batch recorder) starts from this image.
+        """
+        words = array("I", bytes(self.mem_bytes // 4 * 4))
         for widx, val in self.data.items():
             words[widx] = val
         return words

@@ -9,6 +9,7 @@ derived from the paper's tCK/tBURST/tRCD/tCL/tWR parameters.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -54,12 +55,14 @@ class NVMTimings:
 class NVMainMemory:
     """Word-addressable persistent memory with access accounting.
 
-    All cache designs share one instance per simulation; its ``words`` list
-    is the state that must match the failure-free oracle at the end of a
-    crashy run.
+    All cache designs share one instance per simulation; its ``words``
+    image is the state that must match the failure-free oracle at the end
+    of a crashy run. It is the ``array("I")`` that
+    :meth:`~repro.isa.program.Program.initial_memory` builds; a plain list
+    also works.
     """
 
-    def __init__(self, words: list[int], timings: NVMTimings | None = None):
+    def __init__(self, words: array | list[int], timings: NVMTimings | None = None):
         self.words = words
         self.timings = timings or NVMTimings()
         self.reads = 0  # word-read accesses
@@ -89,8 +92,9 @@ class NVMainMemory:
         return self.timings.write_word
 
     # -- line granularity (cache refills / write-backs) -------------------
-    def read_line(self, addr: int, nwords: int) -> tuple[list[int], int]:
-        """Read an aligned line; returns (words, cycles)."""
+    def read_line(self, addr: int, nwords: int) -> tuple[array | list[int], int]:
+        """Read an aligned line; returns (words, cycles). The words are a
+        slice of the image: callers copy them into a list line."""
         widx = addr >> 2
         self.reads += nwords
         self.energy_read_nj += (self.timings.read_energy_nj * nwords
@@ -100,7 +104,8 @@ class NVMainMemory:
     def write_line(self, addr: int, data: list[int]) -> int:
         """Write an aligned line; returns cycles."""
         widx = addr >> 2
-        self.words[widx:widx + len(data)] = data
+        # an array image takes slice assignment only from an array
+        self.words[widx:widx + len(data)] = array("I", data)
         self.writes += len(data)
         self.energy_write_nj += (self.timings.write_energy_nj * len(data)
                                  * self.timings.burst_energy_factor)

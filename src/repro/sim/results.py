@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 
@@ -97,9 +98,10 @@ class RunResult:
     energy: EnergyBreakdown = field(default_factory=EnergyBreakdown)
     periods: list[PeriodStats] = field(default_factory=list)
 
-    # final state for the crash-consistency checker
+    # final state for the crash-consistency checker; the NVM image is an
+    # ``array("I")`` of u32 words (see Program.initial_memory)
     final_regs: list[int] = field(default_factory=list)
-    final_memory: list[int] | None = None
+    final_memory: array | None = None
 
     @property
     def ipc(self) -> float:

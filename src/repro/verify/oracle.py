@@ -8,6 +8,7 @@ in exactly this state.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.cpu.core import InOrderCore
@@ -22,7 +23,7 @@ class FunctionalMemory:
     name = "Functional"
     volatile_cache = False
 
-    def __init__(self, words: list[int]):
+    def __init__(self, words: array | list[int]):
         self.words = words
 
     def load(self, addr: int, now: int) -> tuple[int, int]:
@@ -40,7 +41,7 @@ class FunctionalMemory:
 
 @dataclass
 class OracleResult:
-    memory: list[int]
+    memory: array
     regs: list[int]
     instructions: int
 

@@ -15,6 +15,7 @@ in minutes on one core.
 from __future__ import annotations
 
 import importlib
+from array import array
 from dataclasses import dataclass, field
 
 from repro.errors import ConsistencyError
@@ -42,7 +43,7 @@ class Workload:
         return self._cache[scale]
 
 
-def verify_checks(program: Program, memory_words: list[int]) -> None:
+def verify_checks(program: Program, memory_words: array | list[int]) -> None:
     """Validate a final memory image against the program's embedded checks.
 
     Raises :class:`ConsistencyError` on the first mismatch; silent success

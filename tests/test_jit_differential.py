@@ -7,8 +7,12 @@ conditionals, calls (JAL/JALR), and loops - asserts they are lint-clean,
 then runs each under random chunk schedules on the interpreter and the
 JIT and compares *everything*: architectural registers, pc, cycle,
 instret, the i-cache accounting, the per-class retirement counters, and
-the final memory image. Trace-tier superblocks and basic blocks are both
-exercised because chunk budgets are drawn above and below TRACE_CAP.
+the final memory image. Chunk budgets are drawn above and below
+TRACE_CAP: a chunk of at least TRACE_CAP instructions runs trace-tier
+superblocks and hands its remainder to the interpreter, and a smaller
+chunk runs on the interpreter alone, so a schedule mixes the two at
+arbitrary pcs. Basic blocks and suffix blocks are record-mode only (the
+batch recorder); this module does not exercise them.
 """
 
 from __future__ import annotations

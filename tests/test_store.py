@@ -442,6 +442,38 @@ class TestWarmCodegen:
         assert sstats["skeleton_loads"] >= 1
         assert cold == warm
 
+    def test_data_edit_rerecords(self, store_dir, fresh_codegen,
+                                 monkeypatch):
+        # an edited input table with unchanged code: the recording and
+        # skeleton on disk captured the old values and must not be reused
+        from repro.cpu.core import program_content_key
+        from repro.isa.program import Program
+        from repro.sim.factory import build_system
+        from repro.workloads import get_workload
+
+        kwargs = dict(scale=0.1, jobs=1, verify=False, batch=True,
+                      jit=True, memfast=True)
+        workload = get_workload("sha")
+        old = workload.build(0.1)
+        run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
+        assert batch_stats()["recordings"] == 1
+
+        # a fresh build, as a new process makes it: same name and
+        # instructions, one input word changed
+        new = Program(name=old.name, instructions=list(old.instructions),
+                      data=dict(old.data), labels=dict(old.labels),
+                      symbols=dict(old.symbols), mem_bytes=old.mem_bytes)
+        new.data[old.symbols["msg"] >> 2] ^= 0x5A5A5A5A
+        monkeypatch.setitem(workload._cache, 0.1, new)
+        assert program_content_key(new) != program_content_key(old)
+
+        fresh_codegen()
+        got = run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
+        stats = batch_stats()
+        assert stats["recordings"] == 1 and stats["disk_hits"] == 0
+        ref = build_system(new, "WL-Cache", trace="trace1").run()
+        assert got[("sha", "WL-Cache")] == ref
+
 
 # ---------------------------------------------------------------------------
 # result memoization
