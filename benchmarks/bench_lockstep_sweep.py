@@ -5,17 +5,16 @@ with the no-failure condition and both power traces (the Fig. 4/5/6
 axis), plus the WL-Cache sensitivity slice the Fig. 8-10 sweeps walk
 (capacitor size x maxline/waterline x DirtyQueue capacity, under both
 traces) - in two tiers: the batch record-once/replay-many engine
-(``BENCH_6``'s fast side, one ``ReplayCore`` loop per grid point) and
-the lockstep tier (``SimConfig(lockstep=True)``: one generated engine
-advances the whole same-skeleton column). Results land in
+(one ``ReplayCore`` loop per grid point) and the lockstep tier
+(``SimConfig(lockstep=True)``: one generated engine advances the whole
+same-skeleton column). Results land in
 ``results/BENCH_9.json``.
 
-Methodology - *warm* sweep, unlike BENCH_6's cold one, and on purpose:
+Methodology - *warm* sweep, on purpose:
 
 * Both tiers share the same recording/expansion caches (lockstep sits
   on top of batch), so cold one-time costs are identical on both sides
-  and only add symmetric noise; BENCH_6 went cold because its two tiers
-  pay *different* one-time costs.
+  and only add symmetric noise.
 * The lockstep-only one-time cost - rendering + compiling the column
   engine (~70 ms per signature) - amortizes across reps of a Monte-
   Carlo campaign or a multi-kernel sweep exactly like the recording
@@ -66,11 +65,10 @@ from repro.workloads import build_workload
 REPS = 5
 #: regression floors for the gate; the 2x target and the measured
 #: trajectory toward it are documented in EXPERIMENTS.md. The floor is
-#: scale-aware in the opposite direction from BENCH_6's: recording
-#: amortization flatters the batch tier at smoke scale, while the
-#: lockstep win is *per replayed event*, so fixed per-sweep costs
-#: (task dispatch, stream lookup, chunk scheduling) dilute it there
-#: (measured: x1.44 gmean at scale 0.1 vs x1.84 at 1.0).
+#: scale-aware: the lockstep win is *per replayed event*, so fixed
+#: per-sweep costs (task dispatch, stream lookup, chunk scheduling)
+#: dilute it at smoke scale (measured: x1.44 gmean at scale 0.1 vs
+#: x1.84 at 1.0).
 GATE_FULL = 1.5
 GATE_SMOKE = 1.2
 SMOKE_BELOW = 0.5
@@ -83,9 +81,8 @@ SENS_MAXLINES = (4, 6, 8)
 SENS_DQ = (8, 12)
 
 TIERS = (
-    ("batch", SimConfig(jit=True, memfast=True, batch=True)),
-    ("lockstep", SimConfig(jit=True, memfast=True, batch=True,
-                           lockstep=True)),
+    ("batch", SimConfig(batch=True)),
+    ("lockstep", SimConfig(batch=True, lockstep=True)),
 )
 
 

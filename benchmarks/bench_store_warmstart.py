@@ -1,21 +1,21 @@
 """Warm-start benchmark: the persistent artifact store across processes.
 
 Measures what the store is for - a *new process* (a campaign shard, a
-re-run figure bench, a CI job) skipping codegen and simulation it has
-already paid for. Each measurement is a child interpreter that runs the
-same jit+memfast sweep grid with result memoization on:
+re-run figure bench, a CI job) skipping simulation it has already paid
+for. Each measurement is a child interpreter that runs the
+same sweep grid with result memoization on:
 
 * **cold** - every rep gets a fresh, empty store root: the child
-  renders and compiles every source and simulates every grid point.
+  simulates every grid point on the interpreter.
 * **warm** - all reps share one store root, primed by an untimed
-  warm-up child: the timed children load every source and memoized
-  result from disk.
+  warm-up child: the timed children load every memoized result from
+  disk.
 
 Before anything is timed, the warm-up child's grid is asserted
 **bit-identical** (stats + final registers; memoized results are
 stats-only by design) to the cold grid, and each timed warm child must
-report zero renders/compiles and an all-hit result memo - a warm run
-that quietly recomputes would otherwise flatter the cold side.
+report an all-hit result memo - a warm run that quietly recomputes
+would otherwise flatter the cold side.
 
 The headline ``warmstart_speedup`` is the median cold wall time over
 the median warm wall time, wall time being the child's own measurement
@@ -66,14 +66,11 @@ def bench_scale() -> float:
 
 def child(out_path: str) -> int:
     from repro.analysis.stats_io import result_to_dict
-    from repro.jit.cache import code_cache_stats
-    from repro.lockstep.codegen import engine_cache_stats
-    from repro.memfast.handlers import codegen_cache_stats
     from repro.sim.config import SimConfig
     from repro.sim.sweep import run_grid
     from repro.store import store_stats
 
-    cfg = SimConfig(jit=True, memfast=True, result_cache=True)
+    cfg = SimConfig(result_cache=True)
     scale = BASE_SCALE * bench_scale()
     t0 = time.perf_counter()
     grid = run_grid(APPS, DESIGNS, TRACE, scale=scale, jobs=1, config=cfg)
@@ -85,9 +82,6 @@ def child(out_path: str) -> int:
                               "final_regs": list(r.final_regs)}
                  for (w, d), r in grid.items()},
         "store_events": store_stats(),
-        "jit": code_cache_stats(),
-        "memfast": codegen_cache_stats(),
-        "lockstep": engine_cache_stats(),
     }
     with open(out_path, "w") as f:
         json.dump(report, f)
@@ -122,22 +116,12 @@ def run_child(store_dir: str, tag: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def assert_warm_is_warm(rep: dict, tag: str) -> None:
-    """A timed warm child must have loaded everything."""
-    jit, mf = rep["jit"], rep["memfast"]
-    problems = []
-    for label, n in (("jit compiles", jit["compiles"]),
-                     ("jit suffix compiles", jit["suffix_compiles"]),
-                     ("jit trace compiles", jit["trace_compiles"]),
-                     ("memfast renders", mf["renders"])):
-        if n != 0:
-            problems.append(f"{label}={n}")
+    """A timed warm child must have loaded every result."""
     hits = rep["store_events"].get("result_hits", 0)
     points = len(rep["grid"])
     if hits != points:
-        problems.append(f"result_hits={hits} (want {points})")
-    if problems:
         raise SystemExit(f"{tag}: warm run recomputed work: "
-                         + ", ".join(problems))
+                         f"result_hits={hits} (want {points})")
 
 
 def main() -> int:
@@ -167,8 +151,8 @@ def main() -> int:
             raise SystemExit(f"cold[{i}]: non-deterministic grid - "
                              "cold reps disagree")
         print(f"cold[{i}]  {rep['elapsed_s'] * 1e3:8.1f} ms  "
-              f"(compiles={rep['jit']['compiles']}, "
-              f"renders={rep['memfast']['renders']})")
+              f"(result_writes="
+              f"{rep['store_events'].get('result_writes', 0)})")
 
     warm_dir = tempfile.mkdtemp(prefix="repro-warm-")
     try:
@@ -186,10 +170,9 @@ def main() -> int:
                                  "a memoized result is wrong")
             warm_times.append(rep["elapsed_s"])
             print(f"warm[{i}]  {rep['elapsed_s'] * 1e3:8.1f} ms  "
-                  f"(loads={rep['jit']['loads']}, result_hits="
+                  f"(result_hits="
                   f"{rep['store_events'].get('result_hits', 0)})")
-        warm_stats = {"jit": rep["jit"], "memfast": rep["memfast"],
-                      "store_events": rep["store_events"]}
+        warm_stats = {"store_events": rep["store_events"]}
     finally:
         shutil.rmtree(warm_dir, ignore_errors=True)
 

@@ -1,13 +1,12 @@
-"""CI smoke sweep: a small grid run serial, parallel, under the JIT,
-under the JIT with the memfast hit-path tier, under the batch
-record/replay tier, AND under the lockstep column tier - all six
+"""CI smoke sweep: a small grid run serial, parallel, under the batch
+record/replay tier, AND under the lockstep column tier - all four
 asserted bit-identical.
 
 Exercises the full stack end to end in about a minute: workload build,
 every major cache design, a real power trace with outages, the crash
 consistency verifier, the process-pool engine's bit-exactness guarantee,
-and the JIT's. The CI pipeline runs this with ``REPRO_BENCH_SCALE=0.1``
-and uploads the CSV as a build artifact.
+and the record-mode replay's. The CI pipeline runs this with
+``REPRO_BENCH_SCALE=0.1`` and uploads the CSV as a build artifact.
 
 Usage::
 
@@ -45,24 +44,7 @@ def main() -> int:
         return 1
 
     t0 = time.perf_counter()
-    jit = run_grid(APPS, DESIGNS, TRACE, jobs=1, jit=True)
-    t_jit = time.perf_counter() - t0
-    if serial != jit:
-        bad = [k for k in serial if serial[k] != jit[k]]
-        print(f"FAIL: JIT sweep diverged from the interpreter on {bad}")
-        return 1
-
-    t0 = time.perf_counter()
-    fast = run_grid(APPS, DESIGNS, TRACE, jobs=1, jit=True, memfast=True)
-    t_fast = time.perf_counter() - t0
-    if serial != fast:
-        bad = [k for k in serial if serial[k] != fast[k]]
-        print(f"FAIL: memfast sweep diverged from the interpreter on {bad}")
-        return 1
-
-    t0 = time.perf_counter()
-    batched = run_grid(APPS, DESIGNS, TRACE, jobs=1, jit=True,
-                       memfast=True, batch=True)
+    batched = run_grid(APPS, DESIGNS, TRACE, jobs=1, batch=True)
     t_batch = time.perf_counter() - t0
     if serial != batched:
         bad = [k for k in serial if serial[k] != batched[k]]
@@ -70,8 +52,8 @@ def main() -> int:
         return 1
 
     t0 = time.perf_counter()
-    lockstep = run_grid(APPS, DESIGNS, TRACE, jobs=1, jit=True,
-                        memfast=True, batch=True, lockstep=True)
+    lockstep = run_grid(APPS, DESIGNS, TRACE, jobs=1, batch=True,
+                        lockstep=True)
     t_lockstep = time.perf_counter() - t0
     if serial != lockstep:
         bad = [k for k in serial if serial[k] != lockstep[k]]
@@ -82,7 +64,6 @@ def main() -> int:
         print("FAIL: lockstep tier never engaged in the smoke sweep")
         return 1
     print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
-          f"jit {t_jit:.2f}s / jit+memfast {t_fast:.2f}s / "
           f"batch {t_batch:.2f}s / lockstep {t_lockstep:.2f}s - "
           f"{len(serial)} runs bit-identical")
 

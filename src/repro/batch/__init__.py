@@ -21,7 +21,7 @@ from repro.batch.engine import (ENV_VAR, batch_enabled, batch_stats,
                                 warm_stream)
 from repro.batch.record import (BUDGET_SLACK, STREAM_CAP, RecordingBail,
                                 RecordingMemsys, record_run,
-                                recording_costs, stream_cap)
+                                recording_costs)
 from repro.batch.replay import ReplayCore
 from repro.batch.stream import (GuestStream, build_stream,
                                 stream_meta_stats)
@@ -47,7 +47,6 @@ __all__ = [
     "record_run",
     "recording_costs",
     "resolve_config",
-    "stream_cap",
     "stream_meta_stats",
     "task_batch_eligible",
     "task_batchable",

@@ -5,8 +5,8 @@ machinery. Given a list of sweep tasks it:
 
 1. resolves each task's effective :class:`SimConfig` and checks
    *eligibility* - batching yields to the trace recorder and the
-   invariant checker exactly like the jit/memfast tiers (the pecking
-   order is recorder/checker > batch > jit+memfast);
+   invariant checker (the pecking order is recorder/checker > batch >
+   the interpreter);
 2. groups eligible tasks by ``(workload, scale, effective cost model)``
    - the *design family*: ``NVCache-WB`` folds ``nvcache_ifetch_extra``
    into its costs, so it records separately from the SRAM-cost designs;
@@ -20,7 +20,7 @@ machinery. Given a list of sweep tasks it:
    adaptation all happen inside the replay, bit-identically;
 5. bails any task the stream model cannot serve - instrumentation
    attached, a guest fault or runaway kernel during recording - to the
-   caller-supplied slow path (the existing jit+memfast tier), per
+   caller-supplied slow path (a lone run on the interpreter), per
    instance, preserving exact error behaviour.
 
 Enable with ``SimConfig(batch=True)``, ``--batch`` on the CLI, or
@@ -44,7 +44,7 @@ from repro.isa.program import Program
 from repro.lint.invariants import invariants_enabled
 from repro.lockstep import lockstep_enabled
 from repro.mem.nvm import NVMainMemory
-from repro.memfast import attach_memfast, finish_memfast
+from repro.memfast import attach_memfast
 from repro.obs.recorder import trace_enabled
 from repro.sim.config import SimConfig
 from repro.sim.factory import build_design
@@ -52,7 +52,7 @@ from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
 
 #: ``REPRO_BATCH=1`` enables batched sweep execution for every grid in
-#: this process (pool workers re-export it, like REPRO_JIT).
+#: this process (pool workers re-export it, like REPRO_LOCKSTEP).
 ENV_VAR = "REPRO_BATCH"
 
 #: ``REPRO_STREAM_CACHE=<dir>`` shares recordings across *processes*.
@@ -121,8 +121,8 @@ def task_batchable(config: SimConfig) -> bool:
 
     The trace recorder and the invariant checker must see every memory
     call and every chunk; a replayed stream would bypass them entirely,
-    so - like jit and memfast - the batch tier silently stands down when
-    either is requested (per config or environment).
+    so the batch tier silently stands down when either is requested
+    (per config or environment).
     """
     if not (config.batch or batch_enabled()):
         return False
@@ -277,12 +277,12 @@ def build_replay_system(program: Program, task, config: SimConfig,
                         stream: GuestStream) -> System:
     """A ready-to-run System whose core replays ``stream``.
 
-    Mirrors :func:`repro.sim.factory.build_system` minus the tiers the
-    batch engine supersedes (jit) or refuses to coexist with (trace
+    Mirrors :func:`repro.sim.factory.build_system` minus the
+    instrumentation the batch engine refuses to coexist with (trace
     recorder, invariant checker - :func:`plan` never routes such tasks
-    here). The memfast tier *is* attached: each replay instance binds
+    here), with the memfast tier attached: each replay instance binds
     its own design's fast hit handlers (the per-instance fast-path
-    slots), and silently stays off for ineligible designs.
+    slots), and the tier silently stays off for ineligible designs.
     """
     from repro.energy.synthetic import make_trace
 
@@ -296,7 +296,6 @@ def build_replay_system(program: Program, task, config: SimConfig,
     system = System(program, design, config, trace, costs)
     system.core = ReplayCore(program, design, costs, stream)
     attach_memfast(system)
-    finish_memfast(system)
     return system
 
 
@@ -325,8 +324,8 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
     """Yield ``(task, outcome)`` for every task, batching where it can.
 
     ``run_slow`` is the caller's single-task path (``run_task``); bailed
-    and ineligible tasks go through it so they finish on whatever tier
-    the environment selects (jit+memfast under the usual switches).
+    and ineligible tasks go through it and finish as lone runs on the
+    interpreter.
     Outcomes are yielded unit-by-unit in first-appearance order, which
     interleaves groups sharing a workload; callers needing task order
     re-index by task.

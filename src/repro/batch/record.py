@@ -25,19 +25,17 @@ the replay tier's prefix-sum arrays need - I-cache misses and memory
 latencies are per-instance dynamics added back at replay time.
 
 Anything the stream model cannot represent raises
-:class:`RecordingBail` and the group falls back to the jit+memfast tier
-per instance: a guest fault (the slow path must reproduce the exact
+:class:`RecordingBail` and the group falls back to the interpreter per
+instance: a guest fault (the slow path must reproduce the exact
 error state), a runaway kernel that exhausts the group's instruction
 budget without halting, or a stream that would exceed the memory cap.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.cpu.core import ARCH_REGS, _sdiv, _srem
 from repro.cpu.costs import CycleCosts
-from repro.errors import ConfigError, ExecutionError
+from repro.errors import ExecutionError
 from repro.isa.program import Program
 from repro.jit.cache import get_compiled
 
@@ -48,25 +46,8 @@ from repro.jit.cache import get_compiled
 BUDGET_SLACK = 65_600
 
 #: Hard cap on recorded stream length (instructions), a memory backstop:
-#: the prefix-sum arrays cost 16 bytes per instruction. Overridable via
-#: ``REPRO_BATCH_STREAM_CAP`` for stress tests.
+#: the prefix-sum arrays cost 16 bytes per instruction.
 STREAM_CAP = 8_000_000
-
-
-def stream_cap() -> int:
-    raw = os.environ.get("REPRO_BATCH_STREAM_CAP")
-    if raw is None:
-        return STREAM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"REPRO_BATCH_STREAM_CAP must be an integer instruction "
-            f"count, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(
-            f"REPRO_BATCH_STREAM_CAP must be >= 1, got {cap}")
-    return cap
 
 
 class RecordingBail(Exception):
@@ -130,11 +111,11 @@ def record_run(program: Program, costs: CycleCosts,
     stream-cap overflow.
     """
     rcosts = recording_costs(costs)
-    compiled = get_compiled(program, rcosts, record=True)
+    compiled = get_compiled(program, rcosts)
     mem = RecordingMemsys(program)
     codes: list[int] = []
     bind_args = (mem.load, mem.store, mem.store_masked, set(),
-                 _sdiv, _srem, ExecutionError, None, codes)
+                 _sdiv, _srem, ExecutionError, codes)
     table = compiled.bind(bind_args)
     suffix_entry = compiled.suffix_entry
     nprog = compiled.n
@@ -144,7 +125,7 @@ def record_run(program: Program, costs: CycleCosts,
     pc = 0
     n = 0
     stop = budget + BUDGET_SLACK
-    cap = stream_cap()
+    cap = STREAM_CAP
     try:
         while True:
             if not 0 <= pc < nprog:

@@ -14,7 +14,7 @@ Commands:
   (waived findings never gate; ``--errors-only`` stops warnings from
   gating too).
 * ``audit`` - statically audit the *generated* Python from the
-  jit/memfast/batch/lockstep compilers against their structural
+  record-mode/memfast/lockstep compilers against their structural
   contracts (A001-A009, including the persistent-store load contract).
   Exit code 0 when every compiled family verifies, 2 on any contract
   violation.
@@ -76,21 +76,6 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--capacitor-uf", type=float, default=None,
                    help="energy buffer size in microfarads")
     p.add_argument("--seed", type=int, default=None, help="trace seed")
-    p.add_argument("--jit", action="store_true",
-                   help="compile guest basic blocks to specialized Python "
-                        "(bit-identical results, faster simulation)")
-    p.add_argument("--memfast", action="store_true",
-                   help="enable the memory-hierarchy fast path "
-                        "(specialized hit handlers, bit-identical results; "
-                        "composes with --jit)")
-    p.add_argument("--batch", action="store_true",
-                   help="batch sweep points sharing a kernel: record the "
-                        "execution once, replay it per design "
-                        "(bit-identical results; sweeps only)")
-    p.add_argument("--lockstep", action="store_true",
-                   help="advance same-shaped batch replays in lockstep "
-                        "through one compiled column kernel (implies "
-                        "--batch; bit-identical results)")
     p.add_argument("--no-verify", action="store_true",
                    help="skip the crash-consistency check")
     p.add_argument("--stats-json", default=None, metavar="PATH",
@@ -111,10 +96,6 @@ def _overrides(args) -> dict:
         out["capacitance_f"] = args.capacitor_uf * 1e-6
     if args.seed is not None:
         out["trace_seed"] = args.seed
-    if args.jit:
-        out["jit"] = True
-    if args.memfast:
-        out["memfast"] = True
     if getattr(args, "batch", False):
         out["batch"] = True
     if getattr(args, "lockstep", False):
@@ -256,11 +237,10 @@ def cmd_campaign(args) -> int:
                 print(f"{line} (summed over shards)")
     else:
         overrides = {}
-        for flag in ("jit", "memfast", "batch", "lockstep"):
-            if getattr(args, flag):
-                overrides[flag] = True
-        if overrides.get("lockstep"):
+        if args.batch:
             overrides["batch"] = True
+        if args.lockstep:
+            overrides.update(batch=True, lockstep=True)
         spec = CampaignSpec(
             workloads=tuple(args.apps or ALL_WORKLOADS),
             designs=tuple(args.designs),
@@ -540,6 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the result table as CSV")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress the progress line")
+    p_sweep.add_argument("--batch", action="store_true",
+                         help="batch sweep points sharing a kernel: record "
+                              "the execution once, replay it per design "
+                              "(bit-identical results)")
+    p_sweep.add_argument("--lockstep", action="store_true",
+                         help="advance same-shaped batch replays in "
+                              "lockstep through one compiled column kernel "
+                              "(implies --batch; bit-identical results)")
     _add_sim_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -565,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     p_audit = sub.add_parser(
-        "audit", help="statically audit the generated jit/memfast/batch "
-                      "Python against its structural contracts")
+        "audit", help="statically audit the generated record-mode/memfast/"
+                      "lockstep Python against its structural contracts")
     p_audit.add_argument("--apps", nargs="+", default=None,
                          choices=ALL_WORKLOADS,
                          help="workload subset (default: all 23)")
@@ -628,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "else serial)")
     p_mc.add_argument("--scale", type=float, default=1.0,
                       help="workload size multiplier")
-    p_mc.add_argument("--jit", action="store_true",
-                      help=argparse.SUPPRESS)
-    p_mc.add_argument("--memfast", action="store_true",
-                      help=argparse.SUPPRESS)
     p_mc.add_argument("--batch", action="store_true",
                       help="batch points sharing a kernel: record once, "
                            "replay per (design, family, seed)")

@@ -30,7 +30,6 @@ optimizations keep it hot:
 from __future__ import annotations
 
 import hashlib
-import os
 
 from repro.cpu.costs import CycleCosts
 from repro.errors import ExecutionError
@@ -66,20 +65,7 @@ _CONTENT_KEY = "_content_key"
 #: a backstop for program-fuzzing tests.
 _DECODE_SHARED: dict[tuple, list] = {}
 _DECODE_SHARED_CAP = 1024
-_DECODE_CAP_ENV = "REPRO_DECODE_CAP"
 _DECODE_STATS = {"evictions": 0}
-
-
-def _decode_cap() -> int:
-    """The shared decode cache's entry cap (``REPRO_DECODE_CAP``
-    overrides the default backstop)."""
-    raw = os.environ.get(_DECODE_CAP_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _DECODE_SHARED_CAP
 
 
 def decode_cache_stats() -> dict:
@@ -161,7 +147,7 @@ def predecode(program: Program, costs: CycleCosts) -> list[tuple]:
                     a = _SINK
                 code.append((internal[op], a, b, c,
                              idx >> _ILINE_SHIFT, table[op]))
-            while len(_DECODE_SHARED) >= _decode_cap():
+            while len(_DECODE_SHARED) >= _DECODE_SHARED_CAP:
                 # evict the oldest entry instead of dumping the whole
                 # cache: fuzzing churn must not cold-start sweep kernels
                 _DECODE_SHARED.pop(next(iter(_DECODE_SHARED)))

@@ -16,8 +16,8 @@ The slot also fixes the *signature* the engine is specialized on: the
 memory-call shape per instance (``call`` for designs without the
 memfast tier, ``base`` for fast loads + slow-path stores, ``wb``/``wl``
 for the two fast store-hit shapes), the LRU flag - mirroring exactly
-the probe variants :mod:`repro.jit.blocks` inlines in memfast mode -
-and whether the instance runs under a power trace (which selects the
+the handler variants :mod:`repro.memfast.handlers` renders - and
+whether the instance runs under a power trace (which selects the
 serial budget formula and the capacitor accounting block).
 """
 
@@ -141,7 +141,7 @@ def build_slot(system, stream: GuestStream) -> tuple[list, tuple]:
     if state is None:
         return sl, ("call", 0, traced, None, None, None)
     (mru, acc, shift, smask, wmask, e_read, hit_read, lru, e_write,
-     hit_write, pending) = state.jit_bindings()
+     hit_write, pending) = state.probe_bindings()
     sl[S_MRU] = mru
     sl[S_ACC] = acc
     sl[S_MFS] = shift

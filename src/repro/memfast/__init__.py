@@ -6,26 +6,19 @@ clean->dirty transition below the waterline - with set mask, line shift,
 LRU flag, and energy constants baked in, an MRU-way probe per set, and
 deferred statistics flushed at every observable point. Bit-identical to
 the slow path by construction (and by the differential test suite).
-Enable with ``SimConfig(memfast=True)``, ``--memfast`` on the CLI, or
-``REPRO_MEMFAST=1`` in the environment; compose with ``REPRO_JIT=1`` to
-let compiled blocks bind the fast handlers and inline the load-hit tag
-check. See ``docs/memsys-fastpath.md``.
+Batch replay attaches it to every replay instance, and lockstep columns
+bind the same handlers; lone runs never use it. See
+``docs/memsys-fastpath.md``.
 """
 
-from repro.memfast.attach import (ENV_VAR, MemfastState, attach_design,
-                                  attach_memfast, detach_design,
-                                  detach_memfast, finish_memfast,
-                                  memfast_enabled)
+from repro.memfast.attach import (MemfastState, attach_design,
+                                  attach_memfast, detach_design)
 from repro.memfast.handlers import codegen_cache_stats
 
 __all__ = [
-    "ENV_VAR",
     "MemfastState",
     "attach_design",
     "attach_memfast",
     "codegen_cache_stats",
     "detach_design",
-    "detach_memfast",
-    "finish_memfast",
-    "memfast_enabled",
 ]

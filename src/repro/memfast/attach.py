@@ -1,27 +1,19 @@
 """Attaching the fast hit-path tier to a memory system.
 
-The tier is the same *instance-attribute shadowing* the trace recorder,
-invariant checker, and JIT use - zero overhead when off, and a strict
-pecking order when observability is in play:
+The tier runs only under batch replay: :func:`repro.batch.engine.
+build_replay_system` calls :func:`attach_memfast` on every replay
+instance, and the lockstep column engine binds the same handlers
+(:func:`repro.lockstep.state.build_slot`). Lone runs never attach it.
+Attaching is *instance-attribute shadowing* of the design's methods, and
+it yields to the instrumentation that shadows them the same way:
 
-* :func:`attach_memfast` **refuses** (returns ``None``) when the trace
-  recorder has wrapped ``core.run_chunk`` or anything has shadowed the
-  design's ``load``/``store``/``store_masked`` (recorder or invariant
-  checker): those wrappers must see every call, so they always win.
-* :func:`detach_memfast` restores the pristine design methods - and
-  detaches a live JIT with it, because compiled code binds the fast
-  handlers directly and would otherwise keep calling them.
-* :meth:`~repro.obs.recorder.attach_trace` detaches the fast path
-  before instrumenting, mirroring how it already detaches the JIT.
-* The batch tier (:mod:`repro.batch`) slots in *above* jit+memfast and
-  *below* the recorder/checker: its engine never batches instrumented
-  runs, its :class:`~repro.batch.replay.ReplayCore` carries a
-  ``_replay`` marker that makes ``attach_jit`` stand down, and memfast
-  is the one tier it composes with - each replay instance attaches the
-  fast handlers to its own design (``attach_memfast`` works unchanged
-  because a fresh ``ReplayCore`` has nothing shadowing ``run_chunk``),
-  and :func:`finish_memfast` wraps ``ReplayCore.run_chunk`` like any
-  other.
+* :func:`attach_design` **refuses** (returns ``None``) when anything has
+  already shadowed the design's ``load``/``store``/``store_masked`` (the
+  trace recorder or the invariant checker): those wrappers must see
+  every call, so they always win. The batch engine never replays such
+  runs in the first place.
+* :func:`detach_design` flushes the accumulator and restores the
+  pristine design methods.
 
 Deferred-stats discipline (the heart of bit-exactness): the handlers
 batch the hit counters, hit energies, and the LRU stamp in
@@ -34,9 +26,9 @@ those fields outside the handlers is bracketed with ``flush()`` /
   them;
 * ``flush_for_checkpoint`` / ``on_boot`` / ``finalize`` - the
   checkpoint protocol both reads and adds energies;
-* chunk end - :func:`finish_memfast` wraps ``core.run_chunk`` (around
-  the interpreter *or* the JIT dispatcher) so the per-chunk capacitor
-  accounting in ``System.run`` always reads exact values.
+* chunk end - :func:`attach_memfast` wraps ``core.run_chunk`` so the
+  per-chunk capacitor accounting in ``System.run`` always reads exact
+  values.
 
 ``flush`` adds the integer hit deltas to both stat fields they cover
 (exact, order-free) and writes the float slots back as absolute
@@ -47,8 +39,6 @@ deferred at all.
 
 from __future__ import annotations
 
-import os
-
 from repro.caches.base import CachedMemorySystem
 from repro.caches.nvcache import NVCacheWB
 from repro.caches.nvsram import NVSRAMIdeal
@@ -58,10 +48,6 @@ from repro.mem.setassoc import SetAssocArray
 from repro.memfast.handlers import (build_load, build_wb_stores,
                                     build_wl_stores)
 
-#: ``REPRO_MEMFAST=1`` enables the fast path for every run in this
-#: process (sweep pool workers re-export it, like REPRO_JIT).
-ENV_VAR = "REPRO_MEMFAST"
-
 #: Instance attrs that mean instrumentation owns the memory methods.
 _GUARDED_METHODS = ("load", "store", "store_masked")
 
@@ -70,11 +56,6 @@ _GUARDED_METHODS = ("load", "store", "store_masked")
 _BRACKETED_PROTOCOL = ("flush_for_checkpoint", "on_boot", "finalize")
 
 _MISSING = object()
-
-
-def memfast_enabled() -> bool:
-    """True when ``REPRO_MEMFAST`` requests the fast path globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
 
 
 class MemfastState:
@@ -94,7 +75,7 @@ class MemfastState:
         self.installed: list[tuple[str, object]] = []
         self.fast_store = False
         #: "wl" / "wb" when the store hit path is fast, else None; keys
-        #: the JIT's compiled-module variant (which store hit it inlines)
+        #: the lockstep engine's probe variant (which store hit it inlines)
         self.store_shape: str | None = None
         #: the bracketed slow paths the fast handlers bail to - kept
         #: addressable so the lockstep engine (which inlines the *full*
@@ -132,12 +113,12 @@ class MemfastState:
         acc[3] = stats.cache_write_energy_nj
         acc[4] = self.design.array._stamp
 
-    # -- jit integration -----------------------------------------------
-    def jit_bindings(self) -> tuple:
-        """Runtime bindings for the JIT's inline hit checks (the ``_mf``
-        tuple unpacked by memfast-mode compiled modules). ``pending`` is
-        the WL-Cache ACK deque (None for other designs - the "wb"/"base"
-        shaped modules never touch it)."""
+    # -- lockstep integration -----------------------------------------
+    def probe_bindings(self) -> tuple:
+        """Runtime bindings for the lockstep engine's inline hit probes
+        (:func:`repro.lockstep.state.build_slot`). ``pending`` is the
+        WL-Cache ACK deque (None for other designs - the "wb"/"base"
+        shaped probes never touch it)."""
         m = self.design
         array = m.array
         return (array.mru, self.acc, array.line_shift, array.set_mask,
@@ -156,7 +137,6 @@ def _bracket(fn, flush, resync):
             return _fn(*args, **kwargs)
         finally:
             _resync()
-    call._memfast = True
     return call
 
 
@@ -235,32 +215,19 @@ def detach_design(m) -> bool:
 
 
 def attach_memfast(system) -> MemfastState | None:
-    """Attach the fast tier to a system's design (observability wins).
-
-    Call :func:`finish_memfast` after any :func:`~repro.jit.attach_jit`
-    so the chunk-end flush wraps whichever ``run_chunk`` ended up
-    installed.
-    """
-    if "run_chunk" in vars(system.core):
-        return None  # trace recorder (or a pre-attached JIT) owns it
-    return attach_design(system.design)
-
-
-def finish_memfast(system) -> None:
-    """Wrap ``core.run_chunk`` with the chunk-end accumulator flush.
+    """Attach the fast tier to a system's design and wrap
+    ``core.run_chunk`` with the chunk-end accumulator flush.
 
     ``System.run`` reads the cache energies after every chunk for the
-    capacitor accounting, so this wrapper is what makes the deferral
-    invisible to it. No-op when the fast path is not attached.
+    capacitor accounting, so the wrapper is what makes the deferral
+    invisible to it. Returns ``None``, wrapping nothing, when
+    :func:`attach_design` refuses the design. Call once per system.
     """
-    state = getattr(system.design, "_memfast_state", None)
+    state = attach_design(system.design)
     if state is None:
-        return
+        return None
     core = system.core
-    rc = vars(core).get("run_chunk")
-    if rc is not None and getattr(rc, "_memfast", False):
-        return  # already wrapped
-    inner = core.run_chunk  # interpreter method or the JIT dispatcher
+    inner = core.run_chunk
 
     def run_chunk(max_instrs, _inner=inner, _flush=state.flush):
         try:
@@ -268,23 +235,5 @@ def finish_memfast(system) -> None:
         finally:
             _flush()  # exact stats at every observable chunk boundary
 
-    run_chunk._memfast = True
     core.run_chunk = run_chunk
-
-
-def detach_memfast(system) -> bool:
-    """Detach the fast tier from a system: the run_chunk flush wrapper,
-    a live JIT (its compiled tables bound the fast handlers), and the
-    design handlers. Returns True if anything was detached."""
-    core = system.core
-    state = getattr(system.design, "_memfast_state", None)
-    if state is None:
-        return False
-    rc = vars(core).get("run_chunk")
-    if rc is not None and getattr(rc, "_memfast", False):
-        del core.run_chunk
-    if getattr(core, "_jit_state", None) is not None:
-        if "run_chunk" in vars(core):
-            del core.run_chunk
-        del core._jit_state
-    return detach_design(system.design)
+    return state

@@ -83,7 +83,6 @@ def _make(source: str, *args):
     ns: dict = {}
     exec(code, ns)
     fn = ns["_make"](*args)
-    fn._memfast = True  # lets the JIT's shadow check wave it through
     fn._memfast_source = source  # audited against a fresh re-render
     return fn
 

@@ -136,27 +136,15 @@ class SimConfig:
     #: ``RunResult.metrics``. ``REPRO_TRACE=1`` in the environment enables
     #: it too; when neither is set the runtime cost is zero.
     trace: bool = False
-    #: Compile the guest program's basic blocks to specialized Python
-    #: (:mod:`repro.jit`) and dispatch block-at-a-time. Results are
-    #: bit-identical to the interpreter; the JIT disengages automatically
-    #: when the trace recorder or invariant checker is attached.
-    #: ``REPRO_JIT=1`` in the environment enables it too.
-    jit: bool = False
-    #: Attach the memory-hierarchy fast path (:mod:`repro.memfast`):
-    #: geometry-specialized hit handlers with deferred stats, bit-identical
-    #: to the slow path. Composes with ``jit`` (compiled blocks then bind
-    #: the fast handlers and inline the load-hit probe); disengages
-    #: automatically when the trace recorder or invariant checker is
-    #: attached. ``REPRO_MEMFAST=1`` in the environment enables it too.
-    memfast: bool = False
     #: Batched sweep execution (:mod:`repro.batch`): grid points sharing a
     #: kernel and cost model record the architectural execution once and
-    #: replay it per point, bit-identical to serial interpretation. Only
-    #: sweeps (``run_grid``/``run_tasks``) consult this flag - a lone
-    #: ``run_one`` has nothing to batch. Disengages per run when the trace
-    #: recorder or invariant checker is attached, and falls back to the
-    #: jit/memfast tiers per instance when a kernel cannot be recorded.
-    #: ``REPRO_BATCH=1`` in the environment enables it too.
+    #: replay it per point (with the :mod:`repro.memfast` hit handlers
+    #: attached), bit-identical to serial interpretation. Only sweeps
+    #: (``run_grid``/``run_tasks``) consult this flag - a lone ``run_one``
+    #: has nothing to batch and always runs on the interpreter. Disengages
+    #: per run when the trace recorder or invariant checker is attached,
+    #: and falls back to the interpreter per instance when a kernel cannot
+    #: be recorded. ``REPRO_BATCH=1`` in the environment enables it too.
     batch: bool = False
     #: Lockstep multi-instance replay (:mod:`repro.lockstep`): sweep
     #: points sharing a recording advance *together* through one

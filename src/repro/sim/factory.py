@@ -16,10 +16,11 @@ from repro.energy.synthetic import make_trace
 from repro.energy.traces import PowerTrace
 from repro.errors import ConfigError
 from repro.isa.program import Program
-from repro.jit import attach_jit, jit_enabled
 from repro.lint.invariants import attach_invariants, invariants_enabled
 from repro.mem.memsys import NoCacheNVP
-from repro.memfast import attach_memfast, finish_memfast, memfast_enabled
+# re-exported only so the span tracer in perfbench/spans.py, which wraps
+# repro.sim.factory.attach_memfast by name, still resolves it
+from repro.memfast import attach_memfast  # noqa: F401
 from repro.obs.recorder import attach_trace, trace_enabled
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
@@ -87,7 +88,7 @@ def build_design(name: str, nvm: NVMainMemory, config: SimConfig):
 def build_system(program: Program, design_name: str,
                  trace: PowerTrace | str | None = None,
                  config: SimConfig | None = None, **overrides) -> System:
-    """Build a ready-to-run :class:`System`.
+    """Build a ready-to-run :class:`System` on the interpreter core.
 
     ``trace`` may be a :class:`PowerTrace`, one of the five named sources
     ('trace1', 'trace2', 'trace3', 'solar', 'thermal'), or None for a
@@ -109,20 +110,6 @@ def build_system(program: Program, design_name: str,
     system = System(program, design, config, trace, costs)
     if config.trace or trace_enabled():
         attach_trace(system)
-    use_memfast = config.memfast or memfast_enabled()
-    if use_memfast:
-        # handlers go on before the JIT so compiled blocks bind them;
-        # under trace/check shadowing it silently stays off
-        attach_memfast(system)
-    if config.jit or jit_enabled():
-        # attached after memfast (whose handlers it cooperates with) but
-        # yielding to any instrumentation wrappers: under trace/check it
-        # silently stays off
-        attach_jit(system.core)
-    if use_memfast:
-        # the chunk-end flush wraps whichever run_chunk won: interpreter
-        # or JIT dispatcher
-        finish_memfast(system)
     return system
 
 

@@ -34,10 +34,8 @@ from repro.batch.engine import (CACHE_DIR_ENV as _STREAM_CACHE_ENV,
                                 maybe_run_chunk_batched,
                                 task_batch_eligible)
 from repro.errors import ConfigError, SweepError
-from repro.jit import ENV_VAR as _JIT_ENV
 from repro.lint.invariants import ENV_VAR as _CHECK_ENV
 from repro.lockstep import ENV_VAR as _LOCKSTEP_ENV
-from repro.memfast import ENV_VAR as _MEMFAST_ENV
 from repro.obs.recorder import ENV_VAR as _TRACE_ENV
 from repro.sim.config import SimConfig
 from repro.sim.factory import run_one, validate_design
@@ -120,8 +118,6 @@ def run_task(task: SweepTask) -> RunResult:
 
 
 def _init_worker(check_env: str | None, trace_env: str | None,
-                 jit_env: str | None = None,
-                 memfast_env: str | None = None,
                  batch_env: str | None = None,
                  lockstep_env: str | None = None,
                  stream_cache_env: str | None = None,
@@ -131,20 +127,18 @@ def _init_worker(check_env: str | None, trace_env: str | None,
 
     Pools spawned with a non-fork start method begin from a fresh
     interpreter whose environment may not mirror the parent's, so the
-    invariant-checking (REPRO_CHECK), tracing (REPRO_TRACE), JIT
-    (REPRO_JIT), fast-path (REPRO_MEMFAST), batch (REPRO_BATCH), and
-    lockstep (REPRO_LOCKSTEP) switches are shipped explicitly - a
-    checked/traced/JITted/batched parallel sweep must apply them in
-    every worker, not just the parent. The persistent artifact store
+    invariant-checking (REPRO_CHECK), tracing (REPRO_TRACE), batch
+    (REPRO_BATCH), and lockstep (REPRO_LOCKSTEP) switches are shipped
+    explicitly - a checked/traced/batched parallel sweep must apply
+    them in every worker, not just the parent. The persistent artifact store
     switches ride along too - the store root (REPRO_CACHE_DIR and its
     legacy alias REPRO_STREAM_CACHE) and the result memo
     (REPRO_RESULT_CACHE) - so campaign shards record each kernel, render
     each source, and simulate each point once across *processes*. The
-    worker's process-global JIT code cache and guest-stream cache then
-    warm once and serve all the tasks the worker executes.
+    worker's process-global record-mode code cache and guest-stream
+    cache then warm once and serve all the tasks the worker executes.
     """
     for var, value in ((_CHECK_ENV, check_env), (_TRACE_ENV, trace_env),
-                       (_JIT_ENV, jit_env), (_MEMFAST_ENV, memfast_env),
                        (_BATCH_ENV, batch_env),
                        (_LOCKSTEP_ENV, lockstep_env),
                        (_STREAM_CACHE_ENV, stream_cache_env),
@@ -164,7 +158,6 @@ def worker_initargs() -> tuple:
     own point keying.
     """
     return (os.environ.get(_CHECK_ENV), os.environ.get(_TRACE_ENV),
-            os.environ.get(_JIT_ENV), os.environ.get(_MEMFAST_ENV),
             os.environ.get(_BATCH_ENV), os.environ.get(_LOCKSTEP_ENV),
             os.environ.get(_STREAM_CACHE_ENV), os.environ.get(_STORE_ENV),
             os.environ.get(_RESULT_CACHE_ENV))

@@ -1,6 +1,6 @@
 """On-disk content-addressed artifact store (the warm-start substrate).
 
-Every generated-code cache in the tree (jit blocks/suffixes/traces,
+Every generated-code cache in the tree (record-mode jit blocks/suffixes,
 memfast handlers, lockstep column engines, batch recordings and stream
 skeletons) and every finished :class:`~repro.sim.results.RunResult` is
 process-global and dies with the process. This store gives each of them

@@ -1,6 +1,6 @@
 """Persisted generated-source plumbing + the A009 loaded-source ledger.
 
-The codegen tiers (jit blocks/suffixes/traces, memfast handlers,
+The codegen tiers (record-mode jit blocks/suffixes, memfast handlers,
 lockstep column engines) call :func:`load_source` before rendering and
 :func:`save_source` after: the store key is the tier's full in-memory
 cache key plus its generator fingerprint, so a loaded source is by

@@ -45,6 +45,30 @@ def test_unknown_workload_rejected():
         build_parser().parse_args(["run", "doom3"])
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("flag", ["--batch", "--lockstep"])
+def test_lone_runs_reject_sweep_flags(command, flag, capsys):
+    # run/compare build lone systems on the interpreter; the batch and
+    # lockstep tiers only exist for sweeps, so the flags are an error
+    with pytest.raises(SystemExit) as exc:
+        main([command, "sha", "--scale", "0.2", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_sweep_batch_flag_batches(capsys):
+    from repro.batch import batch_stats, clear_streams
+    clear_streams()
+    try:
+        assert main(["sweep", "--apps", "sha", "--designs", "WL-Cache",
+                     "NVSRAM(ideal)", "--scale", "0.2", "--trace",
+                     "trace1", "--quiet", "--batch"]) == 0
+        assert batch_stats()["replays"] == 2
+    finally:
+        clear_streams()
+    assert "sweep under trace1" in capsys.readouterr().out
+
+
 def test_dynamic_flag(capsys):
     assert main(["run", "sha", "--scale", "0.2", "--trace", "solar",
                  "--dynamic", "--static"]) == 0

@@ -1,21 +1,23 @@
-"""The static codegen auditor (A001-A007): every contract gets a clean
+"""The static codegen auditor (A001-A009): every contract gets a clean
 case and at least one seeded mutation it must catch.
 
 The synthetic-module tests feed hand-written sources shaped like the
-JIT emitter's output through :func:`audit_module_source`, so each
-contract is exercised in isolation; the integration tests then audit
-real compiled output (and tampered copies of it) end to end.
+record-mode emitter's output through :func:`audit_module_source`, so
+each contract is exercised in isolation; the integration tests then
+audit real compiled output (and tampered copies of it) end to end.
 """
 
 import pathlib
 
 from repro.isa.builder import ProgramBuilder
-from repro.jit.blocks import compile_blocks_source
+from repro.jit.blocks import (block_spans, compile_blocks_source,
+                              compile_suffix_source)
 from repro.jit.cache import get_compiled
 from repro.lint.codegen_audit import (_audit_handler_source, audit_compiled,
                                       audit_memfast_design,
                                       audit_module_source,
                                       audit_replay_module, audit_suite)
+from repro.memfast import attach_design
 from repro.sim.config import DESIGNS, SimConfig
 from repro.sim.factory import build_system
 from repro.workloads import build_workload
@@ -26,23 +28,20 @@ def rules_of(findings) -> set[str]:
 
 
 # a minimal module in the emitter's shape: one 2-instruction block that
-# flushes the full exit state and is declared in the dispatch table
+# flushes the full exit state, appends its exit code and is declared in
+# the dispatch table
 CLEAN_BLOCK = """\
-def _bind(_load, _store, _EE):
+def _bind(_load, _store, _EE, _q):
     def _b0(st, m):
         st[0] = st[0] + 3
         st[1] = 7
         st[7] = 2
+        _q.append(0)
         return 2
     _table = [None] * 4
     _table[0] = (_b0, 2)
     return _table
 """
-
-CLEAN_RECORD = CLEAN_BLOCK.replace(
-    "def _bind(_load, _store, _EE):",
-    "def _bind(_load, _store, _EE, _q):").replace(
-    "        return 2", "        _q.append(0)\n        return 2")
 
 
 class TestExitStateContract:
@@ -81,23 +80,6 @@ class TestRetireCountContract:
         assert rules_of(findings) == {"A002"}
         assert "declares length 2" in findings[0].message
 
-    def test_trace_side_exits_may_retire_partially(self):
-        src = """\
-def _bind(_EE):
-    def _t0(st, m):
-        st[0] = 1
-        st[1] = 0
-        if m:
-            st[7] = 1
-            return 9
-        st[7] = 4
-        return None
-    return (_t0, 4)
-"""
-        assert audit_module_source(src, "t") == []
-        over = src.replace("st[7] = 4", "st[7] = 5")
-        assert rules_of(audit_module_source(over, "t")) == {"A002"}
-
     def test_fault_retires_at_least_one(self):
         src = """\
 def _bind(_EE):
@@ -114,63 +96,32 @@ def _bind(_EE):
 
 
 class TestRecordExitCodes:
-    """A003: record modules append exactly one valid code per return."""
+    """A003: every module appends exactly one valid code per return."""
 
     def test_clean_record_module(self):
-        assert audit_module_source(CLEAN_RECORD, "t", record=True) == []
+        assert audit_module_source(CLEAN_BLOCK, "t") == []
 
     def test_missing_append(self):
-        bad = CLEAN_RECORD.replace("        _q.append(0)\n", "")
-        findings = audit_module_source(bad, "t", record=True)
+        bad = CLEAN_BLOCK.replace("        _q.append(0)\n", "")
+        findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A003"}
         assert "0 exit codes" in findings[0].message
 
     def test_doubled_append(self):
-        bad = CLEAN_RECORD.replace("_q.append(0)",
-                                   "_q.append(0)\n        _q.append(0)")
-        assert rules_of(audit_module_source(bad, "t", record=True)) == \
-            {"A003"}
+        bad = CLEAN_BLOCK.replace("_q.append(0)",
+                                  "_q.append(0)\n        _q.append(0)")
+        assert rules_of(audit_module_source(bad, "t")) == {"A003"}
 
     def test_wrong_code(self):
         # block 0 may only emit 0 (fallthrough) or 1 (taken)
-        bad = CLEAN_RECORD.replace("_q.append(0)", "_q.append(5)")
-        findings = audit_module_source(bad, "t", record=True)
+        bad = CLEAN_BLOCK.replace("_q.append(0)", "_q.append(5)")
+        findings = audit_module_source(bad, "t")
         assert rules_of(findings) == {"A003"}
         assert "2*0" in findings[0].message
 
-    def test_non_record_module_must_not_touch_queue(self):
-        bad = CLEAN_BLOCK.replace("return 2", "_q.append(0)\n        return 2")
-        findings = audit_module_source(bad, "t", record=False)
-        assert "A003" in rules_of(findings)
-
 
 class TestBailBeforeMutate:
-    """A004: both halves - JIT tag guards and handler bail ordering."""
-
-    JIT = """\
-def _bind(_acc):
-    def _b0(st, line, lineno):
-        st[0] = 1
-        st[1] = 0
-        st[7] = 1
-        if line.tag == lineno:
-            _acc[0] += 1
-        return 1
-    _table = [None]
-    _table[0] = (_b0, 1)
-    return _table
-"""
-
-    def test_guarded_accumulator_ok(self):
-        assert audit_module_source(self.JIT, "t") == []
-
-    def test_unguarded_accumulator_flagged(self):
-        bad = self.JIT.replace(
-            "        if line.tag == lineno:\n            _acc[0] += 1",
-            "        _acc[0] += 1")
-        findings = audit_module_source(bad, "t")
-        assert rules_of(findings) == {"A004"}
-        assert "_acc" in findings[0].message
+    """A004: handler bails to the slow path precede every mutation."""
 
     HANDLER = """\
 def _make(_mru, _acc, _slow):
@@ -249,15 +200,29 @@ class TestRealCodegen:
 
     def test_block_module_clean(self):
         prog = tiny_program()
-        src, _meta = compile_blocks_source(prog, SimConfig().costs,
-                                           False, False)
+        src, _meta = compile_blocks_source(prog, SimConfig().costs)
         assert audit_module_source(src, "t") == []
 
     def test_record_module_clean(self):
+        # the module a real recording binds, under the recorder's own
+        # cost model, audited after the run has compiled it
+        from repro.batch.record import record_run, recording_costs
+        prog = tiny_program("auditprobe5")
+        costs = SimConfig().costs
+        codes, n_retired, _cycles, _regs, _ops = record_run(prog, costs,
+                                                            1000)
+        assert codes and n_retired > 0
+        compiled = get_compiled(prog, recording_costs(costs))
+        assert compiled.module_code is not None
+        assert audit_compiled(compiled) == []
+
+    def test_suffix_module_clean(self):
+        # the tail of a block, as the recorder compiles it when an
+        # indirect jalr resumes mid-block
         prog = tiny_program()
-        src, _meta = compile_blocks_source(prog, SimConfig().costs,
-                                           False, True)
-        assert audit_module_source(src, "t", record=True) == []
+        start, end = next((s, e) for s, e in block_spans(prog) if e - s > 1)
+        src = compile_suffix_source(prog, SimConfig().costs, start + 1, end)
+        assert audit_module_source(src, "t") == []
 
     def test_audit_compiled_clean(self):
         compiled = get_compiled(tiny_program(), SimConfig().costs)
@@ -324,16 +289,14 @@ class TestLiveSystems:
     def test_memfast_handlers_clean_on_every_design(self):
         prog = build_workload("sha", 0.2)
         for design in DESIGNS:
-            system = build_system(prog, design, None,
-                                  SimConfig(jit=True, memfast=True))
-            system.run()
+            system = build_system(prog, design)
+            attach_design(system.design)
             assert audit_memfast_design(system.design) == [], design
 
     def test_tampered_handler_fails_keying_check(self):
         prog = build_workload("sha", 0.2)
-        system = build_system(prog, DESIGNS[0], None,
-                              SimConfig(jit=True, memfast=True))
-        system.run()
+        system = build_system(prog, DESIGNS[0])
+        attach_design(system.design)
         m = system.design
         if getattr(m, "_memfast_state", None) is None:
             return  # design has no fast path installed
@@ -348,24 +311,10 @@ class TestLiveSystems:
 
     def test_audit_suite_smoke(self):
         results = audit_suite(["sha"], scale=0.2)
-        assert set(results) == {"batch:replay", "sha",
+        assert set(results) == {"batch:replay", "sha", "memfast:handlers",
                                 "lockstep:engines", "store:loads"}
         assert {k: [f.render() for f in v]
                 for k, v in results.items() if v} == {}
-
-    def test_audit_suite_skips_a_core_that_compiled_nothing(
-            self, monkeypatch):
-        # with no chunk reaching the trace threshold the live cores run
-        # on the interpreter and never fetch a compiled program; the
-        # suite still audits the kernel's record module
-        import repro.jit.dispatch as dispatch
-        monkeypatch.setattr(dispatch, "TRACE_CAP", 1 << 30)
-        system = build_system(tiny_program("auditprobe4"), "WL-Cache",
-                              None, SimConfig(jit=True, memfast=True))
-        system.run()
-        assert system.core._jit_state.compiled is None
-        results = audit_suite(["sha"], designs=["WL-Cache"], scale=0.2)
-        assert results["sha"] == []
 
 
 class TestLockstepEngineContract:
@@ -428,7 +377,6 @@ class TestLockstepEngineContract:
         from repro.sim.sweep import run_grid
         clear_streams()
         run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)", "WT+Buffer"),
-                 "trace1", jobs=1, scale=0.2, jit=True, memfast=True,
-                 batch=True, lockstep=True)
+                 "trace1", jobs=1, scale=0.2, batch=True, lockstep=True)
         assert engine_sources(), "lockstep run retained no engines"
         assert audit_lockstep_engines() == []

@@ -7,6 +7,7 @@ from repro.cpu.costs import CycleCosts
 from repro.errors import ConfigError, ExecutionError
 from repro.isa.builder import ProgramBuilder
 from repro.verify.oracle import FunctionalMemory
+from tests.conftest import build_sum_program
 
 
 def make_core(prog, costs=None):
@@ -122,3 +123,38 @@ def test_nvcache_ifetch_extra_slows_execution():
     slow, _ = make_core(prog, CycleCosts(ifetch_extra=2))
     slow.run_to_halt()
     assert slow.cycle > fast.cycle + 2 * 100
+
+
+def _count_retirement(prog) -> int:
+    core, _ = make_core(prog)
+    return core.run_to_halt()
+
+
+def test_run_to_halt_exact_budget():
+    prog = build_sum_program(200)
+    n = _count_retirement(prog)
+    core, _ = make_core(prog)
+    assert core.run_to_halt(max_instrs=n) == n
+    assert core.instret == n and core.halted
+
+
+def test_run_to_halt_budget_is_a_hard_cap():
+    prog = build_sum_program(200)
+    n = _count_retirement(prog)
+    core, _ = make_core(prog)
+    with pytest.raises(ExecutionError, match="exceeded"):
+        core.run_to_halt(max_instrs=n - 1)
+    assert core.instret <= n - 1  # never overshoots the budget
+
+
+def test_run_to_halt_clamps_final_chunk():
+    # budget barely above one chunk: the second chunk must be clamped
+    b = ProgramBuilder("spin")
+    i = b.reg("i")
+    with b.for_range(i, 0, 100_000):
+        b.nop()
+    b.halt()
+    core, _ = make_core(b.build())
+    with pytest.raises(ExecutionError, match="exceeded"):
+        core.run_to_halt(max_instrs=65536 + 100)
+    assert core.instret <= 65536 + 100

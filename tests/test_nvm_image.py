@@ -1,8 +1,8 @@
 """The NVM word image is a flat ``array("I")`` on every execution path.
 
 ``Program.initial_memory`` builds the image every memory model starts
-from, so each path - the reference interpreter, the jit+memfast tiers,
-batch replay, lockstep columns, pool workers, the oracle and the batch
+from, so each path - the reference interpreter, batch replay (with the
+memfast handlers), lockstep columns, pool workers, the oracle and the batch
 recorder - must end holding one flat u32 buffer whose bytes equal the
 failure-free oracle's. The collector still tracks an array (CPython makes
 it a GC-aware type), but its only referent is its type, so a collection
@@ -74,13 +74,8 @@ def test_reference_lone_run(program, oracle):
     _assert_flat_image(res.final_memory, oracle)
 
 
-def test_jit_memfast_lone_run(program, oracle):
-    res = build_system(program, "WL-Cache", trace="trace1", jit=True, memfast=True).run()
-    _assert_flat_image(res.final_memory, oracle)
-
-
 def test_batch_replay(oracle):
-    for image in _grid_images(jobs=1, batch=True, jit=True, memfast=True):
+    for image in _grid_images(jobs=1, batch=True):
         _assert_flat_image(image, oracle)
     assert batch_stats()["replays"] == len(GRID_DESIGNS)
     assert lockstep_stats()["columns"] == 0

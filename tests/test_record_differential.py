@@ -1,27 +1,31 @@
-"""Differential fuzzing: interpreter vs JIT must be bit-identical.
+"""Differential fuzzing: interpreter vs record-mode replay must be
+bit-identical.
 
 Hypothesis generates structured random programs through the
 :class:`ProgramBuilder` - ALU mixes (including division by zero, whose
 semantics are architecturally defined), sub-word loads/stores, nested
 conditionals, calls (JAL/JALR), and loops - asserts they are lint-clean,
-then runs each under random chunk schedules on the interpreter and the
-JIT and compares *everything*: architectural registers, pc, cycle,
-instret, the i-cache accounting, the per-class retirement counters, and
-the final memory image. Chunk budgets are drawn above and below
-TRACE_CAP: a chunk of at least TRACE_CAP instructions runs trace-tier
-superblocks and hands its remainder to the interpreter, and a smaller
-chunk runs on the interpreter alone, so a schedule mixes the two at
-arbitrary pcs. Basic blocks and suffix blocks are record-mode only (the
-batch recorder); this module does not exercise them.
+then runs each under random chunk schedules on the interpreter and on a
+:class:`~repro.batch.replay.ReplayCore` walking the guest stream the
+batch recorder captured from record-mode compiled blocks
+(:func:`repro.batch.engine.get_stream`). Chunk by chunk it compares
+*everything*: each chunk's retired count and cycle delta, pc, cycle,
+instret, the i-cache residency and counters, and the per-class
+retirement counters; at the end the architectural registers and the
+final memory image. Any emitter bug that changes a value, a branch
+direction, a memory operation or a static cost changes the recording,
+and with it one of these.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.batch import ReplayCore, clear_streams, get_stream
 from repro.cpu.core import InOrderCore
-from repro.errors import ExecutionError
+from repro.cpu.costs import CycleCosts
 from repro.isa.builder import ProgramBuilder
 from repro.lint.findings import ERROR
 from repro.lint.runner import lint_program
@@ -116,22 +120,44 @@ def programs(draw):
     return b.build()
 
 
-def _run(prog, jit: bool, budgets: list[int]):
-    mem = NoCacheNVP(NVMainMemory(prog.initial_memory()))
-    core = InOrderCore(prog, mem)
-    if jit:
-        from repro.jit import attach_jit
-        assert attach_jit(core) is not None
+COSTS = CycleCosts()
+#: recording budget: far above any generated program's length (at most
+#: 24 iterations of 24 atoms), low enough that a miscompiled loop bails
+#: quickly instead of recording a runaway
+BUDGET = 50_000
+
+
+@pytest.fixture(autouse=True)
+def _fresh_streams():
+    clear_streams()
+    yield
+    clear_streams()
+
+
+def _cores(prog):
+    """An interpreter core and a replay core over fresh NVM images."""
+    stream = get_stream(prog, COSTS, BUDGET)
+    mi = NoCacheNVP(NVMainMemory(prog.initial_memory()))
+    mr = NoCacheNVP(NVMainMemory(prog.initial_memory()))
+    return (InOrderCore(prog, mi, COSTS), mi,
+            ReplayCore(prog, mr, COSTS, stream), mr)
+
+
+def _check_chunk_by_chunk(prog, budgets: list[int]) -> None:
+    ci, mi, cr, mr = _cores(prog)
     k = 0
-    err = None
-    try:
-        while not core.halted:
-            core.run_chunk(budgets[k % len(budgets)])
-            k += 1
-            assert k < 1_000_000, "runaway program"
-    except ExecutionError as exc:
-        err = str(exc)
-    return core, mem, err
+    while not ci.halted:
+        budget = budgets[k % len(budgets)]
+        assert cr.run_chunk(budget) == ci.run_chunk(budget), k
+        for attr in ("pc", "cycle", "instret", "halted", "ic_fetches",
+                     "ic_misses", "n_loads", "n_stores", "n_branches"):
+            assert getattr(cr, attr) == getattr(ci, attr), (k, attr)
+        assert cr.ic_lines == ci.ic_lines, k
+        k += 1
+        assert k < 1_000_000, "runaway program"
+    assert cr.halted
+    assert cr.arch_regs == ci.arch_regs
+    assert mr.nvm.words == mi.nvm.words
 
 
 @settings(max_examples=60, deadline=None,
@@ -139,29 +165,15 @@ def _run(prog, jit: bool, budgets: list[int]):
                                  HealthCheck.data_too_large])
 @given(prog=programs(),
        budgets=st.lists(st.integers(1, 700), min_size=1, max_size=6))
-def test_jit_matches_interpreter(prog, budgets):
+def test_record_matches_interpreter(prog, budgets):
     assert not any(f.severity == ERROR for f in lint_program(prog))
-    ci, mi, ei = _run(prog, False, budgets)
-    cj, mj, ej = _run(prog, True, budgets)
-    assert ei == ej
-    assert cj.regs[:32] == ci.regs[:32]
-    for attr in ("pc", "cycle", "instret", "halted", "ic_last",
-                 "ic_fetches", "ic_misses", "n_loads", "n_stores",
-                 "n_branches"):
-        assert getattr(cj, attr) == getattr(ci, attr), attr
-    assert cj.ic_lines == ci.ic_lines
-    assert mj.nvm.words == mi.nvm.words
+    _check_chunk_by_chunk(prog, budgets)
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(prog=programs())
-def test_jit_matches_interpreter_unchunked(prog):
-    # one giant chunk: the trace tier handles the whole run
-    ci, mi, ei = _run(prog, False, [1 << 20])
-    cj, mj, ej = _run(prog, True, [1 << 20])
-    assert ei == ej
-    assert cj.regs[:32] == ci.regs[:32]
-    assert (cj.pc, cj.cycle, cj.instret) == (ci.pc, ci.cycle, ci.instret)
-    assert mj.nvm.words == mi.nvm.words
+def test_record_matches_interpreter_unchunked(prog):
+    # one giant chunk: the whole replay in a single event walk
+    _check_chunk_by_chunk(prog, [1 << 20])

@@ -355,30 +355,23 @@ class TestWarmCodegen:
         # the load landed in the A009 ledger with its unit tag
         assert any(unit == "jit:sum" for unit, _s, _r in loaded_sources())
 
-    def test_jit_suffix_and_trace_load(self, store_dir, fresh_codegen):
+    def test_jit_suffix_load(self, store_dir, fresh_codegen):
         costs = CycleCosts()
         prog = build_sum_program(200)
         cold = get_compiled(prog, costs)
         starts = cold._starts
         assert len(starts) >= 2
         suffix_pc = starts[1] + 1  # a mid-block resume point
-        cold.suffix_entry(suffix_pc, (None,) * 7)
-        cold.trace_entry(starts[1], (None,) * 7)
-        stats = code_cache_stats()
-        assert stats["suffix_compiles"] == 1
-        assert stats["trace_compiles"] == 1
+        cold.suffix_entry(suffix_pc, (None,) * 8)
+        assert code_cache_stats()["suffix_compiles"] == 1
         suffix_src = cold.suffix_sources[suffix_pc]
-        trace_src = cold.trace_sources[starts[1]]
 
         fresh_codegen()
         warm = get_compiled(build_sum_program(200), costs)
-        warm.suffix_entry(suffix_pc, (None,) * 7)
-        warm.trace_entry(starts[1], (None,) * 7)
+        warm.suffix_entry(suffix_pc, (None,) * 8)
         stats = code_cache_stats()
         assert stats["suffix_loads"] == 1 and stats["suffix_compiles"] == 0
-        assert stats["trace_loads"] == 1 and stats["trace_compiles"] == 0
         assert warm.suffix_sources[suffix_pc] == suffix_src
-        assert warm.trace_sources[starts[1]] == trace_src
 
     def test_memfast_handlers_load_not_render(self, store_dir,
                                               fresh_codegen):
@@ -396,7 +389,8 @@ class TestWarmCodegen:
         assert warm == cold
 
     def test_memfast_end_to_end_warm(self, store_dir, fresh_codegen):
-        cfg = SimConfig(memfast=True)
+        # batch replay attaches the handlers to every replay instance
+        cfg = SimConfig(batch=True)
         cold = run_grid(("sha",), ("WL-Cache",), "trace1", scale=0.2,
                         jobs=1, config=cfg)
         assert codegen_cache_stats()["renders"] >= 1
@@ -451,8 +445,7 @@ class TestWarmCodegen:
         from repro.sim.factory import build_system
         from repro.workloads import get_workload
 
-        kwargs = dict(scale=0.1, jobs=1, verify=False, batch=True,
-                      jit=True, memfast=True)
+        kwargs = dict(scale=0.1, jobs=1, verify=False, batch=True)
         workload = get_workload("sha")
         old = workload.build(0.1)
         run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
@@ -603,7 +596,7 @@ def _grid_stats(grid) -> dict:
 
 class TestWarmEqualsCold:
     def test_reduced_grid_bit_identical(self, store_dir, fresh_codegen):
-        cfg = SimConfig(jit=True, memfast=True, result_cache=True)
+        cfg = SimConfig(batch=True, result_cache=True)
         kwargs = dict(trace="trace1", scale=0.2, jobs=1, config=cfg)
         cold = run_grid(("sha",), ("NVSRAM(ideal)", "WL-Cache"), **kwargs)
         assert store_stats().get("result_writes") == 2
@@ -619,7 +612,7 @@ class TestWarmEqualsCold:
     @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
                         reason="full grid is tier-2 (set REPRO_TIER2=1)")
     def test_full_grid_bit_identical(self, store_dir, fresh_codegen):
-        cfg = SimConfig(jit=True, memfast=True, result_cache=True)
+        cfg = SimConfig(batch=True, result_cache=True)
         kwargs = dict(trace="trace1", scale=0.2, jobs=1, config=cfg)
         cold = run_grid(**kwargs)  # all 23 workloads x 5 designs
         fresh_codegen()
@@ -638,7 +631,7 @@ class TestPoolPropagation:
     def test_initargs_carry_store_switches(self, store_dir, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
         args = worker_initargs()
-        assert len(args) == 9
+        assert len(args) == 7
         assert store_dir in args
         assert "1" in args
 
@@ -678,7 +671,7 @@ class TestCacheCaps:
         try:
             core._DECODE_SHARED.clear()
             core._DECODE_STATS["evictions"] = 0
-            monkeypatch.setenv("REPRO_DECODE_CAP", "2")
+            monkeypatch.setattr(core, "_DECODE_SHARED_CAP", 2)
             costs = CycleCosts()
             for n in (11, 12, 13):
                 core.predecode(build_sum_program(n), costs)
@@ -689,18 +682,6 @@ class TestCacheCaps:
             core._DECODE_SHARED.clear()
             core._DECODE_SHARED.update(saved)
             core._DECODE_STATS["evictions"] = saved_ev
-
-    def test_jit_trace_cache_cap(self, store_dir, fresh_codegen,
-                                 monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_CACHE_CAP", "1")
-        compiled = get_compiled(build_sum_program(200), CycleCosts())
-        starts = compiled._starts
-        assert len(starts) >= 2
-        compiled.trace_entry(starts[0], (None,) * 7)
-        compiled.trace_entry(starts[1], (None,) * 7)
-        assert len(compiled._trace_codes) == 1
-        assert starts[0] not in compiled.trace_sources
-        assert code_cache_stats()["trace_evictions"] == 1
 
     def test_cache_report_covers_every_cache(self, store_dir):
         report = cache_report(include_disk=True)
@@ -722,7 +703,7 @@ class TestStoreAudit:
     def _jit_blocks_key(self, program, costs):
         from repro.cpu.core import program_content_key
         return ("jit-blocks", jit_fingerprint(),
-                program_content_key(program), costs, False, False)
+                program_content_key(program), costs)
 
     def test_legitimate_loads_audit_clean(self, store_dir, fresh_codegen):
         from repro.lint.codegen_audit import audit_store_loads
