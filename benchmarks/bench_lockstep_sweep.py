@@ -4,10 +4,11 @@ Runs, per kernel, the *full figure grid* - every cache design crossed
 with the no-failure condition and both power traces (the Fig. 4/5/6
 axis), plus the WL-Cache sensitivity slice the Fig. 8-10 sweeps walk
 (capacitor size x maxline/waterline x DirtyQueue capacity, under both
-traces) - in two tiers: the batch record-once/replay-many engine
-(one ``ReplayCore`` loop per grid point) and the lockstep tier
-(``SimConfig(lockstep=True)``: one generated engine advances the whole
-same-skeleton column). Results land in
+traces) - in two tiers: per-instance batch replay (per grid point,
+``get_stream`` then ``build_replay_system(...).run()`` - one
+``ReplayCore`` loop per point, the path a column's evictees finish on)
+and the fast engine (``SimConfig(engine="fast")``: one generated engine
+advances the whole same-skeleton column). Results land in
 ``results/BENCH_9.json``.
 
 Methodology - *warm* sweep, on purpose:
@@ -53,11 +54,13 @@ import sys
 import time
 
 from bench_common import SENSITIVITY_APPS, bench_apps
-from repro.batch.engine import clear_streams, iter_outcomes
+from repro.batch.engine import (build_replay_system, clear_streams,
+                                get_stream, iter_outcomes, resolve_config)
 from repro.jit.cache import clear_code_cache
 from repro.lockstep.codegen import clear_engines
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.factory import effective_costs
 from repro.sim.parallel import SweepTask, run_task
 from repro.sim.sweep import bench_scale
 from repro.workloads import build_workload
@@ -80,10 +83,7 @@ SENS_CAPS_F = (5e-7, 1e-6, 2e-6, 1e-5)
 SENS_MAXLINES = (4, 6, 8)
 SENS_DQ = (8, 12)
 
-TIERS = (
-    ("batch", SimConfig(batch=True)),
-    ("lockstep", SimConfig(batch=True, lockstep=True)),
-)
+CONFIG = SimConfig(engine="fast")
 
 
 def grid_tasks(app: str, scale: float, cfg: SimConfig) -> list[SweepTask]:
@@ -101,13 +101,31 @@ def grid_tasks(app: str, scale: float, cfg: SimConfig) -> list[SweepTask]:
     return tasks
 
 
-def _sweep(tasks: list[SweepTask]) -> list:
+def _replay_sweep(tasks: list[SweepTask]) -> list:
+    """Per-instance batch replay: each point on its own ReplayCore."""
     out = []
-    for task, outcome in iter_outcomes(list(tasks), run_task):
+    for task in tasks:
+        config = resolve_config(task)
+        program = build_workload(task.workload, task.scale)
+        stream = get_stream(program, effective_costs(task.design, config),
+                            config.max_instructions)
+        out.append(build_replay_system(program, task, config, stream).run())
+    return out
+
+
+def _column_sweep(tasks: list[SweepTask]) -> list:
+    """The fast engine: the grid as one column. Outcomes arrive
+    group-major, so they are put back in task order."""
+    by_task = {}
+    for task, outcome in iter_outcomes(tasks, run_task):
         if outcome[0] != "ok":
             raise outcome[1]
-        out.append(outcome[1])
-    return out
+        by_task[id(task)] = outcome[1]
+    return [by_task[id(task)] for task in tasks]
+
+
+#: tier name -> sweep function; the names key BENCH_9.json
+TIERS = (("batch", _replay_sweep), ("lockstep", _column_sweep))
 
 
 def _clear_tier_caches(app: str, scale: float) -> None:
@@ -120,25 +138,24 @@ def _clear_tier_caches(app: str, scale: float) -> None:
 def time_tiers(app: str, scale: float) -> dict:
     """Best warm-sweep wall time per tier, after the bit-identity check,
     plus one cold pass per tier."""
-    grids = {name: grid_tasks(app, scale, cfg) for name, cfg in TIERS}
-    warm = {name: _sweep(tasks) for name, tasks in grids.items()}
+    tasks = grid_tasks(app, scale, CONFIG)
+    warm = {name: sweep(tasks) for name, sweep in TIERS}
     for a, b in zip(warm["batch"], warm["lockstep"]):
         assert a == b, (f"{app}: lockstep diverged from batch on "
                         f"{a.design}/{a.trace}")
     best = {name: math.inf for name, _ in TIERS}
     for _ in range(REPS):
-        for name, _cfg in TIERS:
+        for name, sweep in TIERS:
             t0 = time.perf_counter()
-            _sweep(grids[name])
+            sweep(tasks)
             best[name] = min(best[name], time.perf_counter() - t0)
     cold = {}
-    for name, _cfg in TIERS:
+    for name, sweep in TIERS:
         _clear_tier_caches(app, scale)
         t0 = time.perf_counter()
-        _sweep(grids[name])
+        sweep(tasks)
         cold[name] = time.perf_counter() - t0
-    return {"warm": best, "cold": cold,
-            "points": len(grids["batch"])}
+    return {"warm": best, "cold": cold, "points": len(tasks)}
 
 
 def main() -> int:

@@ -94,7 +94,6 @@ def run_child(store_dir: str, tag: str) -> dict:
         out_path = tf.name
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = store_dir
-    env.pop("REPRO_STREAM_CACHE", None)  # the legacy alias would win
     env["REPRO_RESULT_CACHE"] = "1"
     src = os.path.normpath(os.path.join(os.path.dirname(__file__),
                                         os.pardir, "src"))

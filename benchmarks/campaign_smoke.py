@@ -1,8 +1,9 @@
 """CI campaign smoke: a 64-point Monte-Carlo campaign run three ways.
 
 Runs the same ``(workload x design x stochastic family x seed)`` grid
-under the serial loop, the process pool, and the batch record/replay
-engine, asserts the three are point-for-point bit-identical, checks the
+under the serial loop, the process pool, and the fast engine's
+record-once lockstep columns (on the pool), asserts the three are
+point-for-point bit-identical, checks the
 fixed-seed summary statistics are identical across engines, and writes
 the summary CSV/SVG artifacts the CI job uploads.
 
@@ -10,8 +11,7 @@ The golden *content* pin for the statistical pipeline lives in
 ``tests/test_mc_stats.py`` (exact-match against
 ``tests/goldens/mc_campaign_summary.json``); this smoke guards the
 engine-invariance half of the contract at a size the unit tests don't
-reach (>= 64 points, both kernels batch-amortized across 16 seeds
-each).
+reach (>= 64 points, each kernel recorded once for its 32 points).
 
 Usage::
 
@@ -34,11 +34,12 @@ SPEC = CampaignSpec(
     families=("mc-rf-home", "mc-rf-office"),
     seeds=tuple(range(8)),
     scale=SCALE,
+    overrides={"engine": "reference"},
 )
 
-BATCH_SPEC = CampaignSpec(
+FAST_SPEC = CampaignSpec(
     workloads=SPEC.workloads, designs=SPEC.designs, families=SPEC.families,
-    seeds=SPEC.seeds, scale=SPEC.scale, overrides={"batch": True})
+    seeds=SPEC.seeds, scale=SPEC.scale, overrides={"engine": "fast"})
 
 
 def main() -> int:
@@ -62,22 +63,22 @@ def main() -> int:
         return 1
 
     t0 = time.perf_counter()
-    batched = run_campaign(BATCH_SPEC, jobs=max(2, os.cpu_count() or 2))
-    t_batch = time.perf_counter() - t0
-    bd = campaign_to_dict(batched)
-    if sd != bd:
-        bad = [k for k in serial if serial[k] != batched[k]]
-        print(f"FAIL: batched campaign diverged from serial on {bad}")
+    fast = run_campaign(FAST_SPEC, jobs=max(2, os.cpu_count() or 2))
+    t_fast = time.perf_counter() - t0
+    fd = campaign_to_dict(fast)
+    if sd != fd:
+        bad = [k for k in serial if serial[k] != fast[k]]
+        print(f"FAIL: fast-engine campaign diverged from serial on {bad}")
         return 1
 
     summaries = [summarize_campaign(pts) for pts in (serial, parallel,
-                                                     batched)]
+                                                     fast)]
     texts = [json.dumps(s, sort_keys=True) for s in summaries]
     if len(set(texts)) != 1:
         print("FAIL: summary statistics differ across execution engines")
         return 1
     print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
-          f"batch {t_batch:.2f}s - {SPEC.n_points} points bit-identical, "
+          f"fast {t_fast:.2f}s - {SPEC.n_points} points bit-identical, "
           f"summaries identical")
 
     prefix = os.path.join(out_dir, "campaign_smoke")

@@ -1,12 +1,12 @@
-"""CI smoke sweep: a small grid run serial, parallel, under the batch
-record/replay tier, AND under the lockstep column tier - all four
-asserted bit-identical.
+"""CI smoke sweep: a small grid run serial and parallel on the reference
+engine AND on the fast engine - all four asserted bit-identical.
 
 Exercises the full stack end to end in about a minute: workload build,
 every major cache design, a real power trace with outages, the crash
 consistency verifier, the process-pool engine's bit-exactness guarantee,
-and the record-mode replay's. The CI pipeline runs this with
-``REPRO_BENCH_SCALE=0.1`` and uploads the CSV as a build artifact.
+and the fast engine's record-once lockstep columns. The CI pipeline runs
+this with ``REPRO_BENCH_SCALE=0.1`` and uploads the CSV as a build
+artifact.
 
 Usage::
 
@@ -18,6 +18,7 @@ import os
 import sys
 import time
 
+from repro.lockstep.scheduler import lockstep_stats
 from repro.sim.sweep import run_grid
 
 APPS = ("sha", "qsort")
@@ -30,42 +31,29 @@ def main() -> int:
     os.makedirs(out_dir, exist_ok=True)
     out_csv = os.path.normpath(os.path.join(out_dir, "smoke_sweep.csv"))
 
-    t0 = time.perf_counter()
-    serial = run_grid(APPS, DESIGNS, TRACE, jobs=1)
-    t_serial = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    parallel = run_grid(APPS, DESIGNS, TRACE, jobs=max(2, os.cpu_count() or 2))
-    t_parallel = time.perf_counter() - t0
-
-    if serial != parallel:
-        bad = [k for k in serial if serial[k] != parallel[k]]
-        print(f"FAIL: parallel sweep diverged from serial on {bad}")
-        return 1
-
-    t0 = time.perf_counter()
-    batched = run_grid(APPS, DESIGNS, TRACE, jobs=1, batch=True)
-    t_batch = time.perf_counter() - t0
-    if serial != batched:
-        bad = [k for k in serial if serial[k] != batched[k]]
-        print(f"FAIL: batched sweep diverged from the interpreter on {bad}")
-        return 1
-
-    t0 = time.perf_counter()
-    lockstep = run_grid(APPS, DESIGNS, TRACE, jobs=1, batch=True,
-                        lockstep=True)
-    t_lockstep = time.perf_counter() - t0
-    if serial != lockstep:
-        bad = [k for k in serial if serial[k] != lockstep[k]]
-        print(f"FAIL: lockstep sweep diverged from the interpreter on {bad}")
-        return 1
-    from repro.lockstep.scheduler import lockstep_stats
+    jobs = max(2, os.cpu_count() or 2)
+    runs = {}
+    times = {}
+    for engine in ("reference", "fast"):
+        for label, n in (("serial", 1), ("parallel", jobs)):
+            t0 = time.perf_counter()
+            runs[engine, label] = run_grid(APPS, DESIGNS, TRACE, jobs=n,
+                                           engine=engine)
+            times[engine, label] = time.perf_counter() - t0
+    serial = runs["reference", "serial"]
+    for (engine, label), got in runs.items():
+        if got != serial:
+            bad = [k for k in serial if serial[k] != got[k]]
+            print(f"FAIL: {engine} {label} sweep diverged from the "
+                  f"reference serial sweep on {bad}")
+            return 1
     if lockstep_stats()["columns"] == 0:
-        print("FAIL: lockstep tier never engaged in the smoke sweep")
+        print("FAIL: the fast engine never formed a column in the smoke "
+              "sweep")
         return 1
-    print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
-          f"batch {t_batch:.2f}s / lockstep {t_lockstep:.2f}s - "
-          f"{len(serial)} runs bit-identical")
+    print(" / ".join(f"{engine} {label} {t:.2f}s"
+                     for (engine, label), t in times.items())
+          + f" - {len(serial)} runs bit-identical")
 
     with open(out_csv, "w", newline="") as f:
         w = csv.writer(f)

@@ -6,7 +6,7 @@ root:
 
 * a sweep with result memoization on (exercises the ``result``
   artifact class), and
-* a batch+lockstep sweep (exercises ``stream`` recordings, ``skel``
+* a fast-engine sweep (exercises ``stream`` recordings, ``skel``
   skeletons, and the ``src`` class: record-mode blocks, memfast
   handlers and lockstep engine sources).
 
@@ -59,7 +59,7 @@ def child(out_path: str) -> int:
     memo_cfg = SimConfig(result_cache=True)
     memo = run_grid(APPS, MEMO_DESIGNS, TRACE, scale=SCALE, jobs=1,
                     config=memo_cfg)
-    replay_cfg = SimConfig(batch=True, lockstep=True)
+    replay_cfg = SimConfig(engine="fast")
     replay = run_grid(APPS, REPLAY_DESIGNS, TRACE, scale=SCALE, jobs=1,
                       config=replay_cfg)
     report = {
@@ -83,7 +83,6 @@ def run_child(store_dir: str, tag: str) -> dict:
         out_path = tf.name
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = store_dir
-    env.pop("REPRO_STREAM_CACHE", None)
     src = os.path.normpath(os.path.join(os.path.dirname(__file__),
                                         os.pardir, "src"))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")

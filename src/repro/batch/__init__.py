@@ -1,24 +1,20 @@
-"""Batched multi-instance sweep execution (record once, replay many).
+"""The fast sweep engine's record-once machinery.
 
 Groups grid points that share a kernel and cost model, records the
-shared architectural execution once on record-mode compiled code, then
-replays every point's cycle-accurate run - outages, stalls, threshold
-adaptation and all - through the untouched ``System`` loop with a
-stream-walking :class:`~repro.batch.replay.ReplayCore`, bit-identically
-to serial interpretation. Enable with ``SimConfig(batch=True)``,
-``--batch`` on the CLI, or ``REPRO_BATCH=1`` in the environment. See
-``docs/batch.md`` for the stream layout, bail discipline, and the tier
-pecking order.
+shared architectural execution once on record-mode compiled code, and
+expands it into a guest stream that lockstep columns
+(:mod:`repro.lockstep`) and per-instance
+:class:`~repro.batch.replay.ReplayCore` runs replay cycle-accurately -
+outages, stalls, threshold adaptation and all - bit-identically to
+serial interpretation. Select it with ``SimConfig(engine="fast")``,
+``--engine fast`` on ``repro sweep``/``repro campaign``, or
+``REPRO_ENGINE=fast`` in the environment. See ``docs/batch.md`` for the
+stream layout, bail discipline, and the engine rules.
 """
 
-from repro.batch.engine import (ENV_VAR, batch_enabled, batch_stats,
-                                build_replay_system, clear_streams,
-                                effective_costs, get_stream,
-                                maybe_run_batched,
-                                maybe_run_chunk_batched, plan,
-                                resolve_config, task_batch_eligible,
-                                task_batchable,
-                                warm_stream)
+from repro.batch.engine import (batch_stats, build_replay_system,
+                                clear_streams, get_stream, iter_outcomes,
+                                plan, resolve_config, warm_stream)
 from repro.batch.record import (BUDGET_SLACK, STREAM_CAP, RecordingBail,
                                 RecordingMemsys, record_run,
                                 recording_costs)
@@ -28,27 +24,21 @@ from repro.batch.stream import (GuestStream, build_stream,
 
 __all__ = [
     "BUDGET_SLACK",
-    "ENV_VAR",
     "STREAM_CAP",
     "GuestStream",
     "RecordingBail",
     "RecordingMemsys",
     "ReplayCore",
-    "batch_enabled",
     "batch_stats",
     "build_replay_system",
     "build_stream",
     "clear_streams",
-    "effective_costs",
     "get_stream",
-    "maybe_run_batched",
-    "maybe_run_chunk_batched",
+    "iter_outcomes",
     "plan",
     "record_run",
     "recording_costs",
     "resolve_config",
     "stream_meta_stats",
-    "task_batch_eligible",
-    "task_batchable",
     "warm_stream",
 ]

@@ -1,39 +1,41 @@
-"""Batched sweep execution: group grid points, record once, replay each.
+"""The fast sweep engine: group grid points, record once, run columns.
 
 The engine sits between :mod:`repro.sim.parallel` and the per-run
 machinery. Given a list of sweep tasks it:
 
-1. resolves each task's effective :class:`SimConfig` and checks
-   *eligibility* - batching yields to the trace recorder and the
-   invariant checker (the pecking order is recorder/checker > batch >
-   the interpreter);
-2. groups eligible tasks by ``(workload, scale, effective cost model)``
+1. resolves each task's effective :class:`SimConfig` and routes it to
+   the fast engine when :func:`repro.sim.factory.runs_fast` says so -
+   ``engine="fast"`` (or ``REPRO_ENGINE=fast`` under an unset engine)
+   and neither the trace recorder nor the invariant checker attached;
+   every other task runs alone on the interpreter;
+2. groups fast tasks by ``(workload, scale, effective cost model)``
    - the *design family*: ``NVCache-WB`` folds ``nvcache_ifetch_extra``
    into its costs, so it records separately from the SRAM-cost designs;
 3. records each group's kernel once (:mod:`repro.batch.record`) and
    expands it into a shared :class:`GuestStream`, cached process-wide so
    consecutive grids (one per power trace) reuse it;
-4. replays every task in the group through an untouched
-   :class:`~repro.sim.system.System` whose core is a per-instance
-   :class:`~repro.batch.replay.ReplayCore` with the memfast tier
-   attached to its design - per-instance outages, stalls, and threshold
-   adaptation all happen inside the replay, bit-identically;
-5. bails any task the stream model cannot serve - instrumentation
-   attached, a guest fault or runaway kernel during recording - to the
-   caller-supplied slow path (a lone run on the interpreter), per
-   instance, preserving exact error behaviour.
+4. runs every ``(workload, scale)`` cluster of groups - the cost
+   families of one kernel share a stream skeleton - as one lockstep
+   column (:mod:`repro.lockstep.scheduler`); a point evicted from its
+   column, or whose family's skeleton was evicted from the cache,
+   finishes on a per-instance :class:`~repro.batch.replay.ReplayCore`
+   with the memfast tier attached to its design - per-instance outages,
+   stalls, and threshold adaptation all happen inside the replay,
+   bit-identically;
+5. bails any group the stream model cannot serve - a guest fault or
+   runaway kernel during recording - to the caller-supplied slow path
+   (a lone run on the interpreter), per instance, preserving exact
+   error behaviour.
 
-Enable with ``SimConfig(batch=True)``, ``--batch`` on the CLI, or
-``REPRO_BATCH=1`` in the environment (sweep pool workers re-export it,
-like the other tier switches).
+Select the fast engine with ``SimConfig(engine="fast")``, ``--engine
+fast`` on ``repro sweep``/``repro campaign``, or ``REPRO_ENGINE=fast``
+in the environment (it fills only an unset ``engine``).
 """
 
 from __future__ import annotations
 
-import os
 import traceback
 from collections.abc import Callable, Iterator
-from dataclasses import replace
 
 from repro.batch.record import RecordingBail, record_run
 from repro.batch.replay import ReplayCore
@@ -41,28 +43,12 @@ from repro.batch.stream import GuestStream, build_stream
 from repro.cpu.core import program_content_key
 from repro.cpu.costs import CycleCosts
 from repro.isa.program import Program
-from repro.lint.invariants import invariants_enabled
-from repro.lockstep import lockstep_enabled
 from repro.mem.nvm import NVMainMemory
 from repro.memfast import attach_memfast
-from repro.obs.recorder import trace_enabled
 from repro.sim.config import SimConfig
-from repro.sim.factory import build_design
+from repro.sim.factory import build_design, effective_costs, runs_fast
 from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
-
-#: ``REPRO_BATCH=1`` enables batched sweep execution for every grid in
-#: this process (pool workers re-export it, like REPRO_LOCKSTEP).
-ENV_VAR = "REPRO_BATCH"
-
-#: ``REPRO_STREAM_CACHE=<dir>`` shares recordings across *processes*.
-#: Since the persistent artifact store subsumed the old per-directory
-#: pickle files, this is a legacy alias for the store root
-#: (:func:`repro.store.store_root` - it wins over ``REPRO_CACHE_DIR``
-#: when set); recordings are the store's ``"stream"`` artifact class.
-#: Writes stay atomic (tmp + rename) and loads still tolerate any
-#: corruption by falling back to recording.
-CACHE_DIR_ENV = "REPRO_STREAM_CACHE"
 
 #: program content key -> raw recording ``(codes, n_total, cycles,
 #: rec_costs, final_regs, ops)``. The architectural stream is *cost-
@@ -88,11 +74,6 @@ _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
                  "disk_writes": 0}
 
 
-def batch_enabled() -> bool:
-    """True when ``REPRO_BATCH`` requests batched sweeps globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
-
-
 def resolve_config(task) -> SimConfig:
     """A task's effective config (base config + overrides)."""
     config = task.config or SimConfig()
@@ -101,61 +82,8 @@ def resolve_config(task) -> SimConfig:
     return config
 
 
-def task_batch_eligible(task) -> bool:
-    """:func:`task_batchable` over the task's resolved config, safely.
-
-    A task whose overrides do not form a valid :class:`SimConfig` is
-    simply *not eligible*: the error must be raised by the ordinary run
-    path (where sweeps attribute it to the failing run), not by a
-    batching probe in the sweep parent.
-    """
-    try:
-        config = resolve_config(task)
-    except Exception:
-        return False
-    return task_batchable(config)
-
-
-def task_batchable(config: SimConfig) -> bool:
-    """Batching applies to this run and nothing outranks it.
-
-    The trace recorder and the invariant checker must see every memory
-    call and every chunk; a replayed stream would bypass them entirely,
-    so the batch tier silently stands down when either is requested
-    (per config or environment).
-    """
-    if not (config.batch or batch_enabled()):
-        return False
-    if config.trace or trace_enabled():
-        return False
-    if config.check_invariants or invariants_enabled():
-        return False
-    return True
-
-
-def task_lockstep_eligible(task) -> bool:
-    """Batch-eligible *and* opted into lockstep columns (per config or
-    ``REPRO_LOCKSTEP``). Lockstep rides on the batch tier, so it
-    inherits every batch eligibility rule unchanged."""
-    try:
-        config = resolve_config(task)
-    except Exception:
-        return False
-    return task_batchable(config) and (config.lockstep
-                                       or lockstep_enabled())
-
-
-def effective_costs(design: str, config: SimConfig) -> CycleCosts:
-    """The cost model a design family executes under (mirrors
-    :func:`repro.sim.factory.build_system`)."""
-    costs = config.costs
-    if design == "NVCache-WB":
-        costs = replace(costs, ifetch_extra=config.nvcache_ifetch_extra)
-    return costs
-
-
 class _Group:
-    """Eligible tasks sharing one recording."""
+    """Fast-engine tasks sharing one recording."""
 
     __slots__ = ("workload", "scale", "costs", "tasks", "configs",
                  "budget")
@@ -186,7 +114,7 @@ def plan(tasks) -> list[tuple]:
             # invalid overrides: the slow path raises the real error
             units.append(("solo", task))
             continue
-        if not task_batchable(config):
+        if not runs_fast(config):
             units.append(("solo", task))
             continue
         costs = effective_costs(task.design, config)
@@ -212,8 +140,7 @@ def _disk_load(ckey: tuple) -> tuple | None:
     """A previously shared recording, or None (not cached / unreadable -
     a bad entry is never an error, just a re-record). Recordings live in
     the ``"stream"`` class of the persistent artifact store
-    (:mod:`repro.store`); ``REPRO_STREAM_CACHE=<dir>`` still works as a
-    legacy alias for the store root."""
+    (:mod:`repro.store`)."""
     from repro.store.core import get_store
 
     store = get_store()
@@ -241,11 +168,11 @@ def get_stream(program: Program, costs: CycleCosts,
     """The kernel's guest stream, recording it on first demand.
 
     Raises :class:`RecordingBail` when the kernel cannot be recorded;
-    bails are not cached (a larger budget may succeed later). With
-    ``REPRO_STREAM_CACHE`` set, recordings round-trip through the
-    shared directory so campaign shards record each kernel once
-    fleet-wide (a completed recording is budget-independent - the
-    budget only caps runaway kernels, which bail and are never stored).
+    bails are not cached (a larger budget may succeed later). With the
+    artifact store on (``REPRO_CACHE_DIR``), recordings round-trip
+    through it so campaign shards record each kernel once fleet-wide (a
+    completed recording is budget-independent - the budget only caps
+    runaway kernels, which bail and are never stored).
     """
     ckey = program_content_key(program)
     key = (ckey, costs)
@@ -278,7 +205,7 @@ def build_replay_system(program: Program, task, config: SimConfig,
     """A ready-to-run System whose core replays ``stream``.
 
     Mirrors :func:`repro.sim.factory.build_system` minus the
-    instrumentation the batch engine refuses to coexist with (trace
+    instrumentation the fast engine refuses to coexist with (trace
     recorder, invariant checker - :func:`plan` never routes such tasks
     here), with the memfast tier attached: each replay instance binds
     its own design's fast hit handlers (the per-instance fast-path
@@ -321,21 +248,18 @@ def _outcome(fn, *args) -> tuple:
 
 
 def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
-    """Yield ``(task, outcome)`` for every task, batching where it can.
+    """Yield ``(task, outcome)`` for every task, on the fast engine
+    where it can.
 
-    ``run_slow`` is the caller's single-task path (``run_task``); bailed
-    and ineligible tasks go through it and finish as lone runs on the
-    interpreter.
-    Outcomes are yielded unit-by-unit in first-appearance order, which
-    interleaves groups sharing a workload; callers needing task order
-    re-index by task.
-
-    When any task opts into lockstep, adjacent group units sharing a
-    ``(workload, scale)`` - the cost families of one design sweep, which
-    share a :class:`~repro.batch.stream.StreamSkeleton` - are coalesced
-    into one *cluster* and their lockstep-eligible tasks advance
-    together as a column (:mod:`repro.lockstep.scheduler`); everything
-    else keeps the per-instance replay path unchanged.
+    ``run_slow`` is the caller's single-task path; it must not consult
+    the result memo again. Reference-engine, instrumented and bailed
+    tasks go through it and finish as lone runs on the interpreter.
+    Adjacent groups sharing a ``(workload, scale)`` - the cost families
+    of one design sweep, which share a :class:`~repro.batch.stream.
+    StreamSkeleton` - form one *cluster* whose tasks advance together
+    as a column. Outcomes are yielded unit by unit in first-appearance
+    order, which is group-major; callers needing task order re-index by
+    task.
 
     When result memoization is on (:mod:`repro.store.results`), every
     task is first checked against the persistent memo: hits are yielded
@@ -351,34 +275,7 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
             yield task, ("ok", memo)
         else:
             pending.append(task)
-    tasks = pending
-    if not tasks:
-        return
-    units = plan(tasks)
-    if not any(task_lockstep_eligible(t) for t in tasks):
-        for kind, unit in units:
-            if kind == "solo":
-                _STREAM_STATS["solo"] += 1
-                yield unit, _outcome(run_slow, unit)
-                continue
-            group = unit
-            try:
-                program = build_workload(group.workload, group.scale)
-                stream = get_stream(program, group.costs, group.budget)
-            except RecordingBail:
-                _STREAM_STATS["bails"] += 1
-                for task in group.tasks:
-                    yield task, _outcome(run_slow, task)
-                continue
-            except Exception as exc:
-                tb = traceback.format_exc()
-                for task in group.tasks:
-                    yield task, ("err", exc, tb)
-                continue
-            for task, config in zip(group.tasks, group.configs):
-                yield task, _outcome(_replay_task, program, task, config,
-                                     stream)
-        return
+    units = plan(pending)
     i = 0
     while i < len(units):
         kind, unit = units[i]
@@ -399,8 +296,9 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
 
 
 def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
-    """Run one ``(workload, scale)`` cluster: lockstep tasks as one
-    column over the shared skeleton, the rest per instance."""
+    """Run one ``(workload, scale)`` cluster as one column over the
+    shared skeleton; a family whose skeleton was evicted mid-cluster
+    replays per instance."""
     from repro.lockstep.scheduler import run_column
 
     try:
@@ -426,11 +324,8 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
                 yield task, ("err", exc, tb)
             continue
         for task, config in zip(group.tasks, group.configs):
-            # column instances must share the event list; a family whose
-            # skeleton was evicted mid-cluster replays per instance
-            if ((config.lockstep or lockstep_enabled())
-                    and (not column
-                         or stream.skel is column[0][2].skel)):
+            # column instances must share the event list
+            if not column or stream.skel is column[0][2].skel:
                 column.append((task, config, stream))
             else:
                 yield task, _outcome(_replay_task, program, task, config,
@@ -457,54 +352,6 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
             _STREAM_STATS["lockstep"] += 1
             store_task(task, outcome[1])
         yield task, outcome
-
-
-def maybe_run_batched(tasks, run_slow: Callable,
-                      progress=None) -> dict | None:
-    """The serial batched sweep, or None when no task opts in.
-
-    Mirrors the serial loop in :func:`repro.sim.parallel.run_tasks`:
-    results keyed and ordered by ``task.key``, first failure re-raised.
-    Progress fires in completion order (group-major), like the pool.
-    """
-    if not any(task_batch_eligible(t) for t in tasks):
-        return None
-    total = len(tasks)
-    done = 0
-    by_key = {}
-    for task, outcome in iter_outcomes(tasks, run_slow):
-        if outcome[0] != "ok":
-            raise outcome[1]
-        by_key[task.key] = outcome[1]
-        done += 1
-        if progress is not None:
-            progress(done, total, task.key)
-    return {task.key: by_key[task.key] for task in tasks}
-
-
-def maybe_run_chunk_batched(chunk, run_slow: Callable) -> list | None:
-    """The pool-worker batched chunk body, or None when no task opts in.
-
-    Returns records in *chunk order* (the parent zips them with the
-    chunk's tasks), in the exact shape
-    :func:`repro.sim.parallel._run_chunk` ships: ``("ok", result)`` or
-    ``("err", exc type name, message, traceback)``.
-    """
-    if not any(task_batch_eligible(t) for t in chunk):
-        return None
-    boxed: dict[int, tuple] = {}
-    for task, outcome in iter_outcomes(chunk, run_slow):
-        boxed[id(task)] = outcome
-    records = []
-    for task in chunk:
-        outcome = boxed[id(task)]
-        if outcome[0] == "ok":
-            records.append(("ok", outcome[1]))
-        else:
-            exc = outcome[1]
-            records.append(("err", type(exc).__name__, str(exc),
-                            outcome[2]))
-    return records
 
 
 def warm_stream(workload: str, scale: float,
@@ -549,22 +396,13 @@ def clear_streams() -> None:
 
 
 __all__ = [
-    "CACHE_DIR_ENV",
-    "ENV_VAR",
     "absorb_stats",
-    "batch_enabled",
     "batch_stats",
     "build_replay_system",
     "clear_streams",
-    "effective_costs",
     "get_stream",
     "iter_outcomes",
-    "maybe_run_batched",
-    "maybe_run_chunk_batched",
     "plan",
     "resolve_config",
-    "task_batch_eligible",
-    "task_batchable",
-    "task_lockstep_eligible",
     "warm_stream",
 ]

@@ -55,7 +55,7 @@ import sys
 from repro.analysis.speedup import speedup
 from repro.analysis.tables import format_table
 from repro.energy.synthetic import TRACE_FACTORIES
-from repro.sim.config import BASELINE_DESIGN, DESIGNS
+from repro.sim.config import BASELINE_DESIGN, DESIGNS, ENGINES
 from repro.sim.factory import ALL_DESIGN_NAMES as ALL_DESIGNS
 from repro.sim.factory import build_system
 from repro.verify.checker import check_crash_consistency
@@ -82,6 +82,14 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
                    help="dump run statistics as JSON")
 
 
+def _add_engine_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", choices=ENGINES, default=None,
+                   help="'fast' records each kernel once and advances the "
+                        "points sharing it as one column; 'reference' "
+                        "interprets every point (bit-identical results; "
+                        "default: REPRO_ENGINE env, else reference)")
+
+
 def _overrides(args) -> dict:
     out: dict = {}
     if args.maxline is not None:
@@ -96,11 +104,8 @@ def _overrides(args) -> dict:
         out["capacitance_f"] = args.capacitor_uf * 1e-6
     if args.seed is not None:
         out["trace_seed"] = args.seed
-    if getattr(args, "batch", False):
-        out["batch"] = True
-    if getattr(args, "lockstep", False):
-        out["lockstep"] = True
-        out["batch"] = True  # lockstep columns live inside batch groups
+    if getattr(args, "engine", None) is not None:
+        out["engine"] = args.engine
     return out
 
 
@@ -210,14 +215,11 @@ def _cache_stats_line(stats: dict) -> str | None:
 def cmd_campaign(args) -> int:
     import os
 
-    from repro.batch.engine import CACHE_DIR_ENV, batch_stats
+    from repro.batch.engine import batch_stats
     from repro.mc import (CampaignSpec, merge_campaigns, run_campaign,
                           save_campaign, summarize_campaign, write_report)
     from repro.mc.engine import dict_to_points
 
-    if args.stream_cache:
-        os.makedirs(args.stream_cache, exist_ok=True)
-        os.environ[CACHE_DIR_ENV] = args.stream_cache
     cache_stats: dict | None = None
     if args.from_json:
         import json as _json
@@ -236,11 +238,7 @@ def cmd_campaign(args) -> int:
             if line:
                 print(f"{line} (summed over shards)")
     else:
-        overrides = {}
-        if args.batch:
-            overrides["batch"] = True
-        if args.lockstep:
-            overrides.update(batch=True, lockstep=True)
+        overrides = {} if args.engine is None else {"engine": args.engine}
         spec = CampaignSpec(
             workloads=tuple(args.apps or ALL_WORKLOADS),
             designs=tuple(args.designs),
@@ -520,14 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the result table as CSV")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress the progress line")
-    p_sweep.add_argument("--batch", action="store_true",
-                         help="batch sweep points sharing a kernel: record "
-                              "the execution once, replay it per design "
-                              "(bit-identical results)")
-    p_sweep.add_argument("--lockstep", action="store_true",
-                         help="advance same-shaped batch replays in "
-                              "lockstep through one compiled column kernel "
-                              "(implies --batch; bit-identical results)")
+    _add_engine_arg(p_sweep)
     _add_sim_args(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -616,21 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "else serial)")
     p_mc.add_argument("--scale", type=float, default=1.0,
                       help="workload size multiplier")
-    p_mc.add_argument("--batch", action="store_true",
-                      help="batch points sharing a kernel: record once, "
-                           "replay per (design, family, seed)")
-    p_mc.add_argument("--lockstep", action="store_true",
-                      help="advance same-shaped replays in lockstep "
-                           "through one compiled column kernel "
-                           "(implies --batch)")
-    p_mc.add_argument("--stream-cache", default=None, metavar="DIR",
-                      help="root the persistent artifact store at DIR for "
-                           "this campaign (legacy alias: recordings, "
-                           "generated sources, and memoized results all "
-                           "share it); point campaign shards "
-                           "(--seed-offset runs on several machines or "
-                           "invocations) at the same directory so each "
-                           "kernel records only once")
+    _add_engine_arg(p_mc)
     p_mc.add_argument("--no-verify", action="store_true",
                       help="skip per-point crash-consistency checks")
     p_mc.add_argument("--out", default="results/campaign", metavar="PREFIX",

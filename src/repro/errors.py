@@ -55,12 +55,12 @@ class TraceError(ReproError):
 class SweepError(ReproError):
     """Raised when a sweep cannot complete.
 
-    Carries the failing ``(workload, design, trace)`` tuples in
-    :attr:`failures` so a crashed parallel worker is reported as the run
-    that died, not as an opaque pool error.
+    Carries the failing points in :attr:`failures` - ``(workload,
+    design, trace)`` tuples for sweeps, the caller's point keys
+    otherwise (a campaign's ``PointKey``) - so a crashed parallel worker
+    is reported as the run that died, not as an opaque pool error.
     """
 
-    def __init__(self, message: str,
-                 failures: tuple[tuple[str, str, str | None], ...] = ()):
+    def __init__(self, message: str, failures: tuple = ()):
         super().__init__(message)
         self.failures = failures

@@ -782,13 +782,12 @@ def audit_suite(apps=None, designs=None,
     cost family of the requested designs (with any suffix modules the
     sweep's recording materialized), and each design's memfast
     handlers. Returns ``{unit: findings}``."""
-    from repro.batch.engine import effective_costs
     from repro.batch.record import recording_costs
     from repro.jit.cache import get_compiled
     from repro.mem.nvm import NVMainMemory
     from repro.memfast import attach_design
     from repro.sim.config import DESIGNS, SimConfig
-    from repro.sim.factory import build_design
+    from repro.sim.factory import build_design, effective_costs
     from repro.sim.sweep import run_grid
     from repro.workloads import ALL_WORKLOADS, build_workload
 
@@ -797,7 +796,7 @@ def audit_suite(apps=None, designs=None,
     config = SimConfig()
     for trace in (None, "trace1"):
         run_grid(apps[:1], designs, trace, jobs=1, scale=scale,
-                 verify=False, batch=True, lockstep=True)
+                 verify=False, engine="fast")
     results: dict[str, list[Finding]] = {
         "batch:replay": audit_replay_module()}
     families = dict.fromkeys(recording_costs(effective_costs(d, config))

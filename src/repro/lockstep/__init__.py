@@ -16,24 +16,7 @@ the scheduler (:mod:`repro.lockstep.scheduler`) replicates the exact
 boundary and evicts any diverging instance to the per-instance replay
 path at an exact event index.
 
-Enable with ``SimConfig(lockstep=True)``, ``--lockstep`` on the CLI, or
-``REPRO_LOCKSTEP=1`` in the environment (sweep pool workers re-export
-it, like the other tier switches). Lockstep composes on top of the
-batch tier and inherits its eligibility rules.
+Columns are the fast engine's only replay mode: under
+``SimConfig(engine="fast")`` (or ``REPRO_ENGINE=fast``) every recorded
+``(workload, scale)`` cluster of a sweep runs as one column.
 """
-
-from __future__ import annotations
-
-import os
-
-#: ``REPRO_LOCKSTEP=1`` enables lockstep replay for every batched grid
-#: in this process (pool workers re-export it, like REPRO_BATCH).
-ENV_VAR = "REPRO_LOCKSTEP"
-
-
-def lockstep_enabled() -> bool:
-    """True when ``REPRO_LOCKSTEP`` requests lockstep replay globally."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
-
-
-__all__ = ["ENV_VAR", "lockstep_enabled"]

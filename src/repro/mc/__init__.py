@@ -4,8 +4,8 @@ A *campaign* runs a grid of ``(workload, design, trace family, seed)``
 points - the same simulator runs the sweeps use, but with the power
 condition drawn from a seeded stochastic ensemble
 (:mod:`repro.energy.stochastic`) instead of a single deterministic
-trace. The engine (:mod:`repro.mc.engine`) shards points over the
-existing serial/parallel/batch execution tiers bit-identically; the
+trace. The engine (:mod:`repro.mc.engine`) runs points through the
+sweep driver - serial or pooled, on either engine - bit-identically; the
 analysis layer (:mod:`repro.mc.stats`) turns the per-point results into
 bootstrap confidence intervals, p95/p99 tail forward progress, and
 outage-survival distributions; :mod:`repro.mc.report` renders the

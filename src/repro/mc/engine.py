@@ -2,19 +2,18 @@
 
 A campaign point is an ordinary sweep task whose power condition is a
 stochastic family member: the task carries ``trace=family`` and
-``overrides["trace_seed"]=seed``, so every execution tier already knows
-how to run it - the serial loop, the process pool
-(:mod:`repro.sim.parallel`), and the batch record-once/replay-many
-engine (:mod:`repro.batch`), which is what makes per-seed cost cheap:
-the architectural stream depends only on the kernel, so one recording
+``overrides["trace_seed"]=seed``, so the sweep driver
+(:func:`repro.sim.parallel.run_tasks`) runs it like any other point -
+serially or on the process pool, on either engine. The fast engine
+(:mod:`repro.batch`) is what makes per-seed cost cheap: the
+architectural stream depends only on the kernel, so one recording
 serves *every* seed and design in the group, and only the trace-driven
 outage/timing replay differs per point.
 
-The sweep engine keys results by ``(workload, design)``; a campaign has
-many points per pair, so this module runs the same chunk bodies and
-worker initializer but keys every result by the full
-``(workload, design, family, seed)`` :data:`PointKey`. Results are
-bit-identical across serial, parallel, and batch execution and
+The driver keys results by caller-supplied point keys; a campaign has
+many points per ``(workload, design)`` pair, so it keys every result by
+the full ``(workload, design, family, seed)`` :data:`PointKey`. Results
+are bit-identical across serial, parallel, and fast-engine execution and
 independent of shard order and worker count - the campaign tests
 enforce both.
 
@@ -30,17 +29,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.batch.engine import iter_outcomes, task_batch_eligible
-from repro.errors import ConfigError, SweepError
+from repro.errors import ConfigError
 from repro.sim.config import SimConfig
 from repro.sim.factory import validate_design
-from repro.sim.parallel import (SweepTask, _chunked, _init_worker,
-                                _pop_stats, _run_chunk, resolve_jobs,
-                                run_task, worker_initargs)
+from repro.sim.parallel import SweepTask, resolve_jobs, run_tasks
 from repro.sim.results import RunResult
 
 #: (workload, design, family, seed) - the identity of one campaign point.
@@ -93,8 +87,8 @@ def expand_campaign(spec: CampaignSpec) -> list[tuple[PointKey, SweepTask]]:
     """Expand a spec into ``(key, task)`` pairs, workload-major.
 
     Workload-major ordering keeps every point sharing a kernel
-    contiguous, so batch-aligned chunking never tears a record/replay
-    group across pool workers.
+    contiguous, so aligned chunking never tears a column across pool
+    workers.
     """
     from repro.energy.synthetic import make_trace
     from repro.workloads import get_workload
@@ -118,91 +112,21 @@ def expand_campaign(spec: CampaignSpec) -> list[tuple[PointKey, SweepTask]]:
     return pairs
 
 
-def _run_serial(pairs: list[tuple[PointKey, SweepTask]],
-                progress: CampaignProgressFn | None
-                ) -> dict[PointKey, RunResult]:
-    total = len(pairs)
-    by_key: dict[PointKey, RunResult] = {}
-    tasks = [task for _, task in pairs]
-    if any(task_batch_eligible(t) for t in tasks):
-        # the batch engine yields (task, outcome) unit-by-unit; key by
-        # task identity, exactly like its own chunk body does
-        keyof = {id(task): key for key, task in pairs}
-        done = 0
-        for task, outcome in iter_outcomes(tasks, run_task):
-            if outcome[0] != "ok":
-                raise outcome[1]
-            by_key[keyof[id(task)]] = outcome[1]
-            done += 1
-            if progress is not None:
-                progress(done, total, keyof[id(task)])
-    else:
-        for i, (key, task) in enumerate(pairs):
-            by_key[key] = run_task(task)
-            if progress is not None:
-                progress(i + 1, total, key)
-    return {key: by_key[key] for key, _ in pairs}
-
-
 def run_campaign_tasks(pairs: list[tuple[PointKey, SweepTask]],
                        jobs: int | None = None,
                        progress: CampaignProgressFn | None = None
                        ) -> dict[PointKey, RunResult]:
     """Run expanded campaign points; results keyed by point, task order.
 
-    Mirrors :func:`repro.sim.parallel.run_tasks` - same worker body,
-    initializer, chunking, and failure reporting - but keys by the full
-    :data:`PointKey` so seeds of one ``(workload, design)`` pair don't
-    collide.
+    One :func:`repro.sim.parallel.run_tasks` call keyed by the full
+    :data:`PointKey`, so seeds of one ``(workload, design)`` pair don't
+    collide and a pool's :class:`~repro.errors.SweepError` names the
+    failing points. Serial unless ``jobs`` or ``REPRO_JOBS`` says
+    otherwise.
     """
-    jobs = resolve_jobs(jobs, fallback=1)
-    total = len(pairs)
-    if jobs <= 1 or total < 2:
-        return _run_serial(pairs, progress)
-    tasks = [task for _, task in pairs]
-    keyof = {id(task): key for key, task in pairs}
-    batching = any(task_batch_eligible(t) for t in tasks)
-    chunks = _chunked(tasks, jobs, align_batches=batching)
-    by_key: dict[PointKey, RunResult] = {}
-    failures: list[tuple] = []
-    done = 0
-    with ProcessPoolExecutor(max_workers=min(jobs, total),
-                             initializer=_init_worker,
-                             initargs=worker_initargs()) as pool:
-        futures = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
-        pending = set(futures)
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-            for fut in finished:
-                chunk = futures[fut]
-                try:
-                    records = fut.result()
-                except BrokenProcessPool:
-                    for task in chunk:
-                        failures.append((keyof[id(task)], None, None,
-                                         "worker process crashed "
-                                         "(pool broken)"))
-                    continue
-                records = _pop_stats(records)
-                for task, rec in zip(chunk, records):
-                    key = keyof[id(task)]
-                    if rec[0] == "ok":
-                        by_key[key] = rec[1]
-                        done += 1
-                        if progress is not None:
-                            progress(done, total, key)
-                    else:
-                        failures.append((key, rec[1], rec[2], rec[3]))
-    if failures:
-        head = failures[0]
-        detail = head[3] if head[2] is None else f"{head[1]}: {head[2]}"
-        raise SweepError(
-            f"{len(failures)} of the campaign's points failed across "
-            f"{jobs} workers; first failure at (workload={head[0][0]!r}, "
-            f"design={head[0][1]!r}, family={head[0][2]!r}, "
-            f"seed={head[0][3]}): {detail}",
-            failures=tuple(f[0] for f in failures))
-    return {key: by_key[key] for key, _ in pairs}
+    return run_tasks([task for _, task in pairs],
+                     jobs=resolve_jobs(jobs, fallback=1), progress=progress,
+                     keys=[key for key, _ in pairs])
 
 
 def run_campaign(spec: CampaignSpec, jobs: int | None = None,

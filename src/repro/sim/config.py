@@ -31,6 +31,9 @@ DESIGNS = (
 #: The paper's baseline for every normalized figure.
 BASELINE_DESIGN = "NVSRAM(ideal)"
 
+#: Values of :attr:`SimConfig.engine` (and ``REPRO_ENGINE``).
+ENGINES = ("reference", "fast")
+
 
 def sram_cache_params() -> CacheParams:
     """SRAM L1 array: 0.3 ns hits (1 cycle), low energy, low leakage.
@@ -136,28 +139,20 @@ class SimConfig:
     #: ``RunResult.metrics``. ``REPRO_TRACE=1`` in the environment enables
     #: it too; when neither is set the runtime cost is zero.
     trace: bool = False
-    #: Batched sweep execution (:mod:`repro.batch`): grid points sharing a
-    #: kernel and cost model record the architectural execution once and
-    #: replay it per point (with the :mod:`repro.memfast` hit handlers
-    #: attached), bit-identical to serial interpretation. Only sweeps
-    #: (``run_grid``/``run_tasks``) consult this flag - a lone ``run_one``
-    #: has nothing to batch and always runs on the interpreter. Disengages
-    #: per run when the trace recorder or invariant checker is attached,
-    #: and falls back to the interpreter per instance when a kernel cannot
-    #: be recorded. ``REPRO_BATCH=1`` in the environment enables it too.
-    batch: bool = False
-    #: Lockstep multi-instance replay (:mod:`repro.lockstep`): sweep
-    #: points sharing a recording advance *together* through one
-    #: generated walker that issues each instance's memory calls with
-    #: its own cost bindings, instead of once per point through a
-    #: private ``ReplayCore`` loop. Requires (and implies nothing
-    #: beyond) batch eligibility; a point that diverges from the column
-    #: - guest fault, or an explicit :class:`~repro.lockstep.scheduler.
-    #: LockstepBail` - is evicted to the per-instance replay path at an
-    #: exact event index and may rejoin at a later chunk boundary.
-    #: Bit-identical to serial on every ``RunResult`` field.
-    #: ``REPRO_LOCKSTEP=1`` in the environment enables it too.
-    lockstep: bool = False
+    #: Which engine runs sweep points: ``"reference"`` (every point on
+    #: the interpreter) or ``"fast"`` (:mod:`repro.batch` records each
+    #: kernel once per cost family, and the points sharing a recording
+    #: advance together as one :mod:`repro.lockstep` column; a point
+    #: that leaves its column finishes on a per-instance
+    #: :class:`~repro.batch.replay.ReplayCore`). Both are bit-identical
+    #: on every ``RunResult`` field. ``None`` defers to
+    #: ``REPRO_ENGINE``, else ``"reference"``; an explicit value always
+    #: wins over the environment (:func:`repro.sim.factory.
+    #: resolve_engine`). Only sweeps (``run_grid``/``run_tasks``)
+    #: consult it - a lone ``run_one`` always runs on the interpreter -
+    #: and the trace recorder or invariant checker sends a point to the
+    #: interpreter whatever the engine.
+    engine: str | None = None
     #: Memoize finished results through the persistent artifact store
     #: (:mod:`repro.store`): a completed run's stats are written under
     #: ``program content x design x trace x config`` and an identical
@@ -189,6 +184,10 @@ class SimConfig:
             raise ConfigError("need 0 < v_min < v_max")
         if self.register_backend not in ("nvff", "nvm"):
             raise ConfigError("register_backend must be 'nvff' or 'nvm'")
+        if self.engine is not None and self.engine not in ENGINES:
+            raise ConfigError(
+                f"engine must be one of {ENGINES} or None, got "
+                f"{self.engine!r}")
 
     # convenience -----------------------------------------------------------
     def with_(self, **kwargs) -> "SimConfig":

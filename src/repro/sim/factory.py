@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 from repro.caches.nvcache import NVCacheWB
@@ -12,6 +13,7 @@ from repro.caches.vcache_wt import VCacheWT
 from repro.caches.wt_buffer import WTBufferCache
 from repro.core.variants import EagerCleanupWLCache
 from repro.core.wl_cache import WLCache
+from repro.cpu.costs import CycleCosts
 from repro.energy.synthetic import make_trace
 from repro.energy.traces import PowerTrace
 from repro.errors import ConfigError
@@ -23,8 +25,12 @@ from repro.mem.memsys import NoCacheNVP
 from repro.memfast import attach_memfast  # noqa: F401
 from repro.obs.recorder import attach_trace, trace_enabled
 from repro.mem.nvm import NVMainMemory
-from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.config import DESIGNS, ENGINES, SimConfig
 from repro.sim.system import System
+
+#: ``REPRO_ENGINE=fast`` selects the fast sweep engine for every config
+#: that leaves :attr:`SimConfig.engine` unset.
+ENGINE_ENV = "REPRO_ENGINE"
 
 #: Every design name :func:`build_design` accepts: the paper's five plus
 #: the extension designs (§2.3.3 variants, §3.3 strawman, §5.4 ablation).
@@ -85,6 +91,45 @@ def build_design(name: str, nvm: NVMainMemory, config: SimConfig):
     raise ConfigError(f"unknown design {name!r}; have {ALL_DESIGN_NAMES}")
 
 
+def resolve_engine(config: SimConfig) -> str:
+    """The engine a sweep point runs on: ``config.engine`` when set,
+    else ``REPRO_ENGINE``, else ``"reference"``. A malformed
+    ``REPRO_ENGINE`` raises :class:`ConfigError` naming the variable."""
+    if config.engine is not None:
+        return config.engine
+    raw = os.environ.get(ENGINE_ENV, "").strip()
+    if not raw:
+        return "reference"
+    if raw not in ENGINES:
+        raise ConfigError(
+            f"{ENGINE_ENV} must be one of {ENGINES}, got {raw!r}")
+    return raw
+
+
+def instrumented(config: SimConfig) -> bool:
+    """The trace recorder or the invariant checker is on (per config or
+    environment). Both must see every memory call and chunk, so such a
+    run takes the interpreter and is never memoized."""
+    return (config.trace or trace_enabled() or config.check_invariants
+            or invariants_enabled())
+
+
+def runs_fast(config: SimConfig) -> bool:
+    """A sweep point runs on the fast engine: its engine resolves to
+    ``"fast"`` and it is not :func:`instrumented`."""
+    return resolve_engine(config) == "fast" and not instrumented(config)
+
+
+def effective_costs(design: str, config: SimConfig) -> CycleCosts:
+    """The cost model a design executes under: NVCache-WB's slow NV
+    I-cache folds ``nvcache_ifetch_extra`` into its fetch costs, so it
+    forms its own cost family."""
+    costs = config.costs
+    if design == "NVCache-WB":
+        costs = replace(costs, ifetch_extra=config.nvcache_ifetch_extra)
+    return costs
+
+
 def build_system(program: Program, design_name: str,
                  trace: PowerTrace | str | None = None,
                  config: SimConfig | None = None, **overrides) -> System:
@@ -104,10 +149,8 @@ def build_system(program: Program, design_name: str,
     design = build_design(design_name, nvm, config)
     if config.check_invariants or invariants_enabled():
         attach_invariants(design)
-    costs = config.costs
-    if design_name == "NVCache-WB":
-        costs = replace(costs, ifetch_extra=config.nvcache_ifetch_extra)
-    system = System(program, design, config, trace, costs)
+    system = System(program, design, config, trace,
+                    effective_costs(design_name, config))
     if config.trace or trace_enabled():
         attach_trace(system)
     return system

@@ -1,4 +1,4 @@
-"""Process-pool execution of simulation sweeps.
+"""The sweep driver: run tasks serially or on a process pool.
 
 A sweep grid (workload x design x trace) is embarrassingly parallel: every
 run builds its own System, NVM image, and power trace, and traces are
@@ -8,47 +8,45 @@ RunResult equality. Workers receive only ``(workload name, scale)`` and
 rebuild the program image locally, which keeps task pickles small and the
 per-process workload cache warm across the tasks of a chunk.
 
+:func:`run_tasks` is the one driver every sweep and campaign goes
+through. Results come back keyed by caller-supplied point keys (default
+``task.key``) in task order; serial and pooled runs both execute through
+:func:`repro.batch.engine.iter_outcomes`, which puts fast-engine points
+on lockstep columns and every other point on the interpreter.
+
 Worker counts resolve as: explicit ``jobs`` argument, then the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``. ``jobs=1``
 runs serially in-process (no pool, easy tracebacks).
 
 A worker never lets an exception escape as a bare pool error: failures are
 shipped back as records and re-raised here as :class:`~repro.errors.
-SweepError` naming every failing ``(workload, design, trace)`` tuple. A
-hard worker crash (segfault, OOM-kill) breaks the pool; the in-flight
-chunks' tasks are reported the same way instead of hanging the sweep.
+SweepError` naming every failing point. A hard worker crash (segfault,
+OOM-kill) breaks the pool; the in-flight chunks' tasks are reported the
+same way instead of hanging the sweep.
 """
 
 from __future__ import annotations
 
 import os
-import traceback
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.batch.engine import (CACHE_DIR_ENV as _STREAM_CACHE_ENV,
-                                ENV_VAR as _BATCH_ENV, absorb_stats,
-                                batch_stats, maybe_run_batched,
-                                maybe_run_chunk_batched,
-                                task_batch_eligible)
+from repro.batch.engine import (absorb_stats, batch_stats, iter_outcomes,
+                                resolve_config)
 from repro.errors import ConfigError, SweepError
-from repro.lint.invariants import ENV_VAR as _CHECK_ENV
-from repro.lockstep import ENV_VAR as _LOCKSTEP_ENV
-from repro.obs.recorder import ENV_VAR as _TRACE_ENV
 from repro.sim.config import SimConfig
-from repro.sim.factory import run_one, validate_design
+from repro.sim.factory import run_one, runs_fast, validate_design
 from repro.sim.results import RunResult
-from repro.store.core import ENV_VAR as _STORE_ENV
 from repro.store.core import absorb_store_stats, store_stats
-from repro.store.results import ENV_VAR as _RESULT_CACHE_ENV
 from repro.store.results import lookup_task, store_task
 from repro.workloads import build_workload, get_workload, verify_checks
 
-#: ``progress(done, total, (workload, design))`` - called in the parent
-#: process after each finished run, in completion (not submission) order.
-ProgressFn = Callable[[int, int, tuple[str, str]], None]
+#: ``progress(done, total, key)`` - called in the parent process after
+#: each finished run, in completion (not submission) order, with the
+#: run's point key (``(workload, design)`` unless the caller keys it).
+ProgressFn = Callable[[int, int, Hashable], None]
 
 
 def resolve_jobs(jobs: int | None = None, *,
@@ -99,15 +97,19 @@ class SweepTask:
 
 
 def run_task(task: SweepTask) -> RunResult:
-    """Execute one task in this process (worker body; also the serial path).
-
-    With result memoization on (:mod:`repro.store.results`), a persisted
-    result for this exact task is returned without simulating, and a
-    fresh result is persisted on the way out (after verification, so the
-    entry can vouch for later ``verify=True`` lookups)."""
+    """Run one task in this process on the interpreter: the persisted
+    result when memoization (:mod:`repro.store.results`) has one, else
+    :func:`simulate_task`."""
     memo = lookup_task(task)
-    if memo is not None:
-        return memo
+    return memo if memo is not None else simulate_task(task)
+
+
+def simulate_task(task: SweepTask) -> RunResult:
+    """Simulate one task on the interpreter, without consulting the
+    result memo - the driver's slow path, whose memo lookup already
+    happened in :func:`~repro.batch.engine.iter_outcomes`. The fresh
+    result is persisted on the way out (after verification, so the
+    entry can vouch for later ``verify=True`` lookups)."""
     prog = build_workload(task.workload, task.scale)
     res = run_one(prog, task.design, task.trace, task.config,
                   **task.overrides)
@@ -117,73 +119,56 @@ def run_task(task: SweepTask) -> RunResult:
     return res
 
 
-def _init_worker(check_env: str | None, trace_env: str | None,
-                 batch_env: str | None = None,
-                 lockstep_env: str | None = None,
-                 stream_cache_env: str | None = None,
-                 store_env: str | None = None,
-                 result_cache_env: str | None = None) -> None:
-    """Worker initializer: re-export the instrumentation switches.
+def worker_initargs() -> dict[str, str]:
+    """The parent's ``REPRO_*`` variables, shipped to every pool worker
+    (:func:`_init_worker`), so a switch set in the parent - the engine,
+    tracing, checking, the store root, the result memo - applies in
+    every worker, whatever the pool's start method."""
+    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
 
-    Pools spawned with a non-fork start method begin from a fresh
-    interpreter whose environment may not mirror the parent's, so the
-    invariant-checking (REPRO_CHECK), tracing (REPRO_TRACE), batch
-    (REPRO_BATCH), and lockstep (REPRO_LOCKSTEP) switches are shipped
-    explicitly - a checked/traced/batched parallel sweep must apply
-    them in every worker, not just the parent. The persistent artifact store
-    switches ride along too - the store root (REPRO_CACHE_DIR and its
-    legacy alias REPRO_STREAM_CACHE) and the result memo
-    (REPRO_RESULT_CACHE) - so campaign shards record each kernel, render
-    each source, and simulate each point once across *processes*. The
+
+def _init_worker(env: dict[str, str]) -> None:
+    """Worker initializer: mirror the parent's ``REPRO_*`` variables
+    exactly - set each one, and drop any the parent does not set. The
     worker's process-global record-mode code cache and guest-stream
-    cache then warm once and serve all the tasks the worker executes.
-    """
-    for var, value in ((_CHECK_ENV, check_env), (_TRACE_ENV, trace_env),
-                       (_BATCH_ENV, batch_env),
-                       (_LOCKSTEP_ENV, lockstep_env),
-                       (_STREAM_CACHE_ENV, stream_cache_env),
-                       (_STORE_ENV, store_env),
-                       (_RESULT_CACHE_ENV, result_cache_env)):
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
+    cache then warm once and serve all the tasks it executes."""
+    for var in [k for k in os.environ if k.startswith("REPRO_")]:
+        if var not in env:
+            del os.environ[var]
+    os.environ.update(env)
 
 
-def worker_initargs() -> tuple:
-    """The environment-switch values shipped to pool-worker initializers.
-
-    Shared by :func:`run_tasks` and the Monte-Carlo campaign engine
-    (:mod:`repro.mc.engine`), which runs the same worker body over its
-    own point keying.
-    """
-    return (os.environ.get(_CHECK_ENV), os.environ.get(_TRACE_ENV),
-            os.environ.get(_BATCH_ENV), os.environ.get(_LOCKSTEP_ENV),
-            os.environ.get(_STREAM_CACHE_ENV), os.environ.get(_STORE_ENV),
-            os.environ.get(_RESULT_CACHE_ENV))
+def _indexed_outcomes(tasks: list[SweepTask]) -> Iterator[tuple]:
+    """:func:`~repro.batch.engine.iter_outcomes` with each outcome
+    tagged by its task's position, in completion order."""
+    where: dict[int, list[int]] = {}
+    for i, task in enumerate(tasks):
+        where.setdefault(id(task), []).append(i)
+    for task, outcome in iter_outcomes(tasks, simulate_task):
+        yield where[id(task)].pop(0), outcome
 
 
 def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
     """Worker entry: run a chunk, converting exceptions to records.
 
-    The chunk's records are followed by one trailing ``("stats",
-    delta)`` record carrying this chunk's batch-engine counter deltas
-    (recordings, cache hits, disk hits) plus, under the ``"store"``
-    key, the chunk's persistent-store event deltas; the parent folds
-    them back with :func:`repro.batch.engine.absorb_stats` /
+    Returns one record per task in chunk order - ``("ok", result)`` or
+    ``("err", exc type name, message, traceback)`` - followed by one
+    trailing ``("stats", delta)`` record carrying this chunk's
+    batch-engine counter deltas (recordings, cache hits, disk hits)
+    plus, under the ``"store"`` key, the chunk's persistent-store event
+    deltas; the parent folds them back with
+    :func:`repro.batch.engine.absorb_stats` /
     :func:`repro.store.absorb_store_stats` so sweep-wide cache
     behaviour stays observable under the pool."""
     pre = batch_stats()
     pre_store = store_stats()
-    records = maybe_run_chunk_batched(chunk, run_task)
-    if records is None:
-        records = []
-        for task in chunk:
-            try:
-                records.append(("ok", run_task(task)))
-            except Exception as exc:  # shipped home, raised as SweepError
-                records.append(("err", type(exc).__name__, str(exc),
-                                traceback.format_exc()))
+    records: list[tuple] = [()] * len(chunk)
+    for i, outcome in _indexed_outcomes(chunk):
+        if outcome[0] == "ok":
+            records[i] = outcome
+        else:
+            exc = outcome[1]
+            records[i] = ("err", type(exc).__name__, str(exc), outcome[2])
     post = batch_stats()
     delta = {k: post[k] - pre.get(k, 0)
              for k in post if k not in ("streams", "raw_recordings")}
@@ -195,13 +180,11 @@ def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
 
 
 def _pop_stats(records: list[tuple]) -> list[tuple]:
-    """Absorb and strip a chunk's trailing stats record, if present."""
-    if records and records[-1][0] == "stats":
-        delta = records[-1][1]
-        absorb_store_stats(delta.get("store", {}))
-        absorb_stats(delta)
-        return records[:-1]
-    return records
+    """Absorb and strip a chunk's trailing stats record."""
+    delta = records[-1][1]
+    absorb_store_stats(delta.get("store", {}))
+    absorb_stats(delta)
+    return records[:-1]
 
 
 def make_tasks(workloads: Iterable[str],
@@ -227,8 +210,8 @@ def _chunked(tasks: list[SweepTask], jobs: int,
     """Split tasks into contiguous chunks, ~4 per worker for load balance.
 
     With ``align_batches`` the cuts land only where ``(workload, scale)``
-    changes (tasks arrive workload-major), so a batch group is never torn
-    across workers - a torn group records its kernel once per worker.
+    changes (tasks arrive workload-major), so a column is never torn
+    across workers - a torn column records its kernel once per worker.
     """
     n = max(1, -(-len(tasks) // (jobs * 4)))
     if not align_batches:
@@ -248,74 +231,89 @@ def _chunked(tasks: list[SweepTask], jobs: int,
     return chunks
 
 
-def _raise_failures(failures: list[tuple], nworkers: int) -> None:
-    where = tuple(f[0] for f in failures)
-    head = failures[0]
-    detail = head[3] if head[2] is None else f"{head[1]}: {head[2]}"
-    raise SweepError(
-        f"{len(failures)} of the sweep's runs failed across {nworkers} "
-        f"workers; first failure in (workload={head[0][0]!r}, "
-        f"design={head[0][1]!r}, trace={head[0][2]!r}): {detail}",
-        failures=where)
+def _fast(task: SweepTask) -> bool:
+    """The task runs on the fast engine. Invalid overrides are the run
+    path's error to raise (attributed to the failing run); a malformed
+    ``REPRO_ENGINE`` raises here."""
+    try:
+        config = resolve_config(task)
+    except Exception:
+        return False
+    return runs_fast(config)
 
 
 def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
-              progress: ProgressFn | None = None
-              ) -> dict[tuple[str, str], RunResult]:
+              progress: ProgressFn | None = None,
+              keys: list[Hashable] | None = None) -> dict:
     """Run tasks, serially or on a process pool; results in task order.
 
-    Results are keyed and ordered by ``(workload, design)`` exactly as the
-    serial loop would produce them, whatever order workers finish in.
+    Results are keyed by ``keys`` (one per task; default ``task.key``)
+    and ordered as the tasks are, whatever order workers finish in;
+    ``progress`` receives the same keys. A serial run re-raises the
+    first failure unchanged. A pool raises one :class:`SweepError`
+    whose ``failures`` name every failing point by its key - or, under
+    the default keys, by ``task.where``.
     """
+    names = keys if keys is not None else [t.where for t in tasks]
+    keys = keys if keys is not None else [t.key for t in tasks]
     jobs = resolve_jobs(jobs)
     total = len(tasks)
-    if jobs <= 1 or total < 2:
-        out = maybe_run_batched(tasks, run_task, progress)
-        if out is not None:
-            return out
-        out = {}
-        for i, task in enumerate(tasks):
-            out[task.key] = run_task(task)
-            if progress is not None:
-                progress(i + 1, total, task.key)
-        return out
-
-    batching = any(task_batch_eligible(t) for t in tasks)
-    chunks = _chunked(tasks, jobs, align_batches=batching)
-    by_task: dict[tuple[str, str], RunResult] = {}
-    # (where, exc_name | None, msg | None, detail) records
-    failures: list[tuple] = []
+    # probing every task up front makes a malformed REPRO_ENGINE raise
+    # before any run, serial or pooled
+    fast = [_fast(t) for t in tasks]
+    results: list = [None] * total
     done = 0
+    if jobs <= 1 or total < 2:
+        for i, outcome in _indexed_outcomes(tasks):
+            if outcome[0] != "ok":
+                raise outcome[1]
+            results[i] = outcome[1]
+            done += 1
+            if progress is not None:
+                progress(done, total, keys[i])
+        return dict(zip(keys, results))
+
+    chunks = _chunked(tasks, jobs, align_batches=any(fast))
+    # (name, exc_name | None, msg | None, detail) records
+    failures: list[tuple] = []
     with ProcessPoolExecutor(max_workers=min(jobs, total),
                              initializer=_init_worker,
-                             initargs=worker_initargs()) as pool:
-        futures = {pool.submit(_run_chunk, chunk): chunk for chunk in chunks}
+                             initargs=(worker_initargs(),)) as pool:
+        futures = {}
+        start = 0
+        for chunk in chunks:
+            span = range(start, start + len(chunk))
+            futures[pool.submit(_run_chunk, chunk)] = span
+            start += len(chunk)
         pending = set(futures)
         while pending:
             finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
             for fut in finished:
-                chunk = futures[fut]
+                span = futures[fut]
                 try:
-                    records = fut.result()
+                    records = _pop_stats(fut.result())
                 except BrokenProcessPool:
                     # a worker died without reporting; blame its chunk
-                    for task in chunk:
-                        failures.append((task.where, None, None,
-                                         "worker process crashed "
-                                         "(pool broken)"))
+                    failures.extend((names[i], None, None,
+                                     "worker process crashed "
+                                     "(pool broken)") for i in span)
                     continue
-                records = _pop_stats(records)
-                for task, rec in zip(chunk, records):
+                for i, rec in zip(span, records):
                     if rec[0] == "ok":
-                        by_task[task.key] = rec[1]
+                        results[i] = rec[1]
                         done += 1
                         if progress is not None:
-                            progress(done, total, task.key)
+                            progress(done, total, keys[i])
                     else:
-                        failures.append((task.where, rec[1], rec[2], rec[3]))
+                        failures.append((names[i], rec[1], rec[2], rec[3]))
     if failures:
-        _raise_failures(failures, jobs)
-    return {task.key: by_task[task.key] for task in tasks}
+        head = failures[0]
+        detail = head[3] if head[2] is None else f"{head[1]}: {head[2]}"
+        raise SweepError(
+            f"{len(failures)} of {total} runs failed across {jobs} "
+            f"workers; first failure at {head[0]!r}: {detail}",
+            failures=tuple(f[0] for f in failures))
+    return dict(zip(keys, results))
 
 
 def run_grid_parallel(workloads: Iterable[str],

@@ -9,10 +9,11 @@ Grids run serially by default; pass ``jobs`` or set ``REPRO_JOBS`` to fan
 out over a process pool (see :mod:`repro.sim.parallel`) - the parallel
 results are bit-identical to the serial ones.
 
-Grids are also where batched execution pays off: ``batch=True`` (or
-``REPRO_BATCH=1``, which pool workers re-export) records each kernel's
-architectural stream once per cost family and replays it per grid
-point, bit-identically (see :mod:`repro.batch` and ``docs/batch.md``).
+Grids are also where the fast engine pays off: ``engine="fast"`` (or
+``REPRO_ENGINE=fast`` under an unset engine) records each kernel's
+architectural stream once per cost family and advances the grid points
+sharing it as one lockstep column, bit-identically (see
+:mod:`repro.batch` and ``docs/batch.md``).
 """
 
 from __future__ import annotations

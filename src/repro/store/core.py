@@ -26,9 +26,6 @@ next GC.
 Enablement: ``REPRO_CACHE_DIR`` names the root (default
 ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``); the values ``0``,
 ``off``, ``none``, ``disabled`` (or empty) disable the store entirely.
-PR 9's ``REPRO_STREAM_CACHE`` survives as a legacy alias: when set, the
-whole store roots there (it takes precedence, so existing campaign
-shard setups keep working unchanged).
 
 Counters: flat ints (``<class>_hits`` / ``_misses`` / ``_writes`` /
 ``_corrupt`` plus ``bytes_read`` / ``bytes_written``), shipped home
@@ -46,9 +43,6 @@ import sys
 
 #: Store root override / off switch (see module docs).
 ENV_VAR = "REPRO_CACHE_DIR"
-
-#: PR 9's recording-cache directory, honoured as a root alias.
-LEGACY_STREAM_ENV = "REPRO_STREAM_CACHE"
 
 #: On-disk layout version; bumping it orphans (never corrupts) old trees.
 FORMAT = 1
@@ -80,9 +74,6 @@ def interp_tag() -> str:
 
 def store_root() -> str | None:
     """The resolved store root, or None when the store is disabled."""
-    legacy = os.environ.get(LEGACY_STREAM_ENV, "").strip()
-    if legacy:
-        return os.path.expanduser(legacy)
     raw = os.environ.get(ENV_VAR)
     if raw is not None:
         raw = raw.strip()

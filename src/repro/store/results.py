@@ -1,17 +1,16 @@
 """Memoized simulation results: program hash x design x config -> RunResult.
 
 The simulator is deterministic per ``(program content, design, trace,
-SimConfig, scale)`` point - the differential tests enforce it across
-every execution tier - so a finished :class:`~repro.sim.results.
-RunResult` is itself a content-addressed artifact. This module memoizes
-results through the store: :func:`lookup_task` is consulted by every
-single-task funnel (:func:`repro.sim.parallel.run_task`, the batch
-engine's :func:`~repro.batch.engine.iter_outcomes` pre-pass, and via
-those the sweep/campaign engines), and :func:`store_task` persists
-fresh results on the way out.
+SimConfig, scale)`` point - the differential tests enforce it on both
+engines - so a finished :class:`~repro.sim.results.RunResult` is itself
+a content-addressed artifact. This module memoizes results through the
+store: :func:`lookup_task` is consulted by every single-task funnel
+(:func:`repro.sim.parallel.run_task` and the sweep driver's
+:func:`~repro.batch.engine.iter_outcomes` pre-pass, once per task), and
+:func:`store_task` persists fresh results on the way out.
 
 Memoization is **opt-in** (``SimConfig(result_cache=True)`` or
-``REPRO_RESULT_CACHE=1``), like the other tiers, because a memoized
+``REPRO_RESULT_CACHE=1``) because a memoized
 result is *stats-only*: the payload rides the existing
 :mod:`repro.analysis.stats_io` serialization plus ``final_regs``, and
 deliberately drops ``final_memory`` (megabytes of ground truth per
@@ -20,13 +19,15 @@ written by a ``verify=True`` run satisfies a later ``verify=True``
 lookup without re-simulating, while a ``verify=True`` lookup *ignores*
 unverified entries. Trace-recorder and invariant-checker runs are never
 memoized (their side channels - metrics, check counts - are the point
-of the run), mirroring the batch stand-down rules.
+of the run): the same :func:`repro.sim.factory.instrumented` test that
+sends them to the interpreter keeps them out of the memo.
 
 Keys embed :func:`repro.store.keys.package_fingerprint` - the content
 hash of the whole ``repro`` package - so *any* code change invalidates
-every memoized result; only the ``result_cache`` flag itself is
-normalized out of the config (an env-enabled and a flag-enabled run
-share entries).
+every memoized result. The ``result_cache`` flag and the ``engine``
+are normalized out of the config: an env-enabled and a flag-enabled run
+share entries, and so do the reference and fast engines, which the
+differential tests pin bit-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.store.core import get_store
 from repro.store.keys import package_fingerprint
 
 #: ``REPRO_RESULT_CACHE=1`` memoizes sweep/campaign results globally
-#: (pool workers re-export it, like the tier switches).
+#: (pool workers inherit it with every other ``REPRO_*`` variable).
 ENV_VAR = "REPRO_RESULT_CACHE"
 
 _CLS = "result"
@@ -51,21 +52,20 @@ def result_cache_enabled(config=None) -> bool:
     return os.environ.get(ENV_VAR, "").strip() not in ("", "0")
 
 
-def _resolve(task):
+def _memo_config(task):
+    """The task's config when this run memoizes its result, else None
+    (invalid overrides - the run path raises the error - or memoization
+    off, or the run :func:`~repro.sim.factory.instrumented`)."""
     from repro.batch.engine import resolve_config
+    from repro.sim.factory import instrumented
 
-    return resolve_config(task)
-
-
-def _eligible(config) -> bool:
-    from repro.lint.invariants import invariants_enabled
-    from repro.obs.recorder import trace_enabled
-
-    if config.trace or trace_enabled():
-        return False
-    if config.check_invariants or invariants_enabled():
-        return False
-    return True
+    try:
+        config = resolve_config(task)
+    except Exception:
+        return None
+    if not result_cache_enabled(config) or instrumented(config):
+        return None
+    return config
 
 
 def _task_key(task, config) -> tuple:
@@ -73,8 +73,8 @@ def _task_key(task, config) -> tuple:
     from repro.workloads import build_workload
 
     program = build_workload(task.workload, task.scale)
-    if getattr(config, "result_cache", False):
-        config = config.with_(result_cache=False)
+    if config.result_cache or config.engine is not None:
+        config = config.with_(result_cache=False, engine=None)
     return ("result", _PAYLOAD_VERSION, package_fingerprint(),
             program_content_key(program), task.design, task.trace,
             task.scale, config)
@@ -108,11 +108,8 @@ def lookup_task(task):
     store = get_store()
     if store is None:
         return None
-    try:
-        config = _resolve(task)
-    except Exception:
-        return None  # invalid overrides: the run path raises the error
-    if not (result_cache_enabled(config) and _eligible(config)):
+    config = _memo_config(task)
+    if config is None:
         return None
     payload = store.load(_CLS, _task_key(task, config))
     if not isinstance(payload, dict) or "stats" not in payload:
@@ -135,11 +132,8 @@ def store_task(task, result) -> bool:
     store = get_store()
     if store is None:
         return False
-    try:
-        config = _resolve(task)
-    except Exception:
-        return False
-    if not (result_cache_enabled(config) and _eligible(config)):
+    config = _memo_config(task)
+    if config is None:
         return False
     key = _task_key(task, config)
     if not task.verify and store.contains(_CLS, key):

@@ -1,14 +1,16 @@
-"""Structural tests of the batch tier: engagement rules, grouping, every
-recording-bail reason, the pecking order against the other tiers, and
-RunResult equality against the serial path (reduced grid tier-1, full
-grid tier-2).
+"""Structural tests of the fast engine's record-once half: engine
+resolution, grouping, every recording-bail reason, and RunResult
+equality against the reference engine (reduced grid tier-1, full grid
+tier-2).
 
-The bit-level differential over randomized sweep grids lives in
-``tests/test_batch_differential.py``; this file pins *when* the batch
-tier engages, when it must silently stand down (observability and
-checking always win), when a kernel bails to the interpreter slow path,
-and that the replay core's System-facing surface matches the interpreter
-chunk for chunk.
+The bit-level differentials over randomized sweep grids live in
+``tests/test_engine_differential.py`` (columns) and
+``tests/test_batch_differential.py`` (the per-instance replay path);
+this file pins *which* engine a sweep point runs on (an explicit engine
+beats ``REPRO_ENGINE``; observability and checking always send a point
+to the interpreter; an unset engine records nothing), when a kernel
+bails to the interpreter slow path, and that the replay core's
+System-facing surface matches the interpreter chunk for chunk.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ import os
 
 import pytest
 
-from repro.batch import (RecordingBail, ReplayCore, batch_enabled,
-                         batch_stats, build_replay_system, build_stream,
-                         clear_streams, effective_costs, get_stream,
-                         maybe_run_batched, plan, record_run,
-                         resolve_config, task_batchable)
+from repro.batch import (RecordingBail, ReplayCore, batch_stats,
+                         build_replay_system, build_stream, clear_streams,
+                         get_stream, plan, record_run, resolve_config)
 from repro.cpu.core import InOrderCore
+from repro.errors import ConfigError, SweepError
 from repro.isa.builder import ProgramBuilder
+from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.mem.memsys import NoCacheNVP
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
-from repro.sim.parallel import SweepTask, run_task
+from repro.sim.factory import effective_costs, resolve_engine, runs_fast
+from repro.sim.parallel import SweepTask, run_tasks
 from repro.sim.sweep import run_grid
 from repro.workloads import ALL_WORKLOADS, build_workload
 from tests.conftest import build_sum_program
@@ -42,44 +45,94 @@ def _fresh_streams():
 
 def _task(workload="sha", design="WL-Cache", trace="trace1", scale=0.2,
           config=None, **overrides) -> SweepTask:
-    config = config if config is not None else SimConfig(batch=True)
+    config = config if config is not None else SimConfig(engine="fast")
     return SweepTask(workload, design, trace, scale, True, config,
                      dict(overrides))
 
 
 # ---------------------------------------------------------------------------
-# engagement rules (the pecking order's top half)
+# engine resolution: an explicit engine wins, instrumentation wins over both
 # ---------------------------------------------------------------------------
 
-def test_batch_off_by_default():
-    assert not batch_enabled()
-    assert not task_batchable(SimConfig())
+@pytest.mark.parametrize(
+    "fields, env, engine, fast",
+    [({}, {}, "reference", False),
+     ({"engine": "fast"}, {}, "fast", True),
+     ({}, {"REPRO_ENGINE": "fast"}, "fast", True),
+     ({"engine": "reference"}, {"REPRO_ENGINE": "fast"}, "reference", False),
+     ({"engine": "fast"}, {"REPRO_ENGINE": "reference"}, "fast", True),
+     ({"engine": "fast", "trace": True}, {}, "fast", False),
+     ({"engine": "fast", "check_invariants": True}, {}, "fast", False),
+     ({"engine": "fast"}, {"REPRO_TRACE": "1"}, "fast", False),
+     ({"engine": "fast"}, {"REPRO_CHECK": "1"}, "fast", False)],
+    ids=["default", "explicit-fast", "env-fills-unset",
+         "explicit-reference-beats-env", "explicit-fast-beats-env",
+         "recorder-config", "checker-config", "recorder-env",
+         "checker-env"])
+def test_engine_resolution(monkeypatch, fields, env, engine, fast):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    config = SimConfig(**fields)
+    assert resolve_engine(config) == engine
+    assert runs_fast(config) is fast
+    # plan() routes by the same rule
+    kinds = [kind for kind, _ in plan([_task(config=config)])]
+    assert kinds == (["group"] if fast else ["solo"])
+
+
+def test_batch_off_by_default(monkeypatch):
+    # no engine and no REPRO_ENGINE: a sweep records nothing
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1", jobs=1,
+             scale=0.1)
+    assert batch_stats()["recordings"] == 0
 
 
 def test_batch_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    assert batch_enabled()
-    assert task_batchable(SimConfig())
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    assert not batch_enabled()
+    grid = (["sha"], ("WL-Cache", "VCache-WT"), "trace1")
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    run_grid(*grid, jobs=1, scale=0.1)
+    # one recording serves both designs of the cost family
+    assert batch_stats()["recordings"] == 1
+    clear_streams()
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    run_grid(*grid, jobs=1, scale=0.1)
+    assert batch_stats()["recordings"] == 0
 
 
-def test_trace_recorder_outranks_batch(monkeypatch):
-    assert not task_batchable(SimConfig(batch=True, trace=True))
-    monkeypatch.setenv("REPRO_TRACE", "1")
-    assert not task_batchable(SimConfig(batch=True))
+def test_invalid_engine_rejected():
+    with pytest.raises(ConfigError, match="engine"):
+        SimConfig(engine="turbo")
+    grid = (["sha"], ("WL-Cache", "VCache-WT"), "trace1")
+    with pytest.raises(ConfigError, match="engine"):
+        run_grid(*grid, jobs=1, scale=0.1, engine="turbo")
+    # like any invalid override, a pool attributes it to the failing runs
+    with pytest.raises(SweepError, match="ConfigError: engine") as exc:
+        run_grid(*grid, jobs=2, scale=0.1, engine="turbo")
+    assert len(exc.value.failures) == 2
 
 
-def test_invariant_checker_outranks_batch(monkeypatch):
-    assert not task_batchable(SimConfig(batch=True,
-                                        check_invariants=True))
-    monkeypatch.setenv("REPRO_CHECK", "1")
-    assert not task_batchable(SimConfig(batch=True))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_malformed_engine_env_rejected(monkeypatch, jobs):
+    monkeypatch.setenv("REPRO_ENGINE", "turbo")
+    with pytest.raises(ConfigError, match="REPRO_ENGINE"):
+        run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1", jobs=jobs,
+                 scale=0.1)
+
+
+def test_explicit_reference_beats_env(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    clear_lockstep_stats()
+    run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1", jobs=1,
+             scale=0.1, engine="reference")
+    assert batch_stats()["recordings"] == 0
+    assert lockstep_stats()["columns"] == 0
 
 
 def test_memfast_composes_with_replay():
     prog = build_workload("sha", 0.2)
-    config = SimConfig(batch=True)
+    config = SimConfig(engine="fast")
     costs = effective_costs("WL-Cache", config)
     stream = get_stream(prog, costs, config.max_instructions)
     system = build_replay_system(prog, _task(), config, stream)
@@ -109,8 +162,8 @@ def test_plan_groups_by_cost_family():
 
 def test_plan_routes_ineligible_tasks_solo():
     eligible = _task()
-    traced = _task(config=SimConfig(batch=True, trace=True))
-    off = _task(config=SimConfig())
+    traced = _task(config=SimConfig(engine="fast", trace=True))
+    off = _task(config=SimConfig(engine="reference"))
     units = plan([eligible, traced, off])
     kinds = [kind for kind, _ in units]
     assert kinds == ["group", "solo", "solo"]
@@ -179,15 +232,14 @@ def test_bailed_group_falls_back_to_slow_path(monkeypatch):
     path, task by task, with results identical to a plain sweep."""
     import repro.batch.engine as engine
     ref = run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1", jobs=1,
-                   scale=0.2)
+                   scale=0.2, engine="reference")
 
     def always_bail(program, costs, budget):
         raise RecordingBail("forced")
 
     monkeypatch.setattr(engine, "record_run", always_bail)
     tasks = [_task(design="WL-Cache"), _task(design="VCache-WT")]
-    out = maybe_run_batched(tasks, run_task)
-    assert out is not None
+    out = run_tasks(tasks, jobs=1)
     assert batch_stats()["bails"] == 1
     assert batch_stats()["replays"] == 0
     assert out == ref
@@ -213,7 +265,7 @@ def test_bails_are_not_cached():
 
 def test_families_share_recording_and_skeleton():
     prog = build_workload("sha", 0.2)
-    config = SimConfig(batch=True)
+    config = SimConfig(engine="fast")
     base = effective_costs("WL-Cache", config)
     nvwb = effective_costs("NVCache-WB", config)
     s1 = get_stream(prog, base, config.max_instructions)
@@ -322,34 +374,37 @@ def test_replay_snapshot_restore_roundtrip():
 @pytest.mark.parametrize("trace", [None, "trace1"])
 def test_run_results_identical_reduced_grid(trace):
     designs = ("NVSRAM(ideal)", "NVCache-WB", "WL-Cache")
-    ref = run_grid(["sha", "qsort"], designs, trace, jobs=1, scale=0.2)
-    bat = run_grid(["sha", "qsort"], designs, trace, jobs=1, scale=0.2,
-                   batch=True)
-    assert bat == ref
+    ref = run_grid(["sha", "qsort"], designs, trace, jobs=1, scale=0.2,
+                   engine="reference")
+    fast = run_grid(["sha", "qsort"], designs, trace, jobs=1, scale=0.2,
+                    engine="fast")
+    assert fast == ref
     assert batch_stats()["replays"] == len(ref)
 
 
-def test_parallel_sweep_with_batch_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    bat = run_grid(("sha",), ("WL-Cache", "VCache-WT"), "trace1", jobs=2,
-                   scale=0.2)
-    monkeypatch.delenv("REPRO_BATCH")
+def test_parallel_sweep_with_engine_env(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    fast = run_grid(("sha",), ("WL-Cache", "VCache-WT"), "trace1", jobs=2,
+                    scale=0.2)
+    # the workers' counters ride home: the env reached them
+    assert batch_stats()["lockstep"] == 2
     ref = run_grid(("sha",), ("WL-Cache", "VCache-WT"), "trace1", jobs=1,
-                   scale=0.2)
-    assert bat == ref
+                   scale=0.2, engine="reference")
+    assert fast == ref
 
 
 def test_resolve_config_applies_overrides():
-    task = _task(config=SimConfig(), batch=True)
-    assert resolve_config(task).batch
+    task = _task(config=SimConfig(), engine="fast")
+    assert resolve_config(task).engine == "fast"
 
 
 @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
                     reason="full grid is tier-2 (set REPRO_TIER2=1)")
 def test_run_results_identical_full_grid():
     for trace in (None, "trace1"):
-        ref = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0)
-        bat = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0,
-                       batch=True)
-        bad = [k for k in ref if ref[k] != bat[k]]
-        assert not bad, f"{trace}: batch diverged on {bad}"
+        ref = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0,
+                       engine="reference")
+        fast = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0,
+                        engine="fast")
+        bad = [k for k in ref if ref[k] != fast[k]]
+        assert not bad, f"{trace}: the fast engine diverged on {bad}"

@@ -1,18 +1,27 @@
-"""Hypothesis differential: batched sweeps are bit-identical to serial.
+"""Hypothesis differential: the per-instance replay path is bit-identical
+to the interpreter.
 
-Randomized small grids - kernel subsets, design subsets, power
-condition, workload scale, instruction budget - run twice, once on the
-plain serial path and once with ``SimConfig(batch=True)``, and every
+Under ``engine="fast"`` a sweep point whose column instance bails
+finishes on :class:`~repro.batch.replay.ReplayCore`, one instance at a
+time - the path every evictee and skeleton miss takes. Forcing every
+instance out at event 0 (the scheduler's ``BAIL_HOOK`` seam) leaves the
+column empty, so nothing rejoins and whole randomized grids - kernel
+subsets, design subsets, power condition, workload scale, instruction
+budget - run on that path alone. Each grid runs twice, once with
+``engine="reference"`` on the interpreter and once this way, and every
 :class:`~repro.sim.results.RunResult` field is compared exactly
 (including the float energy breakdown, which is sensitive to chunk
 boundaries and therefore the sharpest bit-identity probe the simulator
 has).
 
 The grid shape matters more than the kernel count: mixed design
-families (NVCache-WB records separately), mixed eligible/ineligible
-tasks, and repeated (workload, design) cells across conditions all
-exercise the engine's grouping and cache paths differently, so the
-strategies draw the *shape*, not just the points.
+families (NVCache-WB records separately) and repeated (workload,
+design) cells across conditions exercise the engine's grouping and
+cache paths differently, so the strategies draw the *shape*, not just
+the points.
+
+``tests/test_engine_differential.py`` covers the columns themselves,
+with random bail points; this module pins the replay half on its own.
 """
 
 from __future__ import annotations
@@ -22,8 +31,9 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.lockstep.scheduler as scheduler
 from repro.batch import clear_streams
-from repro.sim.config import SimConfig
+from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.sim.sweep import run_grid
 
 #: small, fast kernels covering both suites and both store densities
@@ -58,19 +68,26 @@ def test_batched_grid_bit_identical_to_serial(grid):
     clear_streams()
     try:
         ref = run_grid(apps, designs, trace, jobs=1, scale=scale,
-                       **overrides)
+                       engine="reference", **overrides)
         ref_err = None
     except Exception as exc:  # budget truncation must match too
         ref, ref_err = None, (type(exc), str(exc))
+    clear_lockstep_stats()
+    scheduler.BAIL_HOOK = lambda task: 0
     try:
         bat = run_grid(apps, designs, trace, jobs=1, scale=scale,
-                       batch=True, **overrides)
+                       engine="fast", **overrides)
         bat_err = None
     except Exception as exc:
         bat, bat_err = None, (type(exc), str(exc))
+    finally:
+        scheduler.BAIL_HOOK = None
     assert ref_err == bat_err
     if ref_err is not None:
         return
+    # every point left its column before the first event
+    assert lockstep_stats()["evictions"] == len(ref)
+    assert lockstep_stats()["rejoins"] == 0
     assert ref.keys() == bat.keys()
     for key in ref:
         a, b = ref[key], bat[key]

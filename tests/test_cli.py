@@ -46,27 +46,51 @@ def test_unknown_workload_rejected():
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("flag", ["--batch", "--lockstep"])
+@pytest.mark.parametrize("flag", ["--batch", "--lockstep", "--engine=fast"])
 def test_lone_runs_reject_sweep_flags(command, flag, capsys):
-    # run/compare build lone systems on the interpreter; the batch and
-    # lockstep tiers only exist for sweeps, so the flags are an error
+    # run/compare build lone systems on the interpreter: the engine only
+    # picks how sweep points run, and the old per-tier flags are gone
     with pytest.raises(SystemExit) as exc:
         main([command, "sha", "--scale", "0.2", flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_sweep_batch_flag_batches(capsys):
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--batch"], ["sweep", "--lockstep"],
+    ["campaign", "--batch"], ["campaign", "--lockstep"],
+    ["campaign", "--stream-cache", "cache"],
+    ["sweep", "--engine", "turbo"]])
+def test_removed_tier_flags_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_sweep_engine_flag_runs_columns(capsys):
     from repro.batch import batch_stats, clear_streams
     clear_streams()
     try:
         assert main(["sweep", "--apps", "sha", "--designs", "WL-Cache",
                      "NVSRAM(ideal)", "--scale", "0.2", "--trace",
-                     "trace1", "--quiet", "--batch"]) == 0
-        assert batch_stats()["replays"] == 2
+                     "trace1", "--quiet", "--engine", "fast"]) == 0
+        assert batch_stats()["lockstep"] == 2
     finally:
         clear_streams()
     assert "sweep under trace1" in capsys.readouterr().out
+
+
+def test_campaign_engine_flag_runs_columns(tmp_path, capsys):
+    from repro.batch import clear_streams
+    clear_streams()
+    try:
+        assert main(["campaign", "--apps", "sha", "--designs", "WL-Cache",
+                     "--families", "mc-rf-home", "--seeds", "2",
+                     "--scale", "0.1", "--engine", "fast", "--quiet",
+                     "--no-svg", "--out", str(tmp_path / "c")]) == 0
+    finally:
+        clear_streams()
+    assert "lockstep=2" in capsys.readouterr().out
 
 
 def test_dynamic_flag(capsys):

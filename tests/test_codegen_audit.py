@@ -377,6 +377,6 @@ class TestLockstepEngineContract:
         from repro.sim.sweep import run_grid
         clear_streams()
         run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)", "WT+Buffer"),
-                 "trace1", jobs=1, scale=0.2, batch=True, lockstep=True)
+                 "trace1", jobs=1, scale=0.2, engine="fast")
         assert engine_sources(), "lockstep run retained no engines"
         assert audit_lockstep_engines() == []

@@ -1,18 +1,24 @@
-"""Hypothesis differential: lockstep sweeps are bit-identical to batch.
+"""Hypothesis differential: the fast engine is bit-identical to the
+reference engine.
 
 Randomized small grids - kernel subsets, design subsets spanning every
-engine shape (wl/wb fast stores, base, call), power condition, scale,
-instruction budget - run twice, once with ``SimConfig(batch=True)`` on
-the per-instance replay path and once with ``lockstep=True`` columns,
-and every :class:`~repro.sim.results.RunResult` field is compared
-exactly. Mixed-trace grids matter most here: instances of one column
+column engine shape (wl/wb fast stores, base, call) and both recording
+families (NVCache-WB folds ``nvcache_ifetch_extra`` into its costs),
+power condition, scale, instruction budget - run twice, once with
+``SimConfig(engine="reference")`` on the interpreter and once with
+``engine="fast"`` on lockstep columns, and every
+:class:`~repro.sim.results.RunResult` field is compared exactly
+(including the float energy breakdown, which is sensitive to chunk
+boundaries and therefore the sharpest bit-identity probe the simulator
+has). Mixed-trace grids matter most here: instances of one column
 differ in their capacitor accounting block, so the generated engine
 interleaves traced and untraced epilogues in one module.
 
 A random forced-bail event index (the scheduler's test seam) is drawn
 for some examples, so eviction/rejoin at arbitrary stream positions is
 part of the differential, not just the hand-picked cases in
-``tests/test_lockstep.py``.
+``tests/test_lockstep.py``; a bail at event 0 sends a whole run down
+the per-instance :class:`~repro.batch.replay.ReplayCore` path.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ def grid_st(draw):
     scale = draw(st.sampled_from([0.1, 0.15]))
     overrides = {}
     if draw(st.booleans()):
+        # a tight budget exercises the group-budget plumbing (and, when
+        # it truncates the kernel, the error path must match exactly)
         overrides["max_instructions"] = draw(
             st.sampled_from([200_000, 1_000_000]))
     bail_ei = draw(st.one_of(
@@ -50,36 +58,35 @@ def grid_st(draw):
     return apps, designs, trace, scale, overrides, bail_ei, bail_design
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(grid_st())
-def test_lockstep_grid_bit_identical_to_batch(grid):
+def test_fast_engine_grid_bit_identical_to_reference(grid):
     apps, designs, trace, scale, overrides, bail_ei, bail_design = grid
     clear_streams()
     try:
         ref = run_grid(apps, designs, trace, jobs=1, scale=scale,
-                       batch=True, **overrides)
+                       engine="reference", **overrides)
         ref_err = None
     except Exception as exc:  # budget truncation must match too
         ref, ref_err = None, (type(exc), str(exc))
-    clear_streams()
     if bail_ei is not None:
         scheduler.BAIL_HOOK = (
             lambda task: bail_ei if task.design == bail_design else None)
     try:
-        lk = run_grid(apps, designs, trace, jobs=1, scale=scale,
-                      batch=True, lockstep=True, **overrides)
-        lk_err = None
+        fast = run_grid(apps, designs, trace, jobs=1, scale=scale,
+                        engine="fast", **overrides)
+        fast_err = None
     except Exception as exc:
-        lk, lk_err = None, (type(exc), str(exc))
+        fast, fast_err = None, (type(exc), str(exc))
     finally:
         scheduler.BAIL_HOOK = None
-    assert ref_err == lk_err
+    assert ref_err == fast_err
     if ref_err is not None:
         return
-    assert ref.keys() == lk.keys()
+    assert ref.keys() == fast.keys()
     for key in ref:
-        a, b = ref[key], lk[key]
+        a, b = ref[key], fast[key]
         for f in dataclasses.fields(a):
             assert getattr(a, f.name) == getattr(b, f.name), \
                 f"{key}: RunResult.{f.name} diverged"

@@ -1,10 +1,10 @@
-"""Structural tests of the lockstep tier: engagement rules, column
-formation, bit-identity against the serial/batch paths, divergence
-(forced bails, faults) with eviction and rejoin, pool propagation of
-the tier switches, and the shared on-disk recording cache.
+"""Structural tests of lockstep columns: column formation, bit-identity
+against the reference engine, divergence (forced bails, faults) with
+eviction and rejoin, pool propagation of the engine switch, and the
+shared on-disk recording cache.
 
 The randomized bit-level differential lives in
-``tests/test_lockstep_differential.py``; this file pins *when* columns
+``tests/test_engine_differential.py``; this file pins *when* columns
 form, that a diverging instance leaves and re-enters the column without
 perturbing a single RunResult field, and that the campaign plumbing
 (cache stats across shards) round-trips.
@@ -19,8 +19,7 @@ import pytest
 
 import repro.lockstep.scheduler as scheduler
 from repro.batch import batch_stats, clear_streams
-from repro.batch.engine import iter_outcomes, task_lockstep_eligible
-from repro.lockstep import lockstep_enabled
+from repro.batch.engine import iter_outcomes
 from repro.lockstep.codegen import (clear_engines, engine_cache_stats,
                                     engine_sources)
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
@@ -45,8 +44,7 @@ def _fresh():
 
 def _task(workload="sha", design="WL-Cache", trace="trace1", scale=0.2,
           config=None, **overrides) -> SweepTask:
-    config = config if config is not None else SimConfig(batch=True,
-                                                         lockstep=True)
+    config = config if config is not None else SimConfig(engine="fast")
     return SweepTask(workload, design, trace, scale, True, config,
                      dict(overrides))
 
@@ -61,51 +59,51 @@ def _assert_equal_results(ref: dict, got: dict, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# engagement rules
+# engagement: which sweeps form columns
 # ---------------------------------------------------------------------------
 
-def test_lockstep_off_by_default():
-    assert not lockstep_enabled()
-    assert not task_lockstep_eligible(_task(config=SimConfig(batch=True)))
+_PAIR = (["sha"], ("WL-Cache", "VCache-WT"), "trace1")
+
+
+def test_lockstep_off_by_default(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    run_grid(*_PAIR, jobs=1, scale=0.1)
+    assert lockstep_stats()["columns"] == 0
 
 
 def test_lockstep_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_LOCKSTEP", "1")
-    assert lockstep_enabled()
-    assert task_lockstep_eligible(_task(config=SimConfig(batch=True)))
-    monkeypatch.setenv("REPRO_LOCKSTEP", "0")
-    assert not lockstep_enabled()
-
-
-def test_lockstep_requires_batch_tier(monkeypatch):
-    # lockstep columns live inside batch groups: without the batch tier
-    # there is nothing to column
-    assert not task_lockstep_eligible(
-        _task(config=SimConfig(lockstep=True)))
-    monkeypatch.setenv("REPRO_LOCKSTEP", "1")
-    assert not task_lockstep_eligible(_task(config=SimConfig()))
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
+    run_grid(*_PAIR, jobs=1, scale=0.1)
+    assert lockstep_stats()["columns"] == 1
+    assert lockstep_stats()["instances"] == 2
+    clear_lockstep_stats()
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    run_grid(*_PAIR, jobs=1, scale=0.1)
+    assert lockstep_stats()["columns"] == 0
 
 
 def test_observability_outranks_lockstep():
-    assert not task_lockstep_eligible(
-        _task(config=SimConfig(batch=True, lockstep=True, trace=True)))
-    assert not task_lockstep_eligible(
-        _task(config=SimConfig(batch=True, lockstep=True,
-                               check_invariants=True)))
+    # the trace recorder and the invariant checker need the interpreter,
+    # so an explicit fast engine still runs their points solo
+    for flag in ("trace", "check_invariants"):
+        ref, got = (run_grid(*_PAIR, jobs=1, scale=0.1,
+                             config=SimConfig(engine=engine, **{flag: True}))
+                    for engine in ("reference", "fast"))
+        _assert_equal_results(ref, got, f"{flag} under engine=fast")
+    assert lockstep_stats()["columns"] == 0
+    assert batch_stats()["recordings"] == 0
 
 
 # ---------------------------------------------------------------------------
-# bit-identity: serial == batch == lockstep (reduced grid tier-1)
+# bit-identity: reference == fast (reduced grid tier-1)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("trace", [None, "trace1"])
 def test_reduced_grid_identical(trace):
-    ref = run_grid(["sha"], _DESIGNS, trace, jobs=1, scale=0.2)
-    bat = run_grid(["sha"], _DESIGNS, trace, jobs=1, scale=0.2,
-                   batch=True)
+    ref = run_grid(["sha"], _DESIGNS, trace, jobs=1, scale=0.2,
+                   engine="reference")
     lk = run_grid(["sha"], _DESIGNS, trace, jobs=1, scale=0.2,
-                  batch=True, lockstep=True)
-    _assert_equal_results(ref, bat, f"batch trace={trace}")
+                  engine="fast")
     _assert_equal_results(ref, lk, f"lockstep trace={trace}")
     stats = lockstep_stats()
     assert stats["columns"] == 1
@@ -113,12 +111,11 @@ def test_reduced_grid_identical(trace):
     assert batch_stats()["lockstep"] == len(_DESIGNS)
 
 
-def test_single_task_column_identical_to_batch():
+def test_single_task_column_identical_to_reference():
     ref = run_grid(["qsort"], ("WL-Cache",), "trace1", jobs=1, scale=0.2,
-                   batch=True)
-    clear_streams()
+                   engine="reference")
     lk = run_grid(["qsort"], ("WL-Cache",), "trace1", jobs=1, scale=0.2,
-                  batch=True, lockstep=True)
+                  engine="fast")
     _assert_equal_results(ref, lk, "size-1 column")
     stats = lockstep_stats()
     assert stats["columns"] == 1
@@ -127,9 +124,8 @@ def test_single_task_column_identical_to_batch():
 
 def test_parallel_pool_propagates_lockstep(monkeypatch):
     ref = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
-                   jobs=1, scale=0.2)
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    monkeypatch.setenv("REPRO_LOCKSTEP", "1")
+                   jobs=1, scale=0.2, engine="reference")
+    monkeypatch.setenv("REPRO_ENGINE", "fast")
     lk = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
                   jobs=2, scale=0.2)
     _assert_equal_results(ref, lk, "pooled lockstep")
@@ -143,19 +139,18 @@ def test_error_parity_on_budget_truncation():
     kwargs = dict(jobs=1, scale=0.2, max_instructions=5_000)
     try:
         run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1",
-                 batch=True, **kwargs)
-        bat_err = None
+                 engine="reference", **kwargs)
+        ref_err = None
     except Exception as exc:
-        bat_err = (type(exc), str(exc))
-    clear_streams()
+        ref_err = (type(exc), str(exc))
     try:
         run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1",
-                 batch=True, lockstep=True, **kwargs)
+                 engine="fast", **kwargs)
         lk_err = None
     except Exception as exc:
         lk_err = (type(exc), str(exc))
-    assert bat_err is not None
-    assert lk_err == bat_err
+    assert ref_err is not None
+    assert lk_err == ref_err
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ def test_error_parity_on_budget_truncation():
 
 def _grid_ref(designs, trace="trace1"):
     ref = run_grid(["sha"], designs, trace, jobs=1, scale=0.2,
-                   batch=True)
+                   engine="reference")
     clear_streams()
     clear_lockstep_stats()
     return ref
@@ -176,7 +171,7 @@ def test_first_event_bail_is_invisible(monkeypatch):
         scheduler, "BAIL_HOOK",
         lambda task: 0 if task.design == "WL-Cache" else None)
     lk = run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
-                  batch=True, lockstep=True)
+                  engine="fast")
     _assert_equal_results(ref, lk, "bail at event 0")
     assert lockstep_stats()["evictions"] >= 1
 
@@ -186,7 +181,7 @@ def test_all_instances_bail_first_event(monkeypatch):
     ref = _grid_ref(designs)
     monkeypatch.setattr(scheduler, "BAIL_HOOK", lambda task: 0)
     lk = run_grid(["sha"], designs, "trace1", jobs=1, scale=0.2,
-                  batch=True, lockstep=True)
+                  engine="fast")
     _assert_equal_results(ref, lk, "all instances bail")
     stats = lockstep_stats()
     assert stats["evictions"] == len(designs)
@@ -201,7 +196,7 @@ def test_mid_walk_bail_evicts_and_rejoins(monkeypatch, trace):
         scheduler, "BAIL_HOOK",
         lambda task: 5_000 if task.design == "NVSRAM(ideal)" else None)
     lk = run_grid(["sha"], designs, trace, jobs=1, scale=0.2,
-                  batch=True, lockstep=True)
+                  engine="fast")
     _assert_equal_results(ref, lk, f"mid-walk bail trace={trace}")
     stats = lockstep_stats()
     assert stats["evictions"] >= 1
@@ -255,7 +250,7 @@ def test_mid_walk_fault_is_isolated(monkeypatch):
 
 def test_engine_cached_per_signature():
     run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
-             batch=True, lockstep=True)
+             engine="fast")
     stats = engine_cache_stats()
     assert stats["signatures"] >= 1
     assert stats["builds"] >= 1
@@ -266,7 +261,7 @@ def test_engine_cached_per_signature():
     renders = stats["renders"]
     clear_streams()
     run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
-             batch=True, lockstep=True)
+             engine="fast")
     # same column signature: the retained source is reused, not re-rendered
     assert engine_cache_stats()["renders"] == renders
     clear_engines()
@@ -278,13 +273,13 @@ def test_engine_cached_per_signature():
 # ---------------------------------------------------------------------------
 
 def test_disk_cache_shared_across_cold_starts(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STREAM_CACHE", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     first = run_grid(["sha"], ("WL-Cache", "NVSRAM(ideal)"), "trace1",
-                     jobs=1, scale=0.2, batch=True, lockstep=True)
+                     jobs=1, scale=0.2, engine="fast")
     assert batch_stats()["disk_writes"] >= 1
     clear_streams()  # a fresh process/shard: in-memory caches are cold
     again = run_grid(["sha"], ("WL-Cache", "NVSRAM(ideal)"), "trace1",
-                     jobs=1, scale=0.2, batch=True, lockstep=True)
+                     jobs=1, scale=0.2, engine="fast")
     stats = batch_stats()
     assert stats["disk_hits"] >= 1
     assert stats["recordings"] == 0  # served from the shared cache
@@ -315,8 +310,9 @@ def test_campaign_cache_stats_merge():
                     reason="full grid is tier-2 (set REPRO_TIER2=1)")
 def test_run_results_identical_full_grid():
     for trace in (None, "trace1"):
-        ref = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0)
+        ref = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0,
+                       engine="reference")
         lk = run_grid(ALL_WORKLOADS, DESIGNS, trace, jobs=1, scale=1.0,
-                      batch=True, lockstep=True)
+                      engine="fast")
         bad = [k for k in ref if ref[k] != lk[k]]
         assert not bad, f"{trace}: lockstep diverged on {bad}"

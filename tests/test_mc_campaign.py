@@ -3,8 +3,8 @@
 The statistical layer is only as good as the points feeding it, so the
 load-bearing guarantees are executional: a campaign must produce
 point-for-point identical results from the serial loop, the process
-pool (any worker count), and the batch record/replay engine, and a
-campaign sharded across runs must merge back losslessly.
+pool (any worker count), and the fast engine's record-once columns,
+and a campaign sharded across runs must merge back losslessly.
 """
 
 import os
@@ -24,11 +24,12 @@ SPEC = CampaignSpec(
     families=("mc-rf-home", "mc-rf-office"),
     seeds=(0, 1),
     scale=0.1,
+    overrides={"engine": "reference"},
 )
 
-BATCH_SPEC = CampaignSpec(
+FAST_SPEC = CampaignSpec(
     workloads=SPEC.workloads, designs=SPEC.designs, families=SPEC.families,
-    seeds=SPEC.seeds, scale=SPEC.scale, overrides={"batch": True})
+    seeds=SPEC.seeds, scale=SPEC.scale, overrides={"engine": "fast"})
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +100,11 @@ class TestDeterminism:
         assert as_dicts(par3) == as_dicts(serial_points)
 
     def test_batch_equals_serial(self, serial_points):
-        bat = run_campaign(BATCH_SPEC, jobs=1)
+        bat = run_campaign(FAST_SPEC, jobs=1)
         assert as_dicts(bat) == as_dicts(serial_points)
 
     def test_batch_parallel_equals_serial(self, serial_points):
-        bat = run_campaign(BATCH_SPEC, jobs=2)
+        bat = run_campaign(FAST_SPEC, jobs=2)
         assert as_dicts(bat) == as_dicts(serial_points)
 
     def test_shard_order_irrelevant(self, serial_points):
@@ -118,6 +119,16 @@ class TestDeterminism:
     def test_result_order_follows_input(self, serial_points):
         pairs = expand_campaign(SPEC)
         assert list(serial_points) == [k for k, _ in pairs]
+
+    def test_pool_failure_names_point_keys(self):
+        spec = CampaignSpec(workloads=("sha",), designs=("WL-Cache",),
+                            families=("mc-rf-home",), seeds=(0, 1),
+                            scale=0.1, overrides={"maxline": 99})
+        with pytest.raises(SweepError, match="maxline") as exc:
+            run_campaign(spec, jobs=2)
+        assert set(exc.value.failures) == {
+            ("sha", "WL-Cache", "mc-rf-home", 0),
+            ("sha", "WL-Cache", "mc-rf-home", 1)}
 
     def test_failure_names_the_point(self):
         spec = CampaignSpec(workloads=("sha",), designs=("WL-Cache",),
@@ -179,6 +190,7 @@ class TestFullEnsemble:
         families=("mc-rf-home", "mc-rf-office", "mc-rf-mobile", "mc-solar"),
         seeds=tuple(range(4)),
         scale=0.2,
+        overrides={"engine": "reference"},
     )
 
     def test_all_engines_identical_at_scale(self):
@@ -186,12 +198,12 @@ class TestFullEnsemble:
         assert len(serial) == self.SPEC.n_points  # 144 points
         par = run_campaign(self.SPEC, jobs=os.cpu_count() or 2)
         assert as_dicts(par) == as_dicts(serial)
-        batch_spec = CampaignSpec(
+        fast_spec = CampaignSpec(
             workloads=self.SPEC.workloads, designs=self.SPEC.designs,
             families=self.SPEC.families, seeds=self.SPEC.seeds,
-            scale=self.SPEC.scale, overrides={"batch": True})
-        bat = run_campaign(batch_spec, jobs=os.cpu_count() or 2)
-        assert as_dicts(bat) == as_dicts(serial)
+            scale=self.SPEC.scale, overrides={"engine": "fast"})
+        fast = run_campaign(fast_spec, jobs=os.cpu_count() or 2)
+        assert as_dicts(fast) == as_dicts(serial)
         summary = summarize_campaign(serial)
         assert summary["n_points"] == self.SPEC.n_points
         assert summary["speedup_aggregate"]

@@ -17,14 +17,16 @@ from array import array
 
 import pytest
 
-from repro.batch import batch_stats, clear_streams
+from repro.batch import (batch_stats, build_replay_system, clear_streams,
+                         get_stream)
 from repro.batch.record import RecordingMemsys
 from repro.cpu.core import InOrderCore
 from repro.energy.synthetic import make_trace
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import SimConfig
-from repro.sim.factory import build_design, build_system
+from repro.sim.factory import build_design, build_system, effective_costs
+from repro.sim.parallel import SweepTask
 from repro.sim.sweep import run_grid
 from repro.sim.system import System
 from repro.verify.checker import compare_states
@@ -74,15 +76,20 @@ def test_reference_lone_run(program, oracle):
     _assert_flat_image(res.final_memory, oracle)
 
 
-def test_batch_replay(oracle):
-    for image in _grid_images(jobs=1, batch=True):
-        _assert_flat_image(image, oracle)
-    assert batch_stats()["replays"] == len(GRID_DESIGNS)
+def test_batch_replay(program, oracle):
+    # the per-instance replay path evictees finish on
+    config = SimConfig()
+    for design in GRID_DESIGNS:
+        stream = get_stream(program, effective_costs(design, config),
+                            config.max_instructions)
+        task = SweepTask("sha", design, "trace1", SCALE, False, config)
+        res = build_replay_system(program, task, config, stream).run()
+        _assert_flat_image(res.final_memory, oracle)
     assert lockstep_stats()["columns"] == 0
 
 
 def test_lockstep_column(oracle):
-    for image in _grid_images(jobs=1, batch=True, lockstep=True):
+    for image in _grid_images(jobs=1, engine="fast"):
         _assert_flat_image(image, oracle)
     assert lockstep_stats()["columns"] >= 1
     assert batch_stats()["lockstep"] == len(GRID_DESIGNS)

@@ -148,6 +148,27 @@ class TestDispatch:
         assert list(out) == [("qsort", "WL-Cache"), ("sha", "WL-Cache")]
 
 
+class TestPointKeys:
+    def test_caller_keys_hold_one_kernel_and_design_twice(self):
+        # two configs of one (workload, design) in one call, plus the
+        # same task object twice, keyed by the caller; progress sees the
+        # same keys, serial and pooled
+        low = SweepTask("sha", "WL-Cache", "trace1", 0.1, True, None,
+                        {"maxline": 3})
+        high = SweepTask("sha", "WL-Cache", "trace1", 0.1, True, None,
+                         {"maxline": 6})
+        tasks = [low, high, high]
+        keys = ["maxline3", "maxline6", "maxline6-again"]
+        for jobs in (1, 2):
+            seen = []
+            out = run_tasks(tasks, jobs=jobs, keys=keys,
+                            progress=lambda d, t, k: seen.append(k))
+            assert list(out) == keys
+            assert sorted(seen) == sorted(keys)
+            assert out["maxline3"] == run_task(low)
+            assert out["maxline6"] == out["maxline6-again"] == run_task(high)
+
+
 class TestSweepEdgeCases:
     def test_bench_scale_bad_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "huge")

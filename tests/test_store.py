@@ -49,7 +49,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 @pytest.fixture
 def store_dir(tmp_path, monkeypatch):
     """A live store rooted in tmp_path, with clean counters/caches."""
-    monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     reset_store_stats()
     clear_loaded_sources()
@@ -80,28 +79,16 @@ class TestRoot:
     @pytest.mark.parametrize("value", ["0", "off", "none", "disabled",
                                        "OFF", "", "  "])
     def test_off_values_disable(self, monkeypatch, value):
-        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", value)
         assert store_root() is None
         assert get_store() is None
 
     def test_explicit_dir(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert store_root() == str(tmp_path)
         assert get_store().root == str(tmp_path)
 
-    def test_legacy_stream_alias_wins(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_STREAM_CACHE", str(tmp_path / "legacy"))
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "new"))
-        assert store_root() == str(tmp_path / "legacy")
-        # ...even over an explicit off: shard scripts that only set the
-        # PR 9 variable keep caching
-        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
-        assert store_root() == str(tmp_path / "legacy")
-
     def test_default_under_xdg(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         assert store_root() == str(tmp_path / "repro")
@@ -207,7 +194,6 @@ class TestCorruption:
         self._assert_corrupt_miss(store, "src", ("elsewhere",))
 
     def test_unwritable_root_is_soft(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the tree wants a directory")
         store = ArtifactStore(str(blocker))
@@ -389,8 +375,8 @@ class TestWarmCodegen:
         assert warm == cold
 
     def test_memfast_end_to_end_warm(self, store_dir, fresh_codegen):
-        # batch replay attaches the handlers to every replay instance
-        cfg = SimConfig(batch=True)
+        # the fast engine attaches the handlers to every replay instance
+        cfg = SimConfig(engine="fast")
         cold = run_grid(("sha",), ("WL-Cache",), "trace1", scale=0.2,
                         jobs=1, config=cfg)
         assert codegen_cache_stats()["renders"] >= 1
@@ -404,7 +390,7 @@ class TestWarmCodegen:
 
     def test_lockstep_engines_load_not_render(self, store_dir,
                                               fresh_codegen):
-        kwargs = dict(scale=0.2, jobs=1, batch=True, lockstep=True)
+        kwargs = dict(scale=0.2, jobs=1, engine="fast")
         cold = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
                         **kwargs)
         cold_stats = engine_cache_stats()
@@ -420,7 +406,7 @@ class TestWarmCodegen:
 
     def test_stream_skeleton_and_recording_load(self, store_dir,
                                                 fresh_codegen):
-        kwargs = dict(scale=0.2, jobs=1, batch=True)
+        kwargs = dict(scale=0.2, jobs=1, engine="fast")
         cold = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
                         **kwargs)
         assert stream_meta_stats()["skeleton_builds"] >= 1
@@ -445,7 +431,7 @@ class TestWarmCodegen:
         from repro.sim.factory import build_system
         from repro.workloads import get_workload
 
-        kwargs = dict(scale=0.1, jobs=1, verify=False, batch=True)
+        kwargs = dict(scale=0.1, jobs=1, verify=False, engine="fast")
         workload = get_workload("sha")
         old = workload.build(0.1)
         run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
@@ -508,6 +494,40 @@ class TestResultMemo:
         memo = lookup_task(_memo_task(config=SimConfig()))
         assert memo is not None
         assert store_stats().get("result_hits") == 1
+
+    def test_reference_entries_serve_fast_sweeps(self, store_dir,
+                                                 fresh_codegen):
+        # the engine is normalized out of the key: both engines are
+        # bit-identical, so a reference sweep's entries serve a fast one
+        designs = ("WL-Cache", "NVSRAM(ideal)")
+        kwargs = dict(trace="trace1", scale=0.2, jobs=1)
+        ref = run_grid(("sha",), designs, config=SimConfig(
+            engine="reference", result_cache=True), **kwargs)
+        assert store_stats().get("result_writes") == 2
+        reset_store_stats()
+        fast = run_grid(("sha",), designs, config=SimConfig(
+            engine="fast", result_cache=True), **kwargs)
+        assert store_stats().get("result_hits") == 2
+        assert batch_stats()["recordings"] == 0
+        assert _grid_stats(ref) == _grid_stats(fast)
+
+    def test_memo_consulted_once_per_task(self, store_dir, fresh_codegen,
+                                          monkeypatch):
+        # a bailed group's tasks finish on the slow path, which must not
+        # look the memo up a second time
+        import repro.batch.engine as engine
+        from repro.batch.record import RecordingBail
+
+        def always_bail(program, costs, budget):
+            raise RecordingBail("forced")
+
+        monkeypatch.setattr(engine, "record_run", always_bail)
+        cfg = SimConfig(engine="fast", result_cache=True)
+        run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
+                 scale=0.2, jobs=1, config=cfg)
+        assert batch_stats()["bails"] == 1
+        assert store_stats().get("result_misses") == 2
+        assert store_stats().get("result_writes") == 2
 
     def test_trace_and_checker_runs_never_memoized(self, store_dir):
         run_task(_memo_task(config=SimConfig(result_cache=True,
@@ -596,7 +616,7 @@ def _grid_stats(grid) -> dict:
 
 class TestWarmEqualsCold:
     def test_reduced_grid_bit_identical(self, store_dir, fresh_codegen):
-        cfg = SimConfig(batch=True, result_cache=True)
+        cfg = SimConfig(engine="fast", result_cache=True)
         kwargs = dict(trace="trace1", scale=0.2, jobs=1, config=cfg)
         cold = run_grid(("sha",), ("NVSRAM(ideal)", "WL-Cache"), **kwargs)
         assert store_stats().get("result_writes") == 2
@@ -612,7 +632,7 @@ class TestWarmEqualsCold:
     @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
                         reason="full grid is tier-2 (set REPRO_TIER2=1)")
     def test_full_grid_bit_identical(self, store_dir, fresh_codegen):
-        cfg = SimConfig(batch=True, result_cache=True)
+        cfg = SimConfig(engine="fast", result_cache=True)
         kwargs = dict(trace="trace1", scale=0.2, jobs=1, config=cfg)
         cold = run_grid(**kwargs)  # all 23 workloads x 5 designs
         fresh_codegen()
@@ -630,20 +650,27 @@ class TestWarmEqualsCold:
 class TestPoolPropagation:
     def test_initargs_carry_store_switches(self, store_dir, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", "1")
-        args = worker_initargs()
-        assert len(args) == 7
-        assert store_dir in args
-        assert "1" in args
+        monkeypatch.setenv("NOT_REPRO", "x")
+        env = worker_initargs()
+        assert env["REPRO_CACHE_DIR"] == store_dir
+        assert env["REPRO_RESULT_CACHE"] == "1"
+        assert all(var.startswith("REPRO_") for var in env)
 
     def test_init_worker_sets_and_pops(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-        _init_worker(None, None, store_env="/tmp/somewhere",
-                     result_cache_env="1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        monkeypatch.setenv("REPRO_STALE_SWITCH", "1")
+        monkeypatch.setenv("NOT_REPRO", "x")
+        _init_worker({"REPRO_CACHE_DIR": "/tmp/somewhere",
+                      "REPRO_RESULT_CACHE": "1"})
         assert os.environ["REPRO_CACHE_DIR"] == "/tmp/somewhere"
         assert os.environ["REPRO_RESULT_CACHE"] == "1"
-        _init_worker(None, None, store_env=None, result_cache_env=None)
-        assert "REPRO_CACHE_DIR" not in os.environ
+        # a switch the parent does not set is removed; other variables
+        # are left alone
+        assert "REPRO_STALE_SWITCH" not in os.environ
+        assert os.environ["NOT_REPRO"] == "x"
+        _init_worker({"REPRO_CACHE_DIR": "off"})
+        assert os.environ["REPRO_CACHE_DIR"] == "off"
         assert "REPRO_RESULT_CACHE" not in os.environ
 
     def test_pooled_sweep_ships_store_stats_home(self, store_dir,
@@ -783,7 +810,6 @@ class TestCacheCli:
 
     def test_gc_disabled_store_fails(self, monkeypatch, capsys):
         from repro.cli import main
-        monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", "off")
         assert main(["cache", "gc", "--max-size", "1M"]) == 2
         assert "disabled" in capsys.readouterr().err
