@@ -14,7 +14,7 @@ stream layout, bail discipline, and the engine rules.
 
 from repro.batch.engine import (batch_stats, build_replay_system,
                                 clear_streams, get_stream, iter_outcomes,
-                                plan, resolve_config, warm_stream)
+                                plan, resolve_config)
 from repro.batch.record import (BUDGET_SLACK, STREAM_CAP, RecordingBail,
                                 RecordingMemsys, record_run,
                                 recording_costs)
@@ -40,5 +40,4 @@ __all__ = [
     "recording_costs",
     "resolve_config",
     "stream_meta_stats",
-    "warm_stream",
 ]

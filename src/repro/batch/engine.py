@@ -354,35 +354,10 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
         yield task, outcome
 
 
-def warm_stream(workload: str, scale: float,
-                config: SimConfig | None = None,
-                design: str = "WL-Cache") -> GuestStream:
-    """Record (or fetch) the stream a grid over ``workload`` will use -
-    benchmark helper to separate recording cost from replay cost."""
-    config = config or SimConfig()
-    program = build_workload(workload, scale)
-    costs = effective_costs(design, config)
-    return get_stream(program, costs, config.max_instructions)
-
-
 def batch_stats() -> dict:
     """Engine counters (tests/benchmarks)."""
     return {"streams": len(_STREAM_CACHE),
             "raw_recordings": len(_RECORDING_CACHE), **_STREAM_STATS}
-
-
-def absorb_stats(delta: dict) -> None:
-    """Fold a worker's per-chunk counter deltas into this process.
-
-    Pool workers ship a trailing ``("stats", delta)`` record with each
-    chunk (:func:`repro.sim.parallel._run_chunk`); the sweep parent
-    absorbs them here so :func:`batch_stats` reflects the whole sweep -
-    recordings, cache hits, disk hits - not just the parent's share.
-    Cache-size gauges (``streams``/``raw_recordings``) describe the
-    worker's caches, not events, and are skipped."""
-    for key, value in delta.items():
-        if key in _STREAM_STATS and value:
-            _STREAM_STATS[key] += value
 
 
 def clear_streams() -> None:
@@ -396,7 +371,6 @@ def clear_streams() -> None:
 
 
 __all__ = [
-    "absorb_stats",
     "batch_stats",
     "build_replay_system",
     "clear_streams",
@@ -404,5 +378,4 @@ __all__ = [
     "iter_outcomes",
     "plan",
     "resolve_config",
-    "warm_stream",
 ]

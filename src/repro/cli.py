@@ -15,9 +15,8 @@ Commands:
   gating too).
 * ``audit`` - statically audit the *generated* Python from the
   record-mode/memfast/lockstep compilers against their structural
-  contracts (A001-A009, including the persistent-store load contract).
-  Exit code 0 when every compiled family verifies, 2 on any contract
-  violation.
+  contracts (A001-A008). Exit code 0 when every compiled family
+  verifies, 2 on any contract violation.
 * ``cache`` - inspect and maintain the persistent artifact store
   (``REPRO_CACHE_DIR``): ``stats`` prints disk usage per artifact class
   plus this process's counters, ``gc --max-size`` evicts least-recently

@@ -495,20 +495,6 @@ def compile_blocks_source(program: Program,
     return "\n".join(parts) + "\n", meta
 
 
-def block_meta(program: Program) -> dict[int, tuple[int, bool]]:
-    """The ``{leader: (length, ends_in_halt)}`` metadata of
-    :func:`compile_blocks_source`, derived without rendering.
-
-    HALT is a CFG terminator, so it can only be a block's *last*
-    instruction - which makes the metadata a pure function of the block
-    partition. This is what lets a warm start rebuild a
-    :class:`~repro.jit.cache.CompiledProgram` from persisted source text
-    alone (:mod:`repro.store`)."""
-    instrs = program.instructions
-    return {start: (end - start, instrs[end - 1][0] == oc.HALT)
-            for start, end in block_spans(program)}
-
-
 def compile_suffix_source(program: Program, costs: CycleCosts,
                           start: int, end: int) -> str:
     """Source for a *suffix block* ``[start, end)`` - the tail of a basic

@@ -15,15 +15,8 @@ dispatch table) only when :meth:`CompiledProgram.bind` first asks.
 Suffix blocks (the recorder's indirect ``jalr`` into a block interior)
 compile lazily per pc and are shared across recordings; binding executes
 a code object in a fresh namespace per recording, closed over that
-recording's memory-system methods.
-
-When the persistent artifact store is enabled (:mod:`repro.store`),
-every rendered source is persisted under its content key + the jit
-generator fingerprint, and a cold process *loads* the source text
-instead of re-rendering it ("loads"/"suffix_loads" in the stats; the
-Python ``compile`` still runs, rendering is what is saved). Loaded
-sources land in the A009 audit ledger so ``repro audit`` can prove they
-re-render byte-identical.
+recording's memory-system methods. Sources are never persisted: every
+process renders the code it runs.
 """
 
 from __future__ import annotations
@@ -33,9 +26,8 @@ from bisect import bisect_right
 from repro.cpu.core import program_content_key
 from repro.cpu.costs import CycleCosts
 from repro.isa.program import Program
-from repro.jit.blocks import (block_meta, block_spans,
-                              compile_blocks_source, compile_suffix_source)
-from repro.store.sources import jit_fingerprint, load_source, save_source
+from repro.jit.blocks import (block_spans, compile_blocks_source,
+                              compile_suffix_source)
 
 _COMPILED_KEY = "_jit_compiled"
 
@@ -45,8 +37,7 @@ _COMPILED_KEY = "_jit_compiled"
 _CODE_CACHE: dict[tuple, "CompiledProgram"] = {}
 _CACHE_CAP = 512
 
-_STATS = {"compiles": 0, "hits": 0, "suffix_compiles": 0, "loads": 0,
-          "suffix_loads": 0}
+_STATS = {"compiles": 0, "hits": 0, "suffix_compiles": 0}
 
 
 def compile_trace_source(*_args):
@@ -64,19 +55,11 @@ class CompiledProgram:
     __slots__ = ("program", "costs", "n", "source", "module_code",
                  "block_meta", "_starts", "_suffix_codes", "suffix_sources")
 
-    def __init__(self, program: Program, costs: CycleCosts,
-                 source: str | None = None):
+    def __init__(self, program: Program, costs: CycleCosts):
         self.program = program
         self.costs = costs
         self.n = len(program.instructions)
-        if source is None:
-            self.source, self.block_meta = compile_blocks_source(program,
-                                                                 costs)
-        else:
-            # warm start from persisted source text: the block metadata
-            # is a pure function of the block partition (see block_meta)
-            self.source = source
-            self.block_meta = block_meta(program)
+        self.source, self.block_meta = compile_blocks_source(program, costs)
         self.module_code = None
         self._starts = sorted(s for s, _e in block_spans(program))
         self._suffix_codes: dict[int, object] = {}
@@ -103,20 +86,8 @@ class CompiledProgram:
         if code is None:
             j = bisect_right(self._starts, pc)
             end = self._starts[j] if j < len(self._starts) else self.n
-
-            def render() -> str:
-                return compile_suffix_source(self.program, self.costs, pc,
-                                             end)
-
-            key = ("jit-suffix", jit_fingerprint(),
-                   program_content_key(self.program), self.costs, pc, end)
-            src = load_source(key, f"jit:{self.program.name}+{pc}", render)
-            if src is None:
-                src = render()
-                _STATS["suffix_compiles"] += 1
-                save_source(key, src)
-            else:
-                _STATS["suffix_loads"] += 1
+            src = compile_suffix_source(self.program, self.costs, pc, end)
+            _STATS["suffix_compiles"] += 1
             code = compile(src, f"<jit:{self.program.name}+{pc}>", "exec")
             self._suffix_codes[pc] = code
             self.suffix_sources[pc] = src
@@ -141,18 +112,8 @@ def get_compiled(program: Program, costs: CycleCosts) -> CompiledProgram:
         if compiled is None:
             if len(_CODE_CACHE) >= _CACHE_CAP:
                 _CODE_CACHE.clear()
-            store_key = ("jit-blocks", jit_fingerprint(), *key)
-            src = load_source(
-                store_key, f"jit:{program.name}",
-                lambda: compile_blocks_source(program, costs)[0])
-            if src is None:
-                compiled = CompiledProgram(program, costs)
-                _STATS["compiles"] += 1
-                save_source(store_key, compiled.source)
-            else:
-                compiled = CompiledProgram(program, costs, source=src)
-                _STATS["loads"] += 1
-            _CODE_CACHE[key] = compiled
+            compiled = _CODE_CACHE[key] = CompiledProgram(program, costs)
+            _STATS["compiles"] += 1
         else:
             _STATS["hits"] += 1
         per_program[costs] = compiled

@@ -14,7 +14,7 @@ Three layers:
   dead/unreachable checkpoints.
 * **Codegen auditor** (:mod:`repro.lint.codegen_audit`): an ``ast``-based
   static pass over the *generated* Python the record-mode/memfast/
-  lockstep layers emit, verifying the structural contracts (A001-A009)
+  lockstep layers emit, verifying the structural contracts (A001-A008)
   that the differential tests only sample dynamically.
 * **Protocol invariant checker** (:func:`attach_invariants`): a runtime
   assertion layer over WL-Cache that turns the paper's correctness

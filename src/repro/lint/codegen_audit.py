@@ -70,22 +70,15 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   signature) and A006 (free names resolve only to the engine's exec
   namespace: the error types and the few helpers ``make_engine``
   binds).
-* **A009 store-load-mismatch** - every generated source this process
-  served from the *persistent* artifact store (:mod:`repro.store`)
-  re-renders byte-identical from its recorded inputs. A005 pins what
-  this process rendered; A009 pins what it *loaded* - a stale,
-  tampered, or mis-keyed entry in a shared cache directory is caught
-  here rather than silently executed again next run.
 
 Drivers: :func:`audit_compiled` (one
 :class:`~repro.jit.cache.CompiledProgram`, including any suffix modules
 it has materialized), :func:`audit_memfast_design` (one memory system's
 installed handlers), :func:`audit_replay_module` (the batch walker),
 :func:`audit_lockstep_engines` (every retained column-engine source),
-:func:`audit_store_loads` (the A009 ledger), and :func:`audit_suite`
-(the CLI's ``repro audit``: each requested kernel's record modules,
-each requested design's handlers, and the column engines a small
-lockstep sweep materializes).
+and :func:`audit_suite` (the CLI's ``repro audit``: each requested
+kernel's record modules, each requested design's handlers, and the
+column engines a small lockstep sweep materializes).
 """
 
 from __future__ import annotations
@@ -537,14 +530,14 @@ def audit_memfast_design(m) -> list[Finding]:
     """Audit the fast handlers installed on a live memory system:
     handler-shape contracts plus the A005 re-render check against the
     live geometry/energy fields the literals were baked from."""
-    from repro.memfast.handlers import (load_source, wb_store_sources,
-                                        wl_store_sources)
+    from repro.memfast.handlers import (load_handler_source,
+                                        wb_store_sources, wl_store_sources)
 
     state = getattr(m, "_memfast_state", None)
     if state is None:
         return []
     design = type(m).__name__
-    expected: dict[str, str] = {"load": load_source(m)}
+    expected: dict[str, str] = {"load": load_handler_source(m)}
     if state.store_shape == "wl":
         expected.update(wl_store_sources(m))
     elif state.store_shape == "wb":
@@ -733,42 +726,6 @@ def audit_lockstep_engines() -> list[Finding]:
     return findings
 
 
-def audit_store_loads() -> list[Finding]:
-    """A009: every generated source this process served from the
-    persistent artifact store must re-render byte-identical from its
-    recorded inputs (the ledger in :mod:`repro.store.sources` keeps a
-    pure re-render closure per load). A mismatch means the store entry
-    is stale, tampered with, or mis-keyed - exactly the cross-process
-    failure A005 cannot see, because A005 compares sources retained by
-    *this* process's renders."""
-    from repro.store.sources import loaded_source_stats, loaded_sources
-
-    findings: list[Finding] = []
-    for unit, source, render in loaded_sources():
-        try:
-            fresh = render()
-        except Exception as exc:
-            findings.append(make_finding(
-                "A009", unit,
-                f"re-render of a store-loaded source raised "
-                f"{type(exc).__name__}: {exc}"))
-            continue
-        if fresh != source:
-            findings.append(make_finding(
-                "A009", unit,
-                "store-loaded source differs from a fresh render of "
-                "its recorded inputs (stale or tampered cache entry: "
-                "clear the store root or bump the generator)"))
-    dropped = loaded_source_stats()["audit_dropped"]
-    if dropped:
-        findings.append(make_finding(
-            "A009", "store:loads",
-            f"{dropped} store loads overflowed the audit ledger and "
-            f"were not checked (raise the cap or audit in smaller "
-            f"runs)"))
-    return findings
-
-
 # ---------------------------------------------------------------------------
 # suite driver (the repro audit CLI)
 # ---------------------------------------------------------------------------
@@ -812,5 +769,4 @@ def audit_suite(apps=None, designs=None,
         handlers.extend(audit_memfast_design(m))
     results["memfast:handlers"] = handlers
     results["lockstep:engines"] = audit_lockstep_engines()
-    results["store:loads"] = audit_store_loads()
     return results

@@ -113,10 +113,6 @@ AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
          "protocol (unknown/misshapen episode tuple, missing cursor "
          "publication, or an instance whose mirrors are never written "
          "back before the yield)"),
-    Rule("A009", "store-load-mismatch", ERROR,
-         "a generated source served from the persistent artifact store "
-         "does not re-render byte-identical from its recorded inputs "
-         "(stale, tampered, or mis-keyed cache entry)"),
 ]}
 
 #: Every registered rule, both families, for SARIF/driver lookups.

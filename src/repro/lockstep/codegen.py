@@ -101,7 +101,7 @@ _SIG_SOURCES: dict[tuple, str] = {}
 #: source -> compiled code object
 _CODE_CACHE: dict[str, object] = {}
 
-_ENGINE_STATS = {"renders": 0, "builds": 0, "loads": 0}
+_ENGINE_STATS = {"renders": 0, "builds": 0}
 
 #: exec globals for the generated engines: the serial loop's exception
 #: types (raised with the serial paths' exact messages), the I-line
@@ -608,28 +608,11 @@ def render_engine_source(sig: tuple) -> str:
 
 
 def engine_source(sig: tuple) -> str:
-    """The (cached) retained source for a signature.
-
-    When the persistent store is enabled (:mod:`repro.store`) a miss
-    first tries the persisted source for this signature - a *load*
-    rather than a render - and a fresh render is persisted for the next
-    process. Loaded sources enter the A009 audit ledger."""
+    """The (cached) retained source for a signature."""
     src = _SIG_SOURCES.get(sig)
     if src is None:
-        from repro.store.sources import (load_source, lockstep_fingerprint,
-                                         save_source)
-
-        key = ("lockstep-engine", lockstep_fingerprint(), sig)
-        src = load_source(key,
-                          f"lockstep:{'/'.join(str(el[0]) for el in sig)}",
-                          lambda: render_engine_source(sig))
-        if src is None:
-            src = render_engine_source(sig)
-            _ENGINE_STATS["renders"] += 1
-            save_source(key, src)
-        else:
-            _ENGINE_STATS["loads"] += 1
-        _SIG_SOURCES[sig] = src
+        src = _SIG_SOURCES[sig] = render_engine_source(sig)
+        _ENGINE_STATS["renders"] += 1
     return src
 
 

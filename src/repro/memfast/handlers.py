@@ -43,29 +43,22 @@ stale MRU pointer simply falls through to the normal set probe.
 Generated code objects are cached by source string, so a sweep
 generates each (family, geometry, cost) combination once per process.
 Rendered *sources* are additionally memoized under their literal
-parameter tuple and persisted through :mod:`repro.store` when enabled:
-a warm process loads handler text instead of re-rendering ("loads" vs
-"renders" in :func:`codegen_cache_stats`), and every loaded source
-lands in the A009 audit ledger with a pure re-render closure (the
-closures capture literals, never a live memory system).
+parameter tuple ("renders" in :func:`codegen_cache_stats` counts the
+distinct ones), so a replay instance re-renders nothing it shares with
+an earlier one.
 """
 
 from __future__ import annotations
-
-from repro.store.sources import load_source as _store_load
-from repro.store.sources import memfast_fingerprint
-from repro.store.sources import save_source as _store_save
 
 _FULL = 0xFFFFFFFF
 
 #: source -> compiled code object (families x geometries stay small)
 _CODE_CACHE: dict[str, object] = {}
 
-#: literal-parameter key -> rendered source (in-memory memo in front of
-#: the persistent store)
+#: literal-parameter key -> rendered source
 _SRC_CACHE: dict[tuple, str] = {}
 
-_GEN_STATS = {"renders": 0, "loads": 0}
+_GEN_STATS = {"renders": 0}
 
 # LRU stamping, at the two indents the templates need. The chained
 # assignment writes the accumulator slot first, then the local.
@@ -100,20 +93,13 @@ def clear_handler_sources() -> None:
         _GEN_STATS[k] = 0
 
 
-def _keyed_source(key: tuple, unit: str, render) -> str:
-    """The handler source for a literal-parameter ``key``: in-memory
-    memo, then the persistent store, then a fresh render (persisted)."""
+def _keyed_source(key: tuple, render) -> str:
+    """The handler source for a literal-parameter ``key``: the memo,
+    else a fresh ``render(*key[1:])``."""
     src = _SRC_CACHE.get(key)
     if src is None:
-        store_key = ("memfast", memfast_fingerprint()) + key
-        src = _store_load(store_key, f"memfast:{key[0]}", render)
-        if src is None:
-            src = render()
-            _GEN_STATS["renders"] += 1
-            _store_save(store_key, src)
-        else:
-            _GEN_STATS["loads"] += 1
-        _SRC_CACHE[key] = src
+        src = _SRC_CACHE[key] = render(*key[1:])
+        _GEN_STATS["renders"] += 1
     return src
 
 
@@ -231,8 +217,8 @@ _STORE_SHAPES = (
 
 
 # Pure renderers: every baked value arrives as a literal argument, so a
-# (kind, *literals) tuple is both the memo key and everything an A009
-# re-render closure needs - no live memory system is ever captured.
+# (kind, *literals) tuple is both the memo key and everything a fresh
+# render needs - no live memory system is ever captured.
 
 def _render_load(shift, smask, lru, e_read, wmask, hit_cycles) -> str:
     return _LOAD_TMPL.format(
@@ -282,7 +268,7 @@ def _wl_key(m, name: str) -> tuple:
             m._hit_write_cycles, m.dq_access_energy_nj)
 
 
-def load_source(m) -> str:
+def load_handler_source(m) -> str:
     """Render the load-hit handler source for a live memory system (the
     baked literals come straight off ``m``, so a fresh render is the
     auditor's ground truth for what the handler *should* contain)."""
@@ -304,9 +290,7 @@ def wl_store_sources(m) -> dict[str, str]:
 def build_load(m, acc, slow_load):
     """The generic load-hit handler (shared base-class load semantics)."""
     array = m.array
-    key = _load_key(m)
-    src = _keyed_source(key, "memfast:load",
-                        lambda: _render_load(*key[1:]))
+    src = _keyed_source(_load_key(m), _render_load)
     return _make(src, array.sets, array.mru, acc, slow_load)
 
 
@@ -315,9 +299,7 @@ def build_wb_stores(m, acc, slow_sm):
     array = m.array
     out = {}
     for name, _sig, _slow, _merge in _STORE_SHAPES:
-        key = _wb_key(m, name)
-        src = _keyed_source(key, f"memfast:wb-{name}",
-                            lambda key=key: _render_wb(*key[1:]))
+        src = _keyed_source(_wb_key(m, name), _render_wb)
         out[name] = _make(src, array.sets, array.mru, acc, slow_sm)
     return out
 
@@ -327,9 +309,7 @@ def build_wl_stores(m, acc, slow_sm, dq_entry_cls):
     array = m.array
     out = {}
     for name, _sig, _slow, _merge in _STORE_SHAPES:
-        key = _wl_key(m, name)
-        src = _keyed_source(key, f"memfast:wl-{name}",
-                            lambda key=key: _render_wl(*key[1:]))
+        src = _keyed_source(_wl_key(m, name), _render_wl)
         out[name] = _make(src, array.sets, array.mru, acc, m, m.dq,
                           m.dq.entries, m.pending, dq_entry_cls, slow_sm)
     return out

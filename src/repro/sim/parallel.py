@@ -33,13 +33,11 @@ from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.batch.engine import (absorb_stats, batch_stats, iter_outcomes,
-                                resolve_config)
+from repro.batch.engine import iter_outcomes, resolve_config
 from repro.errors import ConfigError, SweepError
 from repro.sim.config import SimConfig
 from repro.sim.factory import run_one, runs_fast, validate_design
 from repro.sim.results import RunResult
-from repro.store.core import absorb_store_stats, store_stats
 from repro.store.results import lookup_task, store_task
 from repro.workloads import build_workload, get_workload, verify_checks
 
@@ -148,20 +146,40 @@ def _indexed_outcomes(tasks: list[SweepTask]) -> Iterator[tuple]:
         yield where[id(task)].pop(0), outcome
 
 
+def _counter_groups() -> dict[str, dict[str, int]]:
+    """The live event-counter dicts a pool chunk ships home, by group.
+    Cache-size gauges (``batch_stats()``'s ``streams`` and
+    ``raw_recordings``) are not in them: they describe a worker's
+    caches, not the sweep."""
+    from repro.batch import engine
+    from repro.lockstep import scheduler
+    from repro.store import core
+
+    return {"batch": engine._STREAM_STATS, "store": core._STATS,
+            "lockstep": scheduler._STATS}
+
+
+def absorb_counters(delta: dict[str, dict]) -> None:
+    """Fold a chunk's ``{group: {counter: delta}}`` record into this
+    process's counters (nonzero ints only)."""
+    groups = _counter_groups()
+    for group, counts in delta.items():
+        live = groups[group]
+        for key, value in counts.items():
+            if isinstance(value, int) and value:
+                live[key] = live.get(key, 0) + value
+
+
 def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
     """Worker entry: run a chunk, converting exceptions to records.
 
     Returns one record per task in chunk order - ``("ok", result)`` or
     ``("err", exc type name, message, traceback)`` - followed by one
-    trailing ``("stats", delta)`` record carrying this chunk's
-    batch-engine counter deltas (recordings, cache hits, disk hits)
-    plus, under the ``"store"`` key, the chunk's persistent-store event
-    deltas; the parent folds them back with
-    :func:`repro.batch.engine.absorb_stats` /
-    :func:`repro.store.absorb_store_stats` so sweep-wide cache
-    behaviour stays observable under the pool."""
-    pre = batch_stats()
-    pre_store = store_stats()
+    trailing ``("stats", delta)`` record carrying this chunk's counter
+    deltas per group (batch engine, store, lockstep scheduler); the
+    parent folds them back with :func:`absorb_counters`, so sweep-wide
+    counters stay observable under the pool."""
+    pre = {g: dict(c) for g, c in _counter_groups().items()}
     records: list[tuple] = [()] * len(chunk)
     for i, outcome in _indexed_outcomes(chunk):
         if outcome[0] == "ok":
@@ -169,21 +187,15 @@ def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
         else:
             exc = outcome[1]
             records[i] = ("err", type(exc).__name__, str(exc), outcome[2])
-    post = batch_stats()
-    delta = {k: post[k] - pre.get(k, 0)
-             for k in post if k not in ("streams", "raw_recordings")}
-    post_store = store_stats()
-    delta["store"] = {k: post_store[k] - pre_store.get(k, 0)
-                      for k in post_store}
+    delta = {g: {k: v - pre[g].get(k, 0) for k, v in c.items()}
+             for g, c in _counter_groups().items()}
     records.append(("stats", delta))
     return records
 
 
 def _pop_stats(records: list[tuple]) -> list[tuple]:
     """Absorb and strip a chunk's trailing stats record."""
-    delta = records[-1][1]
-    absorb_store_stats(delta.get("store", {}))
-    absorb_stats(delta)
+    absorb_counters(records[-1][1])
     return records[:-1]
 
 

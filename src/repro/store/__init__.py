@@ -1,41 +1,33 @@
 """Persistent content-addressed artifact store (see :mod:`.core`).
 
 Public surface: the store core (roots, load/save, stats, GC), the
-generated-source plumbing with its A009 ledger (:mod:`.sources`), the
 result memo (:mod:`.results`), generator fingerprints (:mod:`.keys`),
-and the unified cache report (:mod:`.report`).
+and the unified cache report (:mod:`.report`). The store holds data
+only - recordings, skeletons and results - never generated code.
 """
 
 from repro.store.core import (CLASSES, ENV_VAR, FORMAT, ArtifactStore,
-                              absorb_store_stats, clear_store, disk_usage,
-                              gc_store, get_store, interp_tag, key_digest,
-                              reset_store_stats, store_root, store_stats)
+                              clear_store, disk_usage, gc_store, get_store,
+                              interp_tag, key_digest, reset_store_stats,
+                              store_root, store_stats)
 from repro.store.keys import modules_fingerprint, package_fingerprint
 from repro.store.report import cache_report
 from repro.store.results import (lookup_task, result_cache_enabled,
                                  result_from_payload, result_to_payload,
                                  store_task)
-from repro.store.sources import (clear_loaded_sources, load_source,
-                                 loaded_source_stats, loaded_sources,
-                                 save_source)
 
 __all__ = [
     "ArtifactStore",
     "CLASSES",
     "ENV_VAR",
     "FORMAT",
-    "absorb_store_stats",
     "cache_report",
-    "clear_loaded_sources",
     "clear_store",
     "disk_usage",
     "gc_store",
     "get_store",
     "interp_tag",
     "key_digest",
-    "load_source",
-    "loaded_source_stats",
-    "loaded_sources",
     "lookup_task",
     "modules_fingerprint",
     "package_fingerprint",
@@ -43,7 +35,6 @@ __all__ = [
     "result_cache_enabled",
     "result_from_payload",
     "result_to_payload",
-    "save_source",
     "store_root",
     "store_stats",
     "store_task",

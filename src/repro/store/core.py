@@ -1,13 +1,13 @@
 """On-disk content-addressed artifact store (the warm-start substrate).
 
-Every generated-code cache in the tree (record-mode jit blocks/suffixes,
-memfast handlers, lockstep column engines, batch recordings and stream
-skeletons) and every finished :class:`~repro.sim.results.RunResult` is
-process-global and dies with the process. This store gives each of them
-a durable twin: artifacts live under a *content key* - the full tuple
-of inputs that determine the artifact, plus a generator fingerprint
-(hash of the generator modules' sources) so any code change silently
-invalidates - and a new process loads instead of regenerating.
+The batch engine's recordings and stream skeletons, and every finished
+:class:`~repro.sim.results.RunResult`, are process-global and die with
+the process. This store gives each of them a durable twin: artifacts
+live under a *content key* - the full tuple of inputs that determine
+the artifact, plus a generator fingerprint (hash of the generator
+modules' sources) so any code change silently invalidates - and a new
+process loads instead of regenerating. It stores data only: generated
+code is always rendered by the process that runs it.
 
 Layout (versioned, interpreter-stamped)::
 
@@ -28,9 +28,10 @@ Enablement: ``REPRO_CACHE_DIR`` names the root (default
 ``off``, ``none``, ``disabled`` (or empty) disable the store entirely.
 
 Counters: flat ints (``<class>_hits`` / ``_misses`` / ``_writes`` /
-``_corrupt`` plus ``bytes_read`` / ``bytes_written``), shipped home
-from pool workers inside the same trailing ``("stats", delta)`` chunk
-record the batch engine already uses (:func:`absorb_store_stats`).
+``_corrupt`` / ``_write_errors`` plus ``bytes_read`` /
+``bytes_written``), shipped home from pool workers in each chunk's
+trailing ``("stats", delta)`` record (see
+:func:`repro.sim.parallel.absorb_counters`).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ ENV_VAR = "REPRO_CACHE_DIR"
 #: On-disk layout version; bumping it orphans (never corrupts) old trees.
 FORMAT = 1
 
-#: Artifact classes: generated source text, pickled stream skeletons,
-#: raw guest-stream recordings, memoized RunResult payloads.
-CLASSES = ("src", "skel", "stream", "result")
+#: Artifact classes: pickled stream skeletons, raw guest-stream
+#: recordings, memoized RunResult payloads. Directories of any other
+#: name (an older tree's ``src/``) are never read; ``disk_usage``
+#: reports them as ``other``.
+CLASSES = ("skel", "stream", "result")
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 
@@ -66,8 +69,9 @@ def _count(key: str, n: int = 1) -> None:
 
 def interp_tag() -> str:
     """``cpython311``-style stamp baked into the layout: artifacts are
-    never shared across implementations or minor versions (compiled
-    source text is, e.g., bytecode-version-sensitive downstream)."""
+    never shared across implementations or minor versions (pickle
+    payloads are only vouched for on the interpreter that wrote
+    them)."""
     return (f"{platform.python_implementation().lower()}"
             f"{sys.version_info.major}{sys.version_info.minor}")
 
@@ -136,19 +140,25 @@ class ArtifactStore:
         return rec[2]
 
     def save(self, cls: str, key_parts: tuple, payload) -> bool:
-        """Atomically persist ``payload``; False (never an error) when
-        the artifact cannot be written or pickled."""
+        """Atomically persist ``payload``; False (never an error, a
+        counted ``<cls>_write_errors``) when the artifact cannot be
+        written or pickled. A failed write removes its temp file."""
         digest = key_digest(key_parts)
         path = self._path(cls, digest)
+        tmp = f"{path}.tmp.{os.getpid()}"
         try:
             blob = pickle.dumps((FORMAT, digest, payload),
                                 protocol=pickle.HIGHEST_PROTOCOL)
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as fh:
                 fh.write(blob)
             os.replace(tmp, path)  # atomic: racing writers never tear
         except Exception:
+            _count(f"{cls}_write_errors")
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
             return False
         _count(f"{cls}_writes")
         _count("bytes_written", len(blob))
@@ -173,15 +183,6 @@ def get_store() -> ArtifactStore | None:
 def store_stats() -> dict[str, int]:
     """This process's store event counters (flat ints)."""
     return dict(_STATS)
-
-
-def absorb_store_stats(delta: dict) -> None:
-    """Fold a pool worker's counter deltas into this process (rides in
-    the same trailing ``("stats", ...)`` chunk record as the batch
-    engine's counters; see :func:`repro.sim.parallel._run_chunk`)."""
-    for key, value in delta.items():
-        if isinstance(value, int) and value:
-            _count(key, value)
 
 
 def reset_store_stats() -> None:

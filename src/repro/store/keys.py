@@ -1,13 +1,11 @@
 """Generator fingerprints: the invalidation half of every store key.
 
 A persisted artifact is only reusable while the code that generated it
-is byte-identical - the A005/A009 contract is that a loaded source
-re-renders exactly from its inputs, which can only hold if the renderer
-has not changed. Every store key therefore embeds a *fingerprint*:
+is byte-identical. Every store key therefore embeds a *fingerprint*:
 
 * :func:`modules_fingerprint` - sha256 over the named modules' source
-  files, for generated-code classes (narrow on purpose: a docs edit in
-  an unrelated module must not cold-start the jit cache);
+  files, for recordings and stream skeletons (narrow on purpose: a docs
+  edit in an unrelated module must not cold-start the recording cache);
 * :func:`package_fingerprint` - sha256 over every ``*.py`` in the
   ``repro`` package, for memoized results (any code change anywhere
   may change a simulation outcome, so results invalidate wholesale).

@@ -5,13 +5,12 @@ through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
 every in-memory process-global cache (jit code cache, memfast handler
 sources, lockstep engines, batch streams, stream expansion metadata,
-the shared decode memo, and the A009 loaded-source ledger).
+and the shared decode memo).
 """
 
 from __future__ import annotations
 
 from repro.store.core import disk_usage, store_root, store_stats
-from repro.store.sources import loaded_source_stats
 
 
 def cache_report(include_disk: bool = True) -> dict:
@@ -35,7 +34,6 @@ def cache_report(include_disk: bool = True) -> dict:
             "batch": batch_stats(),
             "stream_meta": stream_meta_stats(),
             "decode": decode_cache_stats(),
-            "store_loads": loaded_source_stats(),
         },
     }
     if include_disk and root is not None:

@@ -130,9 +130,23 @@ def test_parallel_pool_propagates_lockstep(monkeypatch):
                   jobs=2, scale=0.2)
     _assert_equal_results(ref, lk, "pooled lockstep")
     # the workers' counter deltas ride home on the chunk records and
-    # are folded into this process (absorb_stats), so the parent sees
-    # the columns the pool actually ran
+    # are folded into this process (absorb_counters), so the parent
+    # sees the columns the pool actually ran
     assert batch_stats()["lockstep"] >= 2
+
+
+def test_pooled_sweep_ships_scheduler_counters_home():
+    grid = (("sha", "qsort", "dijkstra", "adpcmencode"),
+            ("WL-Cache", "NVSRAM(ideal)"), "trace1")
+    keys = ("columns", "instances", "column_chunks")
+    counts = {}
+    for jobs in (1, 2):
+        clear_streams()
+        clear_lockstep_stats()
+        run_grid(*grid, jobs=jobs, scale=0.05, engine="fast")
+        counts[jobs] = {k: lockstep_stats()[k] for k in keys}
+    assert counts[1]["columns"] == 4
+    assert counts[2] == counts[1]
 
 
 def test_error_parity_on_budget_truncation():
