@@ -19,8 +19,8 @@ machinery. Given a list of sweep tasks it:
    column (:mod:`repro.lockstep.scheduler`); a point evicted from its
    column, or whose family's skeleton was evicted from the cache,
    finishes on a per-instance :class:`~repro.batch.replay.ReplayCore`
-   with the memfast tier attached to its design - per-instance outages,
-   stalls, and threshold adaptation all happen inside the replay,
+   that calls its design's own methods - per-instance outages, stalls,
+   and threshold adaptation all happen inside the replay,
    bit-identically;
 5. bails any group the stream model cannot serve - a guest fault or
    runaway kernel during recording - to the caller-supplied slow path
@@ -44,9 +44,11 @@ from repro.cpu.core import program_content_key
 from repro.cpu.costs import CycleCosts
 from repro.isa.program import Program
 from repro.mem.nvm import NVMainMemory
-from repro.memfast import attach_memfast
 from repro.sim.config import SimConfig
 from repro.sim.factory import build_design, effective_costs, runs_fast
+# imported by name only so perfbench/spans.py, which wraps
+# repro.batch.engine.attach_memfast, still resolves it; never called
+from repro.sim.factory import attach_memfast  # noqa: F401
 from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
 
@@ -207,9 +209,8 @@ def build_replay_system(program: Program, task, config: SimConfig,
     Mirrors :func:`repro.sim.factory.build_system` minus the
     instrumentation the fast engine refuses to coexist with (trace
     recorder, invariant checker - :func:`plan` never routes such tasks
-    here), with the memfast tier attached: each replay instance binds
-    its own design's fast hit handlers (the per-instance fast-path
-    slots), and the tier silently stays off for ineligible designs.
+    here). Nothing is attached to the design: the replay core calls its
+    own methods, and a lockstep column inlines their hit paths.
     """
     from repro.energy.synthetic import make_trace
 
@@ -222,7 +223,6 @@ def build_replay_system(program: Program, task, config: SimConfig,
     costs = effective_costs(task.design, config)
     system = System(program, design, config, trace, costs)
     system.core = ReplayCore(program, design, costs, stream)
-    attach_memfast(system)
     return system
 
 

@@ -5,13 +5,13 @@ A :class:`ReplayCore` presents the exact ``run_chunk`` surface
 ``instret``/``ic_fetches``/``ic_misses`` counters, ``halted``,
 ``flush_icache``/``restore_arch_state`` - but instead of interpreting
 instructions it walks the recorded event list, calling the instance's
-*own* memory system (the real cache design, with the memfast tier
-attached when eligible) for every recorded load/store and maintaining
-the instance's *own* I-cache residency. All per-instance divergence the
-paper's designs exhibit - outage timing, store stalls, threshold
-adaptation, checkpoint flushes - lives in the design/capacitor objects
-and in ``System.run`` itself, both of which are untouched; the replay
-core only removes the redundant re-execution of identical arithmetic.
+*own* memory system (the real cache design) for every recorded
+load/store and maintaining the instance's *own* I-cache residency. All
+per-instance divergence the paper's designs exhibit - outage timing,
+store stalls, threshold adaptation, checkpoint flushes - lives in the
+design/capacitor objects and in ``System.run`` itself, both of which
+are untouched; the replay core only removes the redundant re-execution
+of identical arithmetic.
 
 Cycle bookkeeping splits the interpreter's single counter in three:
 
@@ -85,8 +85,8 @@ class ReplayCore:
         self._flush_ei = 0
         self._synth_line = -1
         self._c_imiss = costs.ifetch_miss
-        # bound lazily on the first chunk, after memfast (if eligible)
-        # has installed its handlers on the memory system
+        # bound lazily on the first chunk: a lockstep PREP_HOOK may wrap
+        # the design's methods after this core is built
         self._load = None
         self._store = None
         self._sm = None
@@ -156,9 +156,8 @@ class ReplayCore:
         c_mem = s.c_mem
         load = self._load
         if load is None:
-            # first chunk: memfast (when eligible) has installed its
-            # handlers by now, and nothing rebinds them mid-run - slow-
-            # path bails happen *inside* the installed handlers
+            # first chunk: any wrapper around the design's methods is
+            # installed by now, and nothing rebinds them mid-run
             mem = self.memsys
             load = self._load = mem.load
             self._store = mem.store

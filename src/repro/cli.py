@@ -14,9 +14,9 @@ Commands:
   (waived findings never gate; ``--errors-only`` stops warnings from
   gating too).
 * ``audit`` - statically audit the *generated* Python from the
-  record-mode/memfast/lockstep compilers against their structural
-  contracts (A001-A008). Exit code 0 when every compiled family
-  verifies, 2 on any contract violation.
+  record-mode and lockstep compilers against their structural
+  contracts (A001-A003, A005-A008). Exit code 0 when every compiled
+  family verifies, 2 on any contract violation.
 * ``cache`` - inspect and maintain the persistent artifact store
   (``REPRO_CACHE_DIR``): ``stats`` prints disk usage per artifact class
   plus this process's counters, ``gc --max-size`` evicts least-recently
@@ -543,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     p_audit = sub.add_parser(
-        "audit", help="statically audit the generated record-mode/memfast/"
+        "audit", help="statically audit the generated record-mode and "
                       "lockstep Python against its structural contracts")
     p_audit.add_argument("--apps", nargs="+", default=None,
                          choices=ALL_WORKLOADS,

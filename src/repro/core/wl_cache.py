@@ -72,7 +72,7 @@ class WLCache(CachedMemorySystem):
         self._check_thresholds(self.maxline, self.waterline)
         # ACKs arrive in issue order, so retirement is almost always a
         # popleft; the deque is never rebound (cleared in place) because
-        # the fast-path tier binds the object itself.
+        # the lockstep column engine binds the object itself.
         self.pending: deque[PendingWB] = deque()
         self._channel_free = 0  # cycle when the NVM write channel is idle
         #: optional hook consulted before stalling; returning True raises

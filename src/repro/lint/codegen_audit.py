@@ -1,10 +1,9 @@
-"""Static auditor for the generated Python of the record-mode, memfast and
+"""Static auditor for the generated Python of the record-mode and
 lockstep tiers.
 
-Three subsystems in this codebase *generate* Python source and ``exec``
+Two subsystems in this codebase *generate* Python source and ``exec``
 it: the batch recorder's record-mode block codegen
-(:mod:`repro.jit.blocks`), the memory-hierarchy fast path
-(:mod:`repro.memfast.handlers`), and the lockstep tier's column engine
+(:mod:`repro.jit.blocks`) and the lockstep tier's column engine
 (:mod:`repro.lockstep.codegen`); the batch tier's hand-written stream
 walker (:mod:`repro.batch.replay`) is audited alongside them. Their
 correctness contracts are exercised dynamically by differential tests,
@@ -12,8 +11,8 @@ but dynamic tests only sample: an exit that forgets to flush one ``st``
 slot is invisible until a recording happens to leave through that exact
 exit. This module re-states the contracts *structurally* and verifies
 them over the ``ast`` of the actual generated source - every exit path,
-every bail edge, every baked constant - so a codegen regression is
-caught by shape, not by luck.
+every episode, every baked constant - so a codegen regression is caught
+by shape, not by luck.
 
 The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 
@@ -32,18 +31,12 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   fault paths append nothing. The batch engine replays streams
   positionally, so a missing, doubled, or mislabeled exit code silently
   corrupts every replay of the recording.
-* **A004 bail-before-mutate** - a bail to the bracketed slow path
-  (``return _slow(...)`` in a memfast handler) must happen before any
-  state mutation, because the slow path replays the access from
-  scratch. The only mutation allowed before a bail is the MRU-hint
-  update ``_mru[si] = line`` (a probe cache, semantically invisible).
 * **A005 baked-key-mismatch** - regenerating the source from the keying
-  inputs (program content and frozen costs; for handlers, the live
-  geometry/energy fields) reproduces the audited source byte for
-  byte. This pins the code cache's keying tuple to the
-  baked constants: if codegen starts baking a value the key does not
-  cover, the first sweep that varies it gets stale code - and this
-  check fails loudly instead.
+  inputs (program content and frozen costs; for column engines, the
+  column signature) reproduces the audited source byte for byte. This
+  pins the code cache's keying tuple to the baked constants: if codegen
+  starts baking a value the key does not cover, the first sweep that
+  varies it gets stale code - and this check fails loudly instead.
 * **A006 ambient-state** - generated modules import nothing, declare
   nothing global/nonlocal, and resolve every free name to a bound
   parameter, a local, or an allowlisted builtin (``len``/``hex``). No
@@ -73,12 +66,11 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 
 Drivers: :func:`audit_compiled` (one
 :class:`~repro.jit.cache.CompiledProgram`, including any suffix modules
-it has materialized), :func:`audit_memfast_design` (one memory system's
-installed handlers), :func:`audit_replay_module` (the batch walker),
+it has materialized), :func:`audit_replay_module` (the batch walker),
 :func:`audit_lockstep_engines` (every retained column-engine source),
 and :func:`audit_suite` (the CLI's ``repro audit``: each requested
-kernel's record modules, each requested design's handlers, and the
-column engines a small lockstep sweep materializes).
+kernel's record modules and the column engines a small lockstep sweep
+materializes).
 """
 
 from __future__ import annotations
@@ -89,10 +81,6 @@ from repro.lint.findings import Finding, make_finding
 
 #: builtins generated code may reference (A006)
 _ALLOWED_BUILTINS = frozenset({"len", "hex"})
-
-#: mutating method calls recognized by the A004 mutation scan
-_MUTATING_METHODS = frozenset({"append", "add", "clear", "insert", "pop",
-                               "popleft", "extend", "remove", "update"})
 
 #: the exact timestamp expression A007 requires (see replay.py docstring)
 _NOW_FORMULA = "cum[i] - c_mem + dyn + offset"
@@ -175,42 +163,6 @@ def _q_appends(stmts) -> list[object]:
                 and isinstance(stmt.value.func.value, ast.Name)
                 and stmt.value.func.value.id == "_q"):
             out.append(stmt.value.args[0] if stmt.value.args else None)
-    return out
-
-
-def _target_root(node) -> str | None:
-    """The base name a store target ultimately mutates (``_acc[0]`` ->
-    ``_acc``, ``line.dirty`` -> ``line``, plain ``x`` -> None: locals
-    are not mutations of shared state)."""
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def _mutations_of(stmt) -> set[str]:
-    """Names of shared objects ``stmt`` may mutate (A004's currency)."""
-    out: set[str] = set()
-    if isinstance(stmt, ast.Assign):
-        for tgt in stmt.targets:
-            targets = tgt.elts if isinstance(tgt, ast.Tuple) else [tgt]
-            for t in targets:
-                if isinstance(t, (ast.Subscript, ast.Attribute)):
-                    root = _target_root(t)
-                    if root:
-                        out.add(root)
-    elif isinstance(stmt, ast.AugAssign):
-        if isinstance(stmt.target, (ast.Subscript, ast.Attribute)):
-            root = _target_root(stmt.target)
-            if root:
-                out.add(root)
-    elif (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
-          and isinstance(stmt.value.func, ast.Attribute)
-          and stmt.value.func.attr in _MUTATING_METHODS):
-        root = _target_root(stmt.value.func.value)
-        if root:
-            out.add(root)
     return out
 
 
@@ -470,99 +422,6 @@ def audit_compiled(compiled) -> list[Finding]:
     return findings
 
 
-def _audit_handler_source(source: str, unit: str) -> list[Finding]:
-    """A004 (handler half) + A006 over one memfast handler module."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:  # pragma: no cover
-        return [make_finding("A006", unit,
-                             f"handler source does not parse: {exc}")]
-    findings = _scope_findings(tree, unit)
-
-    def is_slow_bail(node) -> bool:
-        return (isinstance(node, ast.Return)
-                and isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Name)
-                and node.value.func.id == "_slow")
-
-    def check_bail(seen: set[str], node) -> None:
-        bad = sorted(seen - {"_mru"})
-        if bad:
-            findings.append(make_finding(
-                "A004", f"{unit} line {node.lineno}",
-                f"bail to the slow path after mutating {bad} (the slow "
-                f"replay would double-apply; only the _mru hint may "
-                f"precede a bail)"))
-
-    def walk(suite, seen: set[str]):
-        """May-mutate-set walk; returns the set at suite exit, or None
-        when every path through the suite terminates."""
-        for stmt in suite:
-            if isinstance(stmt, ast.Return):
-                if is_slow_bail(stmt):
-                    check_bail(seen, stmt)
-                return None
-            if isinstance(stmt, ast.Raise):
-                return None
-            if isinstance(stmt, ast.If):
-                b = walk(stmt.body, set(seen))
-                o = walk(stmt.orelse, set(seen))
-                live = [x for x in (b, o) if x is not None]
-                if not live:
-                    return None
-                seen = set().union(*live)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                b = walk(stmt.body, set(seen))
-                after = seen | (b or set())
-                o = walk(stmt.orelse, set(after))
-                seen = after if o is None else after | o
-            else:
-                seen |= _mutations_of(stmt)
-        return seen
-
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name != "_make":
-            walk(fn.body, set())
-    return findings
-
-
-def audit_memfast_design(m) -> list[Finding]:
-    """Audit the fast handlers installed on a live memory system:
-    handler-shape contracts plus the A005 re-render check against the
-    live geometry/energy fields the literals were baked from."""
-    from repro.memfast.handlers import (load_handler_source,
-                                        wb_store_sources, wl_store_sources)
-
-    state = getattr(m, "_memfast_state", None)
-    if state is None:
-        return []
-    design = type(m).__name__
-    expected: dict[str, str] = {"load": load_handler_source(m)}
-    if state.store_shape == "wl":
-        expected.update(wl_store_sources(m))
-    elif state.store_shape == "wb":
-        expected.update(wb_store_sources(m))
-    findings: list[Finding] = []
-    for name, want in expected.items():
-        fn = getattr(m, name, None)
-        got = getattr(fn, "_memfast_source", None)
-        unit = f"memfast:{design}:{name}"
-        if got is None:
-            findings.append(make_finding(
-                "A005", unit,
-                f"installed {name} handler carries no generated source "
-                f"to audit"))
-            continue
-        findings.extend(_audit_handler_source(got, unit))
-        if got != want:
-            findings.append(make_finding(
-                "A005", unit,
-                f"installed {name} handler does not match a fresh "
-                f"render from the live geometry/energy fields - a "
-                f"baked literal went stale"))
-    return findings
-
-
 def audit_replay_module() -> list[Finding]:
     """A007 over the hand-written batch stream walker."""
     import repro.batch.replay as replay_mod
@@ -735,16 +594,13 @@ def audit_suite(apps=None, designs=None,
     """Statically audit the generated code a sweep over the requested
     kernels and designs runs: the replay walker, the column engines a
     small lockstep sweep (first kernel, every requested design, traced
-    and untraced) materializes, each kernel's record modules once per
-    cost family of the requested designs (with any suffix modules the
-    sweep's recording materialized), and each design's memfast
-    handlers. Returns ``{unit: findings}``."""
+    and untraced) materializes, and each kernel's record modules once
+    per cost family of the requested designs (with any suffix modules
+    the sweep's recording materialized). Returns ``{unit: findings}``."""
     from repro.batch.record import recording_costs
     from repro.jit.cache import get_compiled
-    from repro.mem.nvm import NVMainMemory
-    from repro.memfast import attach_design
     from repro.sim.config import DESIGNS, SimConfig
-    from repro.sim.factory import build_design, effective_costs
+    from repro.sim.factory import effective_costs
     from repro.sim.sweep import run_grid
     from repro.workloads import ALL_WORKLOADS, build_workload
 
@@ -762,11 +618,5 @@ def audit_suite(apps=None, designs=None,
         program = build_workload(app, scale)
         results[app] = [f for costs in families
                         for f in audit_compiled(get_compiled(program, costs))]
-    handlers: list[Finding] = []
-    for design in designs:
-        m = build_design(design, NVMainMemory([0] * 16, config.nvm), config)
-        attach_design(m)
-        handlers.extend(audit_memfast_design(m))
-    results["memfast:handlers"] = handlers
     results["lockstep:engines"] = audit_lockstep_engines()
     return results

@@ -11,7 +11,7 @@ Two rule families share the registry:
   L009-L014 are the intermittency-safety rules and only run under
   ``--intermittent`` (see :mod:`repro.lint.intermittent`).
 * ``A0xx`` - static audit contracts over *generated* Python from the
-  record-mode/memfast/lockstep codegen layers (``repro audit``, see
+  record-mode and lockstep codegen layers (``repro audit``, see
   :mod:`repro.lint.codegen_audit`).
 
 :func:`sarif_log` renders either family (or a mix) as a SARIF 2.1.0 log
@@ -96,9 +96,6 @@ AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
          "inconsistent with the dispatch-table block length"),
     Rule("A003", "record-exit-codes", ERROR,
          "a record-mode exit appends a wrong/missing exit code to _q"),
-    Rule("A004", "bail-before-mutate", ERROR,
-         "a fast-path bail to the slow path happens after a state "
-         "mutation (only the MRU-hint update may precede a bail)"),
     Rule("A005", "baked-key-mismatch", ERROR,
          "baked-in constants disagree with the code-cache keying tuple "
          "(a fresh recompile of the same key yields different source)"),

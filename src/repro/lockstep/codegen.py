@@ -4,7 +4,7 @@ The engine for a column *signature* - the tuple of per-instance
 ``(mode, lru, traced, shift, smask, wmask)`` elements from
 :func:`repro.lockstep.state.build_slot` - is a Python generator
 rendered and ``exec``-compiled once per signature (source-keyed cache,
-like the jit/memfast tiers). Unlike a per-segment walker, it owns the
+like the record-mode blocks). Unlike a per-segment walker, it owns the
 entire chunk machinery: per-instance window budgets (the serial
 ``System.run`` energy formula), the shared event walk, the
 ``ReplayCore.run_chunk`` epilogue arithmetic, and the per-chunk
@@ -14,21 +14,23 @@ steady state runs with no attribute traffic and no Python-level calls
 besides the designs' own slow paths.
 
 Per instance and per event kind it emits exactly what ``run_chunk``
-would execute: ``call`` instances issue the bound handler call, while
-``base``/``wb``/``wl`` instances inline the *full* memfast probe - MRU
-line first, then the set scan, statement for statement the handler
-:mod:`repro.memfast.handlers` installs - and on a true miss call the
-*bracketed slow path* directly, skipping the handler's redundant
-re-probe. ``wl`` stores inline both fast cases of the WL-Cache handler
-(same-dirty-line hit and the below-waterline clean->dirty insert,
-DirtyQueue bookkeeping included). The signature carries each
-instance's cache geometry so set/tag/word indices are baked as
-literals and computed once per *geometry class* per event, shared by
-every instance with that geometry. I-cache residency is not kept as
-per-instance sets while in column: a line is resident iff its previous
-occurrence (:func:`repro.lockstep.state.event_prev`) is at or past the
-instance's flush epoch, so one shared comparison against the
-column-wide maximum epoch skips most fetch events outright.
+would execute: ``call`` instances call the design's bound method, while
+``base``/``wb``/``wl`` instances inline the hit path - MRU line first,
+then the set scan - and on a miss (or a failed WL-Cache guard) call the
+design's own ``load``/``store_masked``, which replays the access from
+scratch. A hit adds to the design's own ``MemStats`` fields and LRU
+stamp, the same float additions in the same order as the class method,
+so the stats are exact at every instant and no call needs a flush.
+``wl`` stores inline both WL-Cache fast cases (same-dirty-line hit and
+the below-waterline clean->dirty insert, DirtyQueue bookkeeping
+included). The signature carries each instance's cache geometry so
+set/tag/word indices are baked as literals and computed once per
+*geometry class* per event, shared by every instance with that
+geometry. I-cache residency is not kept as per-instance sets while in
+column: a line is resident iff its previous occurrence
+(:func:`repro.lockstep.state.event_prev`) is at or past the instance's
+flush epoch, so one shared comparison against the column-wide maximum
+epoch skips most fetch events outright.
 
 Protocol: ``gen = make_engine(sig, events, ne, po, evf, cell, slots,
 pname)`` binds the read-only slot entries to locals and parks;
@@ -43,7 +45,7 @@ a list of episodes:
   republishes the slot mirrors it changed.
 * ``("err", j, exc)`` - ``j``'s chunk close raised (budget exhaustion,
   capacitor drained): terminal for ``j``, exactly as serial.
-* ``("fault", j, exc)`` - a handler call raised mid-walk at event
+* ``("fault", j, exc)`` - a memory call raised mid-walk at event
   ``cell[0]`` with instance ``j`` faulting **before any of its state
   changed** (bail-before-mutate), instances ``< j`` having fully
   applied the event and instances ``> j`` not having seen it. The
@@ -79,15 +81,14 @@ from bisect import bisect_right
 from repro.core.dirty_queue import DQEntry
 from repro.cpu.core import _ILINE_SHIFT
 from repro.errors import EnergyError, ExecutionError
-from repro.lockstep.state import (S_ACC, S_CAP, S_CIMISS, S_CLT, S_CMEM,
+from repro.lockstep.state import (S_ARR, S_CAP, S_CIMISS, S_CLT, S_CMEM,
                                   S_CORE, S_CSEEN, S_CT, S_CUM, S_CYC,
                                   S_DYN, S_FL, S_IR, S_KON, S_LC, S_LF,
-                                  S_LIM, S_LIR, S_LNV, S_LOAD, S_MFE,
-                                  S_MFEW, S_MFH, S_MFHW, S_MISSES, S_MRU,
+                                  S_LIM, S_LIR, S_LNV, S_LOAD, S_MISSES,
                                   S_NVM, S_OFFSET, S_P, S_PEND, S_PF,
-                                  S_SETS, S_SLD, S_SM, S_SSM, S_STATS,
-                                  S_STORE, S_SY, S_SYS, S_T, S_TG,
-                                  S_TRACE, S_TSF, S_W)
+                                  S_RE, S_RH, S_SM, S_STATS, S_STORE,
+                                  S_SY, S_SYS, S_T, S_TG, S_TRACE, S_TSF,
+                                  S_W, S_WE, S_WH)
 
 _U32 = 0xFFFFFFFF
 
@@ -107,7 +108,7 @@ _ENGINE_STATS = {"renders": 0, "builds": 0}
 #: types (raised with the serial paths' exact messages), the I-line
 #: geometry for post-flush fetch synthesis, the dead-instance target
 #: sentinel, and the DirtyQueue entry class the inlined WL-Cache
-#: insert constructs (the same class the memfast handler binds)
+#: insert constructs (the same class ``DirtyQueue.insert`` builds)
 _NS_BINDS = {"EnergyError": EnergyError, "ExecutionError": ExecutionError,
              "_ILS": _ILINE_SHIFT, "_INF": 1 << 62, "_DQE": DQEntry,
              "_bis": bisect_right}
@@ -117,9 +118,8 @@ _COMMON_BINDS = (("_ld", S_LOAD), ("_st", S_STORE), ("_sm", S_SM),
                  ("_cum", S_CUM), ("_cm", S_CMEM), ("_ci", S_CIMISS),
                  ("_cap", S_CAP), ("_nvm", S_NVM), ("_sys", S_SYS),
                  ("_core", S_CORE))
-_PROBE_BINDS = (("_mru", S_MRU), ("_acc", S_ACC), ("_sets", S_SETS),
-                ("_sld", S_SLD), ("_ssm", S_SSM), ("_fe", S_MFE),
-                ("_fh", S_MFH), ("_few", S_MFEW), ("_fhw", S_MFHW))
+_PROBE_BINDS = (("_arr", S_ARR), ("_fe", S_RE), ("_fh", S_RH),
+                ("_few", S_WE), ("_fhw", S_WH))
 _WL_BINDS = (("_pd", S_PEND),)
 
 #: (local prefix, slot index) for every mutable mirror: the contiguous
@@ -137,8 +137,8 @@ assert [idx for _nm, idx in _MIRRORS] == list(range(S_W, S_CLT + 1)), \
 
 
 def _stamp(j: int, pad: str) -> list[str]:
-    """The deferred LRU stamp, exactly as the memfast handler emits."""
-    return [f"{pad}_acc{j}[4] = _ts = _acc{j}[4] + 1",
+    """The LRU stamp, exactly as ``SetAssocArray.find`` applies it."""
+    return [f"{pad}_arr{j}._stamp = _ts = _arr{j}._stamp + 1",
             f"{pad}_li.use_stamp = _ts"]
 
 
@@ -165,8 +165,9 @@ def _emit_fetch(j: int, pad: str, out: list[str]) -> None:
 
 def _load_hit(j: int, lru: int, pad: str) -> list[str]:
     out = _stamp(j, pad) if lru else []
-    out += [f"{pad}_acc{j}[0] += 1",
-            f"{pad}_acc{j}[2] += _fe{j}",
+    out += [f"{pad}_sta{j}.loads += 1",
+            f"{pad}_sta{j}.read_hits += 1",
+            f"{pad}_sta{j}.cache_read_energy_nj += _fe{j}",
             f"{pad}_dy{j} += _fh{j}"]
     return out
 
@@ -181,8 +182,8 @@ def _emit_load(j: int, mode: str, lru: int, c: int | None, pad: str,
                 f"{p}_v, _l = _ld{j}(_a, {now})",
                 f"{p}_dy{j} += _l"]
         return
-    # the handler's full probe: MRU hit, then the set scan (promoting
-    # the hit line to MRU), then the bracketed slow path directly
+    # the full probe: MRU hit, then the set scan (promoting the hit
+    # line to MRU); a miss calls the design's own load
     out += [f"{p}_li = _mru{j}[_ix{c}]",
             f"{p}if _li.tag == _ln{c}:"]
     out += _load_hit(j, lru, p + "    ")
@@ -194,18 +195,19 @@ def _emit_load(j: int, mode: str, lru: int, c: int | None, pad: str,
     out += [f"{p}            break",
             f"{p}    else:",
             f"{p}        _fj = {j}",
-            f"{p}        _v, _l = _sld{j}(_a, {now})",
+            f"{p}        _v, _l = _ld{j}(_a, {now})",
             f"{p}        _dy{j} += _l"]
 
 
 def _store_hit(j: int, mode: str, lru: int, c: int, masked: bool,
                dirty: bool, pad: str) -> list[str]:
-    """One fast store-hit body (the handler's, on engine locals).
-    ``dirty`` selects WL-Cache's same-dirty-line case (no transition);
-    ``wb`` always marks dirty, matching the plain write-back handler."""
+    """One inline store-hit body on engine locals. ``dirty`` selects
+    WL-Cache's same-dirty-line case (no transition); ``wb`` always marks
+    dirty, as the plain write-back ``store_masked`` does."""
     out = _stamp(j, pad) if lru else []
-    out += [f"{pad}_acc{j}[1] += 1",
-            f"{pad}_acc{j}[3] += _few{j}",
+    out += [f"{pad}_sta{j}.stores += 1",
+            f"{pad}_sta{j}.write_hits += 1",
+            f"{pad}_sta{j}.cache_write_energy_nj += _few{j}",
             f"{pad}_d = _li.data"]
     if masked:
         out.append(f"{pad}_d[_wi{c}] = (_d[_wi{c}] & ~_mask)"
@@ -215,8 +217,8 @@ def _store_hit(j: int, mode: str, lru: int, c: int, masked: bool,
     if mode == "wb" or (mode == "wl" and not dirty):
         out.append(f"{pad}_li.dirty = True")
     if mode == "wl" and not dirty:
-        # the inlined DirtyQueue insert, statement for statement the
-        # WL handler's (provably no stall below the waterline)
+        # the inlined DirtyQueue insert, statement for statement
+        # ``DirtyQueue.insert`` (provably no stall below the waterline)
         out += [f"{pad}_dq{j}._seq += 1",
                 f"{pad}_q = _DQE(_ln{c}, _dq{j}._seq)",
                 f"{pad}for _qe in _dqe{j}:",
@@ -225,7 +227,7 @@ def _store_hit(j: int, mode: str, lru: int, c: int, masked: bool,
                 f"{pad}        break",
                 f"{pad}_dqe{j}.append(_q)",
                 f"{pad}_dq{j}.inserts += 1",
-                f"{pad}_acc{j}[3] += _dqj{j}",
+                f"{pad}_sta{j}.cache_write_energy_nj += _dqj{j}",
                 f"{pad}_occ = len(_dqe{j})",
                 f"{pad}if _occ > _wlc{j}.dirty_highwater:",
                 f"{pad}    _wlc{j}.dirty_highwater = _occ"]
@@ -239,18 +241,18 @@ def _emit_store(j: int, mode: str, lru: int, c: int | None, masked: bool,
     out.append(f"{pad}if _w{j}:")
     p = pad + "    "
     if mode in ("call", "base"):
-        # the bound handler *is* the (bracketed) slow path here
+        # every store calls the design's own method
         slow = (f"_sm{j}(_a, _bits, _mask, {now})" if masked
                 else f"_st{j}(_a, _val, {now})")
         out += [f"{p}_fj = {j}",
                 f"{p}_dy{j} += {slow}"]
         return
-    # wb/wl: full probe inline; a true miss (or a WL guard failure)
-    # calls the bracketed slow store_masked with exactly the arguments
-    # the handler's bail would pass (full-word stores bail with the
-    # FULL mask, the class store delegator's own calling convention)
-    slow = (f"_ssm{j}(_a, _bits, _mask, _now{j})" if masked
-            else f"_ssm{j}(_a, _val, {_U32}, _now{j})")
+    # wb/wl: full probe inline; a miss (or a WL guard failure) calls the
+    # design's own store_masked, which replays the access from scratch
+    # (full-word stores pass the FULL mask, as the class ``store``
+    # delegator does)
+    slow = (f"_sm{j}(_a, _bits, _mask, _now{j})" if masked
+            else f"_sm{j}(_a, _val, {_U32}, _now{j})")
     out.append(f"{p}_now{j} = {now}")
     if mode == "wl":
         out += [f"{p}if _pd{j} and _pd{j}[0].ack <= _now{j}:",
@@ -323,7 +325,7 @@ def _emit_open(j: int, traced: int, pad: str, out: list[str]) -> None:
             f"{pad}_tgs[{j}] = _tgt"]
 
 
-def _emit_close(j: int, mode: str, traced: int, out: list[str]) -> None:
+def _emit_close(j: int, traced: int, out: list[str]) -> None:
     """The ``run_chunk`` epilogue plus the ``System.run`` post-chunk
     accounting, all on locals; ends in a halt/outage episode or an
     inline reopen. Wrapped in its own try so a serial-parity raise
@@ -355,15 +357,10 @@ def _emit_close(j: int, mode: str, traced: int, out: list[str]) -> None:
             f"{pad}                + _clw{j} * _dc)",
             f"{pad}        _p{j} = _tgt",
             f"{pad}        _dlc = _dlw{j} * _dc",
-            f"{pad}        _cl{j} += _dlc"]
-    if mode == "call":
-        out.append(f"{pad}        _cnow = (_sta{j}.cache_read_energy_nj"
-                   f" + _sta{j}.cache_write_energy_nj)")
-    else:
-        # the memfast accumulator keeps the energies as absolutes, so
-        # the chunk-end flush can stay deferred to protocol points
-        out.append(f"{pad}        _cnow = _acc{j}[2] + _acc{j}[3]")
-    out += [f"{pad}        _nnow = (_nvm{j}.energy_read_nj"
+            f"{pad}        _cl{j} += _dlc",
+            f"{pad}        _cnow = (_sta{j}.cache_read_energy_nj"
+            f" + _sta{j}.cache_write_energy_nj)",
+            f"{pad}        _nnow = (_nvm{j}.energy_read_nj"
             f" + _nvm{j}.energy_write_nj)",
             f"{pad}        _dca = _cnow - _lc{j}",
             f"{pad}        _dnv = _nnow - _lnv{j}",
@@ -474,6 +471,9 @@ def render_engine_source(sig: tuple) -> str:
             binds = binds + _WL_BINDS
         for name, idx in binds:
             out.append(f"    {name}{j} = _s{j}[{idx}]")
+        if mode != "call":
+            out += [f"    _mru{j} = _arr{j}.mru",
+                    f"    _sets{j} = _arr{j}.sets"]
         if mode == "wl":
             out += [f"    _wlc{j} = _sys{j}.design",
                     f"    _dq{j} = _wlc{j}.dq",
@@ -502,7 +502,7 @@ def render_engine_source(sig: tuple) -> str:
     # opens for anyone parked at the cursor (first resume, post-outage
     # reopens, rejoins); steady-state closes reopen inline
     for j, el in enumerate(sig):
-        mode, traced = el[0], el[2]
+        traced = el[2]
         out += ["        (" + unpack.format(j=j) + ") = "
                 f"_s{j}[{S_W}:{S_CLT + 1}]",
                 f"        _ac{j} = _w{j}",
@@ -513,10 +513,9 @@ def render_engine_source(sig: tuple) -> str:
                 f"            _ms{j} = _s{j}[{S_MISSES}]",
                 f"            _en{j} = _cap{j}._e_nj",
                 f"            if _fl{j} > _flm:",
-                f"                _flm = _fl{j}"]
-        if mode == "call":
-            out.append(f"            _sta{j} = _s{j}[{S_STATS}]")
-        out.append(f"            if _tg{j} == _cur:")
+                f"                _flm = _fl{j}",
+                f"            _sta{j} = _s{j}[{S_STATS}]",
+                f"            if _tg{j} == _cur:"]
         _emit_open(j, traced, "                ", out)
         out += [f"        else:",
                 f"            _tg{j} = _INF",
@@ -583,7 +582,7 @@ def render_engine_source(sig: tuple) -> str:
             "                _ep.append(('bail',))",
             "                break"]
     for j, el in enumerate(sig):
-        _emit_close(j, el[0], el[2], out)
+        _emit_close(j, el[2], out)
     out += ["            _cur = _b",
             "            if _ep or _syn:",
             "                break",

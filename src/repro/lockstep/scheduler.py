@@ -8,20 +8,21 @@ walk, chunk epilogues, capacitor accounting - and yields *episodes*
 whenever an instance needs the cold lifecycle machinery:
 
 * **halt** - the instance retired its last instruction; the scheduler
-  syncs its ``ReplayCore`` from the slot mirrors, flushes the memfast
-  accumulators, and runs halt finalization + result assembly.
+  syncs its ``ReplayCore`` from the slot mirrors and runs halt
+  finalization + result assembly.
 * **outage** - the chunk accounting drained the capacitor to the backup
   level; the scheduler syncs the core and runs the outage lifecycle
   (checkpoint, recharge, reboot, adaptation) on the same ``System``
   object the serial path drives, then republishes the slot mirrors the
   reboot changed (wall time, baselines, flush epoch, cycle).
 * **eviction** - an instance that diverges (a :class:`LockstepBail`
-  from a wrapped handler, a forced bail from the test seam) leaves the
-  column at an exact event index: its core is rewound to the open
-  window's state (events already applied stay applied - the position
-  fields are set so ``run_chunk`` finishes exactly the interrupted
-  chunk, and the residency set is reconstructed from the flush epoch),
-  and it continues on the ordinary per-instance replay path.
+  from a wrapped design method, a forced bail from the test seam)
+  leaves the column at an exact event index: its core is rewound to the
+  open window's state (events already applied stay applied - the
+  position fields are set so ``run_chunk`` finishes exactly the
+  interrupted chunk, and the residency set is reconstructed from the
+  flush epoch), and it continues on the ordinary per-instance replay
+  path.
 * **rejoin** - an evicted instance whose solo chunks land it exactly on
   the column's cursor at a boundary re-enters the column there; the
   engine's alive flags make membership changes free (no recompile).
@@ -65,8 +66,10 @@ class LockstepBail(Exception):
 BAIL_HOOK = None
 
 #: test seam: ``PREP_HOOK(task, system)`` runs after each instance's
-#: system is built, *before* the engine binds its handlers - the place
-#: to wrap ``design.load``/``store`` for fault injection.
+#: system is built, *before* :func:`~repro.lockstep.state.build_slot`
+#: picks its mode - the place to wrap ``design.load``/``store`` for
+#: fault injection. A wrapped method is an instance attribute, so the
+#: instance runs in ``call`` mode and every access reaches the wrapper.
 PREP_HOOK = None
 
 _STATS = {"columns": 0, "instances": 0, "segments": 0, "evictions": 0,
@@ -116,7 +119,7 @@ class _Inst:
 
     __slots__ = (
         "task", "config", "system", "core", "design", "stats", "nvm",
-        "trace", "cap", "mf", "sl", "sig", "res", "bd",
+        "trace", "cap", "sl", "sig", "res", "bd",
         # hoisted accounting constants (the serial loop's local binds,
         # used by the solo path; the engine carries them in the slot)
         "core_leak_w", "design_leak_w", "compute_nj", "ifetch_nj",
@@ -148,7 +151,6 @@ def _build_inst(program, task, config, stream) -> _Inst:
     inst.nvm = design.nvm
     trace = inst.trace = system.trace
     inst.cap = system.capacitor
-    inst.mf = getattr(design, "_memfast_state", None)
     inst.sl, inst.sig = build_slot(system, stream)
     em = config.energy
     inst.core_leak_w = em.core_leakage_w
@@ -261,8 +263,6 @@ class _Column:
         core.halted = True
         core.regs[:ARCH_REGS] = core.stream.final_regs
         try:
-            if inst.mf is not None:
-                inst.mf.flush()  # drain the deferred counters
             t = inst.system._halt_finalize(sl[S_T])
             res = inst.system._finish(inst.res, inst.bd, t, inst.period,
                                       sl[S_CT], sl[S_CLT])

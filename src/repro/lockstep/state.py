@@ -2,23 +2,22 @@
 
 Each column instance carries one plain-list *slot* (structure-of-arrays
 discipline, no numpy). The generated engine (:mod:`repro.lockstep.
-codegen`) binds the read-only entries - handlers, prefix sums, memfast
-geometry, the instance's capacitor / nvm / trace / system objects and
-the hoisted energy constants - to locals once per column composition,
-and mirrors every genuinely mutable scalar (dynamic cycles, chunk
-offset, counters, energy, wall time, accounting baselines) into locals
-for the duration of a run. The slot is the hand-off surface: the engine
-writes all mirrors back before every yield and re-reads them after
-every resume, so the scheduler can run lifecycle blocks, evict, or
-rejoin instances between engine rounds with plain list indexing.
+codegen`) binds the read-only entries - the design's bound methods,
+prefix sums, the cache array and hit constants, the instance's
+capacitor / nvm / trace / system objects and the hoisted energy
+constants - to locals once per column composition, and mirrors every
+genuinely mutable scalar (dynamic cycles, chunk offset, counters,
+energy, wall time, accounting baselines) into locals for the duration
+of a run. The slot is the hand-off surface: the engine writes all
+mirrors back before every yield and re-reads them after every resume,
+so the scheduler can run lifecycle blocks, evict, or rejoin instances
+between engine rounds with plain list indexing.
 
 The slot also fixes the *signature* the engine is specialized on: the
-memory-call shape per instance (``call`` for designs without the
-memfast tier, ``base`` for fast loads + slow-path stores, ``wb``/``wl``
-for the two fast store-hit shapes), the LRU flag - mirroring exactly
-the handler variants :mod:`repro.memfast.handlers` renders - and
-whether the instance runs under a power trace (which selects the
-serial budget formula and the capacitor accounting block).
+memory-call mode per instance (:func:`column_mode`), the LRU flag, the
+cache geometry, and whether the instance runs under a power trace
+(which selects the serial budget formula and the capacitor accounting
+block).
 """
 
 from __future__ import annotations
@@ -26,61 +25,97 @@ from __future__ import annotations
 from array import array
 
 from repro.batch.stream import GuestStream
+from repro.caches.base import CachedMemorySystem
+from repro.caches.nvcache import NVCacheWB
+from repro.caches.nvsram import NVSRAMIdeal
+from repro.core.wl_cache import WLCache
+from repro.mem.setassoc import SetAssocArray
 
 # -- slot indices (keep in sync with codegen's unpack order) -----------
-S_LOAD = 0     # bound design.load (memfast handler when attached)
+S_LOAD = 0     # bound design.load
 S_STORE = 1    # bound design.store
 S_SM = 2       # bound design.store_masked
 S_DYN = 3      # accumulated per-instance dynamic cycles (mirror)
 S_OFFSET = 4   # external-cycle absorber, constant within a chunk
-S_IC = 5       # I-cache residency set (the core's own set object)
-S_MISSES = 6   # cumulative I-cache miss counter (mirror)
-S_CUM = 7      # this cost family's static cycle prefix sum
-S_CMEM = 8     # mem_issue cost (now-formula constant)
-S_CIMISS = 9   # I-cache miss penalty
-S_MRU = 10     # memfast: per-set MRU line list
-S_ACC = 11     # memfast: deferred-stats accumulator
-S_MFS = 12     # memfast: line shift
-S_MFM = 13     # memfast: set mask
-S_MFW = 14     # memfast: word mask
-S_MFE = 15     # memfast: read hit energy (nJ)
-S_MFH = 16     # memfast: read hit cycles
-S_MFEW = 17    # memfast: write hit energy (nJ)
-S_MFHW = 18    # memfast: write hit cycles
-S_PEND = 19    # memfast: WL-Cache ACK deque (None otherwise)
+S_MISSES = 5   # cumulative I-cache miss counter (mirror)
+S_CUM = 6      # this cost family's static cycle prefix sum
+S_CMEM = 7     # mem_issue cost (now-formula constant)
+S_CIMISS = 8   # I-cache miss penalty
+S_ARR = 9      # probe modes: the design's SetAssocArray
+S_RE = 10      # probe modes: read hit energy (nJ)
+S_RH = 11      # probe modes: read hit cycles
+S_WE = 12      # probe modes: write hit energy (nJ)
+S_WH = 13      # probe modes: write hit cycles
+S_PEND = 14    # wl: WL-Cache ACK deque
 # -- engine mirrors (synced at every yield, re-read on resume) ---------
-S_W = 20       # alive flag: 1 in-column, 0 solo / finished
-S_TG = 21      # open-window target instruction index
-S_P = 22       # stream position at the open window (chunk entry)
-S_IR = 23      # instret at the open window (chunk entry)
-S_CYC = 24     # core cycle at the open window (chunk entry)
-S_CSEEN = 25   # core._cycle_seen mirror (offset-recompute gate)
-S_T = 26       # wall-clock time (ns)
-S_FL = 27      # I-cache flush event index (residency epoch start)
-S_SY = 28      # post-flush synthesized fetch line (-1: none)
-S_PF = 29      # pending-refetch flag (1 right after a flush)
-S_TSF = 30     # total synthesized fetches (event-count correction)
-S_LIR = 31     # accounting baseline: last_instret
-S_LF = 32      # accounting baseline: last_fetch
-S_LIM = 33     # accounting baseline: last_imiss
-S_LC = 34      # accounting baseline: last_cache (nJ)
-S_LNV = 35     # accounting baseline: last_nvm (nJ)
-S_CT = 36      # compute_total accumulator (nJ)
-S_CLT = 37     # cache_leak_total accumulator (nJ)
+S_W = 15       # alive flag: 1 in-column, 0 solo / finished
+S_TG = 16      # open-window target instruction index
+S_P = 17       # stream position at the open window (chunk entry)
+S_IR = 18      # instret at the open window (chunk entry)
+S_CYC = 19     # core cycle at the open window (chunk entry)
+S_CSEEN = 20   # core._cycle_seen mirror (offset-recompute gate)
+S_T = 21       # wall-clock time (ns)
+S_FL = 22      # I-cache flush event index (residency epoch start)
+S_SY = 23      # post-flush synthesized fetch line (-1: none)
+S_PF = 24      # pending-refetch flag (1 right after a flush)
+S_TSF = 25     # total synthesized fetches (event-count correction)
+S_LIR = 26     # accounting baseline: last_instret
+S_LF = 27      # accounting baseline: last_fetch
+S_LIM = 28     # accounting baseline: last_imiss
+S_LC = 29      # accounting baseline: last_cache (nJ)
+S_LNV = 30     # accounting baseline: last_nvm (nJ)
+S_CT = 31      # compute_total accumulator (nJ)
+S_CLT = 32     # cache_leak_total accumulator (nJ)
 # -- bound objects and hoisted constants -------------------------------
-S_CAP = 38     # the instance's Capacitor (energy mirrored to a local)
-S_NVM = 39     # the design's NVM backend (energy counter reads)
-S_STATS = 40   # design.stats (republished by the scheduler at outage)
-S_SYS = 41     # the System (per-chunk _e_backup_level reads)
-S_TRACE = 42   # the PowerTrace, or None
-S_CORE = 43    # the ReplayCore (synth-fetch pc recovery only)
-S_KON = 44     # hoisted constants tuple, see build_slot
-S_SETS = 45    # memfast: SetAssocArray.sets (full inline probe)
-S_SLD = 46     # memfast: bracketed slow load (direct miss binding)
-S_SSM = 47     # memfast: bracketed slow store_masked
-N_SLOTS = 48
+S_CAP = 33     # the instance's Capacitor (energy mirrored to a local)
+S_NVM = 34     # the design's NVM backend (energy counter reads)
+S_STATS = 35   # design.stats (re-read on every resume)
+S_SYS = 36     # the System (per-chunk _e_backup_level reads)
+S_TRACE = 37   # the PowerTrace, or None
+S_CORE = 38    # the ReplayCore (synth-fetch pc recovery only)
+S_KON = 39     # hoisted constants tuple, see build_slot
+N_SLOTS = 40
 
-_SHAPE_MODE = {"wl": "wl", "wb": "wb", None: "base"}
+#: instance attributes that mean something wraps the design's memory
+#: methods (the trace recorder, the invariant checker, a
+#: ``scheduler.PREP_HOOK`` fault injector): every access must reach them
+_GUARDED_METHODS = ("load", "store", "store_masked")
+
+
+def column_mode(design) -> str:
+    """How the engine issues one instance's memory accesses.
+
+    * ``call`` - every access calls the design's bound method: a design
+      whose ``load``/``store``/``store_masked`` is shadowed on the
+      instance, that overrides the shared load path (WT+Buffer,
+      NVSRAM(practical)), or that has no set-associative array
+      (NoCache);
+    * ``wl`` - WL-Cache's store policy: inline load hits, same-dirty-line
+      store hits and below-waterline clean->dirty inserts;
+    * ``wb`` - plain write-back stores (NVSRAM(ideal), NVSRAM(full),
+      NVCache-WB): inline load and store hits;
+    * ``base`` - inline load hits, every store calls the design
+      (write-through and persist-queue stores: VCache-WT, ReplayCache).
+
+    Method identity, not class identity, decides: a subclass that
+    overrides a store method falls back to a safer mode.
+    """
+    md = vars(design)
+    if any(name in md for name in _GUARDED_METHODS):
+        return "call"
+    cls = type(design)
+    if (cls.load is not CachedMemorySystem.load
+            or not isinstance(getattr(design, "array", None),
+                              SetAssocArray)):
+        return "call"
+    if (cls.store_masked is WLCache.store_masked
+            and cls.store is WLCache.store):
+        return "wl"
+    if (cls.store_masked in (NVSRAMIdeal.store_masked,
+                             NVCacheWB.store_masked)
+            and cls.store in (NVSRAMIdeal.store, NVCacheWB.store)):
+        return "wb"
+    return "base"
 
 
 def build_slot(system, stream: GuestStream) -> tuple[list, tuple]:
@@ -88,10 +123,11 @@ def build_slot(system, stream: GuestStream) -> tuple[list, tuple]:
     ``(mode, lru, traced, shift, smask, wmask)`` signature element
     (geometry ``None`` for ``call`` instances).
 
-    Must run after :func:`repro.memfast.attach_memfast`: the handler
-    bindings taken here are exactly the ones ``ReplayCore.run_chunk``
-    would bind lazily, so the column and the per-instance slow path
-    issue byte-for-byte the same calls.
+    Runs after ``scheduler.PREP_HOOK``, so a hook that wraps a memory
+    method is seen here and turns the instance into ``call`` mode. The
+    bound methods taken here are exactly the ones ``ReplayCore.run_chunk``
+    binds lazily, so the column and the per-instance path issue the
+    same calls.
     """
     core = system.core
     design = system.design
@@ -102,7 +138,6 @@ def build_slot(system, stream: GuestStream) -> tuple[list, tuple]:
     sl[S_SM] = design.store_masked
     sl[S_DYN] = 0
     sl[S_OFFSET] = 0
-    sl[S_IC] = core.ic_lines
     sl[S_MISSES] = 0
     sl[S_CUM] = stream.cum_cycles
     sl[S_CMEM] = stream.c_mem
@@ -137,29 +172,21 @@ def build_slot(system, stream: GuestStream) -> tuple[list, tuple]:
                  system.config.max_instructions,
                  system.capacitor._e_max, stream.n_total)
     traced = 0 if system.trace is None else 1
-    state = getattr(design, "_memfast_state", None)
-    if state is None:
+    mode = column_mode(design)
+    if mode == "call":
         return sl, ("call", 0, traced, None, None, None)
-    (mru, acc, shift, smask, wmask, e_read, hit_read, lru, e_write,
-     hit_write, pending) = state.probe_bindings()
-    sl[S_MRU] = mru
-    sl[S_ACC] = acc
-    sl[S_MFS] = shift
-    sl[S_MFM] = smask
-    sl[S_MFW] = wmask
-    sl[S_MFE] = e_read
-    sl[S_MFH] = hit_read
-    sl[S_MFEW] = e_write
-    sl[S_MFHW] = hit_write
-    sl[S_PEND] = pending
-    sl[S_SETS] = design.array.sets
-    sl[S_SLD] = state.slow_load
-    sl[S_SSM] = state.slow_sm
+    arr = design.array
+    sl[S_ARR] = arr
+    sl[S_RE] = design._e_read
+    sl[S_RH] = design._hit_read_cycles
+    sl[S_WE] = design._e_write
+    sl[S_WH] = design._hit_write_cycles
+    sl[S_PEND] = getattr(design, "pending", None)
     # the signature carries the cache geometry so the engine can bake
     # it as literals and share the set/tag computation across every
     # instance with the same geometry (one class per distinct triple)
-    return sl, (_SHAPE_MODE[state.store_shape], lru, traced,
-                shift, smask, wmask)
+    return sl, (mode, 1 if arr._lru else 0, traced, arr.line_shift,
+                arr.set_mask, design._word_mask)
 
 
 def event_counts(stream: GuestStream) -> tuple:

@@ -112,8 +112,8 @@ class SetAssocArray:
         # MRU-way cache: the line that last hit (or was installed) per set.
         # Purely a lookup accelerator - a hit is still decided by the tag
         # check, and lines mutate in place, so a stale pointer just misses
-        # into the normal set probe. Never rebound (the fast-path tier
-        # binds the list object itself).
+        # into the normal set probe. Never rebound (the lockstep column
+        # engine binds the list object itself).
         self.mru: list[CacheLine] = [cset[0] for cset in self.sets]
 
     def find(self, addr: int) -> CacheLine | None:

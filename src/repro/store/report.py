@@ -3,9 +3,8 @@
 ``repro cache stats`` and the warm-cache CI check read everything
 through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
-every in-memory process-global cache (jit code cache, memfast handler
-sources, lockstep engines, batch streams, stream expansion metadata,
-and the shared decode memo).
+every in-memory process-global cache (jit code cache, lockstep engines,
+batch streams, stream expansion metadata, and the shared decode memo).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ def cache_report(include_disk: bool = True) -> dict:
     from repro.cpu.core import decode_cache_stats
     from repro.jit import code_cache_stats
     from repro.lockstep.codegen import engine_cache_stats
-    from repro.memfast.handlers import codegen_cache_stats
 
     root = store_root()
     report: dict = {
@@ -29,7 +27,6 @@ def cache_report(include_disk: bool = True) -> dict:
         "events": store_stats(),
         "process_caches": {
             "jit": code_cache_stats(),
-            "memfast": codegen_cache_stats(),
             "lockstep": engine_cache_stats(),
             "batch": batch_stats(),
             "stream_meta": stream_meta_stats(),

@@ -130,16 +130,23 @@ def test_explicit_reference_beats_env(monkeypatch):
     assert lockstep_stats()["columns"] == 0
 
 
-def test_memfast_composes_with_replay():
+def test_replay_system_attaches_nothing():
+    """A replay instance runs its design's own class methods: nothing
+    shadows the memory or checkpoint protocol on the design, and the
+    core's ``run_chunk`` is the class method."""
     prog = build_workload("sha", 0.2)
     config = SimConfig(engine="fast")
-    costs = effective_costs("WL-Cache", config)
-    stream = get_stream(prog, costs, config.max_instructions)
-    system = build_replay_system(prog, _task(), config, stream)
-    assert isinstance(system.core, ReplayCore)
-    assert getattr(system.design, "_memfast_state", None) is not None
-    # the chunk-end flush wraps the replay core's run_chunk
-    assert "run_chunk" in vars(system.core)
+    for design in DESIGNS:
+        costs = effective_costs(design, config)
+        stream = get_stream(prog, costs, config.max_instructions)
+        system = build_replay_system(prog, _task(design=design), config,
+                                     stream)
+        assert isinstance(system.core, ReplayCore)
+        shadowed = {"load", "store", "store_masked",
+                    "flush_for_checkpoint", "on_boot",
+                    "finalize"} & set(vars(system.design))
+        assert not shadowed, design
+        assert "run_chunk" not in vars(system.core), design
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from repro.sim.sweep import run_grid
 #: small, fast kernels covering both suites and both store densities
 _APPS = ("sha", "qsort", "adpcmdecode", "dijkstra")
 #: includes both recording families (NVCache-WB folds ifetch_extra into
-#: its costs) and a memfast-ineligible design (VCache-WT store path)
+#: its costs) and a design whose stores never hit inline (VCache-WT)
 _DESIGNS = ("WL-Cache", "NVCache-WB", "VCache-WT", "NVSRAM(ideal)")
 
 

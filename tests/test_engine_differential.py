@@ -14,6 +14,14 @@ has). Mixed-trace grids matter most here: instances of one column
 differ in their capacitor accounting block, so the generated engine
 interleaves traced and untraced epilogues in one module.
 
+Every example also draws a cache geometry (512/1024/2048 B, 16/32/64 B
+lines, 1/2/4-way, so every cache holds at least 8 lines), a replacement
+policy (LRU/FIFO) and WL-Cache thresholds (``maxline`` 2/4/6 with
+``waterline = maxline - 1``). The column engine bakes each geometry's
+shift and masks into its source and inlines the LRU stamp and the
+below-waterline insert, so these draws check every specialization of
+the inline hit path against the interpreter.
+
 A random forced-bail event index (the scheduler's test seam) is drawn
 for some examples, so eviction/rejoin at arbitrary stream positions is
 part of the differential, not just the hand-picked cases in
@@ -30,6 +38,7 @@ from hypothesis import strategies as st
 
 import repro.lockstep.scheduler as scheduler
 from repro.batch import clear_streams
+from repro.mem.setassoc import CacheGeometry
 from repro.sim.sweep import run_grid
 
 _APPS = ("sha", "qsort", "adpcmdecode", "dijkstra")
@@ -46,7 +55,16 @@ def grid_st(draw):
                             max_size=3, unique=True))
     trace = draw(st.sampled_from([None, "trace1", "trace2"]))
     scale = draw(st.sampled_from([0.1, 0.15]))
-    overrides = {}
+    maxline = draw(st.sampled_from([2, 4, 6]))
+    overrides = {
+        "geometry": CacheGeometry(
+            size_bytes=draw(st.sampled_from([512, 1024, 2048])),
+            assoc=draw(st.sampled_from([1, 2, 4])),
+            line_bytes=draw(st.sampled_from([16, 32, 64]))),
+        "cache_replacement": draw(st.sampled_from(["lru", "fifo"])),
+        "maxline": maxline,
+        "waterline": maxline - 1,
+    }
     if draw(st.booleans()):
         # a tight budget exercises the group-budget plumbing (and, when
         # it truncates the kernel, the error path must match exactly)
@@ -58,7 +76,7 @@ def grid_st(draw):
     return apps, designs, trace, scale, overrides, bail_ei, bail_design
 
 
-@settings(max_examples=12, deadline=None,
+@settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(grid_st())
 def test_fast_engine_grid_bit_identical_to_reference(grid):

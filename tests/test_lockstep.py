@@ -1,6 +1,7 @@
-"""Structural tests of lockstep columns: column formation, bit-identity
-against the reference engine, divergence (forced bails, faults) with
-eviction and rejoin, pool propagation of the engine switch, and the
+"""Structural tests of lockstep columns: column formation, each design's
+column mode, bit-identity against the reference engine, divergence
+(forced bails, faults, wrapped design methods) with eviction and rejoin,
+pool propagation of the engine switch, freeing finished points, and the
 shared on-disk recording cache.
 
 The randomized bit-level differential lives in
@@ -13,7 +14,9 @@ perturbing a single RunResult field, and that the campaign plumbing
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -23,13 +26,16 @@ from repro.batch.engine import iter_outcomes
 from repro.lockstep.codegen import (clear_engines, engine_cache_stats,
                                     engine_sources)
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
+from repro.lockstep.state import column_mode
+from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.factory import ALL_DESIGN_NAMES, build_design
 from repro.sim.parallel import SweepTask, run_task
 from repro.sim.sweep import run_grid
 from repro.workloads import ALL_WORKLOADS
 
-#: covers every engine shape: wl + wb fast stores, base (fast loads,
-#: slow stores), and call (no memfast tier at all)
+#: covers every engine shape: wl + wb inline store hits, base (inline
+#: load hits, stores call the design), and call (every access calls it)
 _DESIGNS = ("WL-Cache", "NVSRAM(ideal)", "VCache-WT", "WT+Buffer")
 
 
@@ -92,6 +98,37 @@ def test_observability_outranks_lockstep():
         _assert_equal_results(ref, got, f"{flag} under engine=fast")
     assert lockstep_stats()["columns"] == 0
     assert batch_stats()["recordings"] == 0
+
+
+# ---------------------------------------------------------------------------
+# column modes: which accesses the engine inlines per design
+# ---------------------------------------------------------------------------
+
+#: every design's column mode (see repro.lockstep.state.column_mode)
+_MODES = {
+    "WL-Cache": "wl", "WL-Cache(eager)": "wl",
+    "NVSRAM(ideal)": "wb", "NVSRAM(full)": "wb", "NVCache-WB": "wb",
+    "VCache-WT": "base", "ReplayCache": "base",
+    "NoCache": "call", "WT+Buffer": "call", "NVSRAM(practical)": "call",
+}
+
+
+def _design(name):
+    config = SimConfig()
+    return build_design(name, NVMainMemory([0] * 16, config.nvm), config)
+
+
+@pytest.mark.parametrize("design", ALL_DESIGN_NAMES)
+def test_column_mode_per_design(design):
+    assert set(_MODES) == set(ALL_DESIGN_NAMES)
+    assert column_mode(_design(design)) == _MODES[design]
+
+
+def test_shadowed_load_runs_as_call():
+    m = _design("WL-Cache")
+    inner = m.load
+    m.load = lambda addr, now: inner(addr, now)
+    assert column_mode(m) == "call"
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +293,83 @@ def test_mid_walk_fault_is_isolated(monkeypatch):
             assert getattr(a, f.name) == getattr(b, f.name), \
                 f"{design}: RunResult.{f.name} diverged"
     assert lockstep_stats()["faults"] >= 1
+
+
+def _load_wrapper(calls, raise_at=None):
+    """A ``PREP_HOOK`` wrapping WL-Cache's ``load`` - a design the engine
+    would otherwise probe inline - counting calls, and raising at call
+    ``raise_at`` when given."""
+    def prep(task, system):
+        if task.design != "WL-Cache":
+            return
+        inner = system.design.load
+
+        def load(addr, now, _inner=inner):
+            calls[0] += 1
+            if raise_at is not None and calls[0] >= raise_at:
+                raise RuntimeError("injected prep-hook fault")
+            return _inner(addr, now)
+
+        system.design.load = load
+    return prep
+
+
+def test_prep_hook_sees_every_access(monkeypatch):
+    """A wrapped design method puts its instance in ``call`` mode, so
+    the wrapper sees the accesses the engine would have inlined."""
+    ref = _grid_ref(("WL-Cache", "VCache-WT"))
+    tasks = [_task(design=d) for d in ("WL-Cache", "VCache-WT")]
+
+    calls = [0]
+    monkeypatch.setattr(scheduler, "PREP_HOOK", _load_wrapper(calls))
+    outcomes = {t.design: oc for t, oc in iter_outcomes(tasks, run_task)}
+    assert calls[0] >= 1
+    for design in ("WL-Cache", "VCache-WT"):
+        assert outcomes[design][0] == "ok"
+        _assert_equal_results({design: ref[("sha", design)]},
+                              {design: outcomes[design][1]},
+                              "pass-through hook")
+
+    clear_streams()
+    clear_lockstep_stats()
+    calls = [0]
+    monkeypatch.setattr(scheduler, "PREP_HOOK",
+                        _load_wrapper(calls, raise_at=50))
+    outcomes = {t.design: oc for t, oc in iter_outcomes(tasks, run_task)}
+    kind, exc = outcomes["WL-Cache"][:2]
+    assert kind == "err"
+    assert isinstance(exc, RuntimeError) and "injected" in str(exc)
+    assert outcomes["VCache-WT"][0] == "ok"
+    assert lockstep_stats()["faults"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# finished points are freed by reference counting
+# ---------------------------------------------------------------------------
+
+def test_finished_points_freed_without_gc(monkeypatch):
+    """No reference cycle keeps a finished column point alive: with the
+    cyclic collector off, every design is gone once the results are."""
+    designs = []
+    real = scheduler._build_inst
+
+    def spy(program, task, config, stream):
+        inst = real(program, task, config, stream)
+        designs.append(weakref.ref(inst.design))
+        return inst
+
+    monkeypatch.setattr(scheduler, "_build_inst", spy)
+    gc.collect()
+    gc.disable()
+    try:
+        res = run_grid(["sha", "qsort"], DESIGNS, "trace1", jobs=1,
+                       scale=0.1, engine="fast")
+        assert len(res) == len(designs) == 2 * len(DESIGNS)
+        del res
+        alive = [ref for ref in designs if ref() is not None]
+        assert not alive, f"{len(alive)} of {len(designs)} designs alive"
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

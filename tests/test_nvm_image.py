@@ -1,8 +1,8 @@
 """The NVM word image is a flat ``array("I")`` on every execution path.
 
 ``Program.initial_memory`` builds the image every memory model starts
-from, so each path - the reference interpreter, batch replay (with the
-memfast handlers), lockstep columns, pool workers, the oracle and the batch
+from, so each path - the reference interpreter, per-instance batch
+replay, lockstep columns, pool workers, the oracle and the batch
 recorder - must end holding one flat u32 buffer whose bytes equal the
 failure-free oracle's. The collector still tracks an array (CPython makes
 it a GC-aware type), but its only referent is its type, so a collection

@@ -25,7 +25,6 @@ from repro.batch.stream import clear_stream_meta, stream_meta_stats
 from repro.cpu.costs import CycleCosts
 from repro.jit.cache import clear_code_cache, code_cache_stats
 from repro.lockstep.codegen import clear_engines
-from repro.memfast.handlers import clear_handler_sources, codegen_cache_stats
 from repro.sim.config import SimConfig
 from repro.sim.parallel import (SweepTask, _init_worker, absorb_counters,
                                 run_task, worker_initargs)
@@ -57,7 +56,6 @@ def fresh_codegen():
     """Cold in-memory codegen caches on both sides of the test."""
     def _clear():
         clear_code_cache()
-        clear_handler_sources()
         clear_engines()
         clear_streams()
         clear_stream_meta()
@@ -604,7 +602,6 @@ class TestWarmEqualsCold:
         warm = run_grid(("sha",), ("NVSRAM(ideal)", "WL-Cache"), **kwargs)
         assert store_stats().get("result_hits") == 2
         assert code_cache_stats()["compiles"] == 0
-        assert codegen_cache_stats()["renders"] == 0
         assert _grid_stats(cold) == _grid_stats(warm)
 
     @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
@@ -692,8 +689,7 @@ class TestCacheCaps:
         report = cache_report(include_disk=True)
         assert report["enabled"] and report["root"] == store_dir
         caches = report["process_caches"]
-        for name in ("jit", "memfast", "lockstep", "batch", "stream_meta",
-                     "decode"):
+        for name in ("jit", "lockstep", "batch", "stream_meta", "decode"):
             assert name in caches
         assert "entries" in caches["decode"]
         assert "disk" in report
