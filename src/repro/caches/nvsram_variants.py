@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.caches.nvsram import NVSRAMIdeal
 from repro.caches.params import CacheParams
+from repro.errors import ConfigError
 from repro.mem.memsys import FlushReport
 from repro.mem.nvm import NVMainMemory
 from repro.mem.setassoc import CacheGeometry
@@ -60,11 +61,15 @@ class NVSRAMPractical(NVSRAMIdeal):
                  replacement: str = "lru",
                  params: CacheParams | None = None,
                  nv_params: CacheParams | None = None, **kwargs):
+        if geometry.assoc < 2:
+            raise ConfigError(
+                f"{self.name} needs at least one SRAM and one NV way per "
+                f"set (assoc >= 2), got assoc={geometry.assoc}")
         super().__init__(nvm, geometry, replacement, params, **kwargs)
         self.nv_params = nv_params or CacheParams(
             hit_read_cycles=3, hit_write_cycles=5,
             read_energy_nj=0.30, write_energy_nj=0.80)
-        self._nv_ways = max(1, geometry.assoc // 2)
+        self._nv_ways = geometry.assoc // 2
         # mark which physical ways are NV: the top ones of each set
         self._nv_threshold = geometry.assoc - self._nv_ways
         self.migrations = 0

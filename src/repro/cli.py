@@ -403,7 +403,7 @@ def cmd_audit(args) -> int:
     elif args.format == "sarif":
         print(format_findings_sarif(results, tool_name="repro-audit"))
     else:
-        print(format_findings_text(results))
+        print(format_findings_text(results, counted="units audited"))
     violations = sum(len(f) for f in results.values())
     return EXIT_ERRORS if violations else EXIT_CLEAN
 

@@ -122,8 +122,10 @@ def filter_errors_only(results: dict[str, list[Finding]]
             for name, findings in results.items()}
 
 
-def format_findings_text(results: dict[str, list[Finding]]) -> str:
-    """Human-readable report: one line per finding plus a summary."""
+def format_findings_text(results: dict[str, list[Finding]], *,
+                         counted: str = "programs linted") -> str:
+    """Human-readable report: one line per finding plus a summary that
+    names the entries of ``results`` as ``counted``."""
     lines = []
     waived = 0
     for findings in results.values():
@@ -133,7 +135,7 @@ def format_findings_text(results: dict[str, list[Finding]]) -> str:
     clean = sum(1 for findings in results.values()
                 if not any(f.waived is None for f in findings))
     tail = f", {waived} waived" if waived else ""
-    lines.append(f"{len(results)} programs linted, {clean} clean; "
+    lines.append(f"{len(results)} {counted}, {clean} clean; "
                  f"{totals[ERROR]} errors, {totals[WARNING]} warnings"
                  f"{tail}")
     return "\n".join(lines)

@@ -5,7 +5,10 @@ sorted values, the bootstrap is seeded (``random.Random``), and group
 values are always consumed in sorted point-key order - so a campaign
 summary is bit-identical whatever engine, shard order, or worker count
 produced the points, and a fixed-seed campaign summary can be
-golden-tested exactly.
+golden-tested exactly. The bootstrap reads its resample indices from
+the Mersenne Twister stream in bulk (:func:`_draw_indices`), drawing
+exactly the indices per-draw ``randrange`` would on every supported
+CPython, pinned by ``tests/test_mc_stats.py``.
 
 Metrics:
 
@@ -24,13 +27,19 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import sys
 import zlib
+from array import array
 
 from repro.errors import ConfigError
 from repro.sim.config import BASELINE_DESIGN
 from repro.sim.results import RunResult
 
 _SUMMARY_FORMAT = 1
+
+#: ``randbytes`` is little-endian; ``array("I")`` (4-byte items on every
+#: CPython platform) reads host order
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def quantile(values, q: float) -> float:
@@ -63,7 +72,38 @@ def gmean(values) -> float:
         raise ConfigError("gmean of no values")
     if any(x <= 0 for x in xs):
         raise ConfigError("gmean needs positive values")
-    return math.exp(sum(math.log(x) for x in xs) / len(xs))
+    return _exp_mean([math.log(x) for x in xs])
+
+
+def _exp_mean(logs: list[float]) -> float:
+    """``gmean`` of the values whose logs are ``logs`` - the one
+    definition of its arithmetic, so bootstrapping the logs reproduces
+    bootstrapping the values with ``gmean`` exactly."""
+    return math.exp(sum(logs) / len(logs))
+
+
+def _draw_indices(rng: random.Random, n: int, count: int) -> list[int]:
+    """``[rng.randrange(n) for _ in range(count)]`` for ``1 <= n < 2**32``,
+    read from the Mersenne Twister stream in bulk.
+
+    Each ``randrange(n)`` attempt takes one 32-bit word, keeps its top
+    ``n.bit_length()`` bits and rejects values ``>= n``;
+    ``randbytes(4 * m)`` hands out the next ``m`` words little-endian.
+    So keeping the in-range shifted words reproduces the draws. Words
+    read past the last kept one are lost to later draws from ``rng``.
+    """
+    k = n.bit_length()
+    shift = 32 - k
+    out: list[int] = []
+    while len(out) < count:
+        # expected words for the rest, plus a margin against a re-read
+        m = ((count - len(out)) << k) // n + 16
+        words = array("I", rng.randbytes(4 * m))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        out += [r for w in words if (r := w >> shift) < n]
+    del out[count:]
+    return out
 
 
 def bootstrap_ci(values, confidence: float = 0.95, n_boot: int = 1000,
@@ -85,10 +125,11 @@ def bootstrap_ci(values, confidence: float = 0.95, n_boot: int = 1000,
     if len(xs) == 1:
         v = float(stat(xs))
         return (v, v)
-    rng = random.Random(seed)
     n = len(xs)
-    stats = sorted(stat([xs[rng.randrange(n)] for _ in range(n)])
-                   for _ in range(n_boot))
+    draws = map(xs.__getitem__,
+                _draw_indices(random.Random(seed), n, n * n_boot))
+    # n consecutive draws make one resample, in draw order
+    stats = sorted(map(stat, map(list, zip(*[draws] * n))))
     alpha = (1.0 - confidence) / 2.0
     return (quantile(stats, alpha), quantile(stats, 1.0 - alpha))
 
@@ -208,14 +249,17 @@ def summarize_campaign(points: dict, baseline: str = BASELINE_DESIGN,
 
     agg = []
     for (design, family), sp in sorted(agg_speedups.items()):
-        lo, hi = bootstrap_ci(sp, confidence, n_boot,
-                              group_seed(design, family, "agg"),
-                              statistic=gmean)
+        speedup_gmean = gmean(sp)  # checks positivity before the logs
+        # bootstrapping the logs with _exp_mean is bootstrapping sp with
+        # gmean, with each log taken once instead of once per resample
+        lo, hi = bootstrap_ci([math.log(x) for x in sp], confidence,
+                              n_boot, group_seed(design, family, "agg"),
+                              statistic=_exp_mean)
         agg.append({
             "design": design,
             "family": family,
             "n": len(sp),
-            "speedup_gmean": gmean(sp),
+            "speedup_gmean": speedup_gmean,
             "ci_lo": lo,
             "ci_hi": hi,
             "p5": quantile(sp, 0.05),

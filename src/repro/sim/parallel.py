@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Hashable, Iterable, Iterator
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
@@ -43,7 +43,8 @@ from repro.workloads import build_workload, get_workload, verify_checks
 
 #: ``progress(done, total, key)`` - called in the parent process after
 #: each finished run, in completion (not submission) order, with the
-#: run's point key (``(workload, design)`` unless the caller keys it).
+#: run's point key (``(workload, design)`` unless the caller keys it); a
+#: pooled run reports a chunk's runs as soon as that chunk returns.
 ProgressFn = Callable[[int, int, Hashable], None]
 
 
@@ -299,7 +300,7 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
             start += len(chunk)
         pending = set(futures)
         while pending:
-            finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
+            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for fut in finished:
                 span = futures[fut]
                 try:

@@ -109,6 +109,23 @@ def test_lint_text(capsys):
     assert "2 programs linted, 2 clean" in out
 
 
+def test_audit_text_counts_units(capsys, monkeypatch):
+    # the summary names audit units, not the program linter's programs
+    from repro.lint import codegen_audit
+    from repro.lint.findings import ERROR, Finding
+
+    units = {"batch:replay": [], "sha": [],
+             "lockstep:engines": [Finding("A001", ERROR, "lockstep:engines",
+                                          "generated code raised")]}
+    monkeypatch.setattr(codegen_audit, "audit_suite",
+                        lambda apps, designs, scale: units)
+    assert main(["audit"]) == 2
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith(
+        "3 units audited, 2 clean; 1 errors, 0 warnings")
+    assert "linted" not in out
+
+
 def test_lint_json(capsys):
     assert main(["lint", "--apps", "sha", "--scale", "0.2",
                  "--format", "json"]) == 0

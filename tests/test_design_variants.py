@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.batch.engine import iter_outcomes
 from repro.caches.nvsram_variants import NVSRAMFull, NVSRAMPractical
 from repro.caches.params import CacheParams
 from repro.caches.wt_buffer import WTBufferCache
@@ -10,6 +11,7 @@ from repro.errors import ConfigError
 from repro.mem.nvm import NVMainMemory
 from repro.mem.setassoc import CacheGeometry
 from repro.sim.factory import run_one
+from repro.sim.parallel import SweepTask, simulate_task
 from repro.verify.checker import check_crash_consistency
 from repro.workloads import build_workload, verify_checks
 
@@ -82,6 +84,24 @@ class TestNVSRAMPractical:
         res = run_one(prog, "NVSRAM(practical)", trace="trace2")
         assert res.outages > 0
         check_crash_consistency(prog, res)
+
+    def test_needs_an_sram_and_an_nv_way(self):
+        # a direct-mapped set has no room for both kinds of way
+        nvm = NVMainMemory([0] * (1 << 14))
+        with pytest.raises(ConfigError,
+                           match=r"NVSRAM\(practical\).*assoc=1"):
+            NVSRAMPractical(nvm, CacheGeometry(512, 1, 64), "lru",
+                            CacheParams())
+        tasks = [SweepTask("sha", "NVSRAM(practical)", None, 0.1, True, None,
+                           {"geometry": CacheGeometry(1024, assoc, 16)})
+                 for assoc in (1, 2)]
+        with pytest.raises(ConfigError, match="assoc=1"):
+            run_one(build_workload("sha", 0.1), tasks[0].design, None,
+                    **tasks[0].overrides)
+        one_way, two_way = (oc for _, oc in iter_outcomes(tasks,
+                                                          simulate_task))
+        assert one_way[0] == "err" and isinstance(one_way[1], ConfigError)
+        assert two_way[0] == "ok" and two_way[1].halted
 
 
 class TestWTBuffer:

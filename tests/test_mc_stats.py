@@ -1,8 +1,12 @@
 """Campaign statistics: quantiles, bootstrap CIs, survival, golden summary.
 
-Two layers: analytic self-tests (the bootstrap interval must agree with
-the classical standard-error interval on a well-behaved sample, tails
-must order correctly), and a fixed-seed golden - the full summary JSON
+Three layers: analytic self-tests (the bootstrap interval must agree
+with the classical standard-error interval on a well-behaved sample,
+tails must order correctly); an oracle - the bulk index draw and the
+bootstrap built on it must equal the per-draw ``randrange`` loop
+(:func:`_reference_bootstrap_ci`) exactly, compared on the running
+interpreter, since a float golden at n >= 8 could differ across
+CPython's ``sum``; and a fixed-seed golden - the full summary JSON
 of a tiny campaign is byte-pinned, so any drift in the simulator, the
 trace ensembles, the point keying, or the statistics shows up as a
 diff, not as a silently shifted confidence interval.
@@ -11,13 +15,18 @@ diff, not as a silently shifted confidence interval.
 import json
 import math
 import os
+import random
+import zlib
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.mc import (CampaignSpec, bootstrap_ci, gmean, quantile,
                       run_campaign, summarize_campaign, survival_curve)
-from repro.mc.stats import mean, progress_rate
+from repro.mc import stats as mc_stats
+from repro.mc.stats import _draw_indices, _exp_mean, mean, progress_rate
+from repro.sim.config import BASELINE_DESIGN
+from repro.sim.results import RunResult
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "goldens",
                       "mc_campaign_summary.json")
@@ -127,6 +136,119 @@ class TestBootstrap:
             bootstrap_ci([])
         with pytest.raises(ConfigError):
             bootstrap_ci([1.0, 2.0], confidence=1.0)
+
+
+def _reference_bootstrap_ci(values, confidence: float = 0.95,
+                            n_boot: int = 1000, seed: int = 0,
+                            statistic=None) -> tuple[float, float]:
+    """The per-draw bootstrap loop ``bootstrap_ci`` replaced: the oracle
+    its bulk draw must reproduce exactly."""
+    xs = list(values)
+    if not xs:
+        raise ConfigError("bootstrap of no values")
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"confidence must be in (0, 1), got {confidence!r}")
+    stat = mean if statistic is None else statistic
+    if len(xs) == 1:
+        v = float(stat(xs))
+        return (v, v)
+    rng = random.Random(seed)
+    n = len(xs)
+    stats = sorted(stat([xs[rng.randrange(n)] for _ in range(n)])
+                   for _ in range(n_boot))
+    alpha = (1.0 - confidence) / 2.0
+    return (quantile(stats, alpha), quantile(stats, 1.0 - alpha))
+
+
+def _sorting_median(xs: list[float]) -> float:
+    """A statistic that sorts its argument in place."""
+    xs.sort()
+    return xs[len(xs) // 2]
+
+
+#: range sizes past 1..300: powers of two and their neighbours, where
+#: the rejection rate jumps, up to the largest one-word draw
+EDGE_SIZES = (1000, 4096, 65535, 65536, 65537, 2**24 + 1, 2**31 - 1,
+              2**31, 2**32 - 1)
+
+
+def _positive_sample(n: int, seed: int) -> list[float]:
+    rng = random.Random(seed)
+    return [rng.uniform(0.25, 4.0) for _ in range(n)]
+
+
+class TestDrawIndices:
+    @pytest.mark.parametrize("seed", [0, 2023, 2**40 + 7])
+    def test_equals_per_draw_randrange(self, seed):
+        for n in (*range(1, 301), *EDGE_SIZES):
+            for count in (0, 1, 257):
+                ref = random.Random(seed)
+                expect = [ref.randrange(n) for _ in range(count)]
+                assert _draw_indices(random.Random(seed), n, count) \
+                    == expect, (n, count)
+
+
+class TestBootstrapOracle:
+    @pytest.mark.parametrize("statistic", [mean, gmean, _sorting_median],
+                             ids=["mean", "gmean", "sorting"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 32, 257])
+    def test_equals_per_draw_loop(self, statistic, n):
+        xs = _positive_sample(n, seed=n)
+        for n_boot in (1, 7, 1000):
+            assert bootstrap_ci(xs, n_boot=n_boot, seed=n_boot,
+                                statistic=statistic) \
+                == _reference_bootstrap_ci(xs, n_boot=n_boot, seed=n_boot,
+                                           statistic=statistic), n_boot
+
+    def test_no_resamples_rejected_alike(self):
+        for boot in (bootstrap_ci, _reference_bootstrap_ci):
+            with pytest.raises(ConfigError, match="quantile of no values"):
+                boot([1.0, 2.0, 3.0], n_boot=0)
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_log_space_gmean(self, n):
+        """Bootstrapping the logs with ``_exp_mean`` - the campaign
+        aggregate's form - is bootstrapping the values with ``gmean``."""
+        for seed in range(4):
+            sp = _positive_sample(n, seed=100 * n + seed)
+            logs = [math.log(x) for x in sp]
+            assert bootstrap_ci(logs, seed=seed, statistic=_exp_mean) \
+                == _reference_bootstrap_ci(sp, seed=seed, statistic=gmean)
+            assert _exp_mean(logs) == gmean(sp)
+
+    def test_summary_equals_per_draw_summary(self, monkeypatch):
+        """A 4 x 5 x 2 x 8 campaign of stats-only results - 8-value
+        groups and 32-value aggregates, sizes the golden's 3-seed
+        campaign never reaches."""
+        rng = random.Random(7)
+        designs = (BASELINE_DESIGN, "WL-Cache", "VCache-WT", "ReplayCache",
+                   "NVCache-WB")
+        points = {}
+        for w in ("w0", "w1", "w2", "w3"):
+            for d in designs:
+                for fam in ("fam-a", "fam-b"):
+                    for seed in range(8):
+                        points[(w, d, fam, seed)] = RunResult(
+                            w, d, fam,
+                            total_time_ns=rng.randrange(10**5, 10**7),
+                            instructions=rng.randrange(10**4, 10**6),
+                            outages=rng.randrange(0, 40))
+        bulk = summarize_campaign(points)
+        assert len(bulk["speedup_aggregate"]) == 8
+        for agg in bulk["speedup_aggregate"]:
+            # the aggregate as first defined: gmean over the speedup
+            # values themselves, workload-major then seed order
+            d, fam = agg["design"], agg["family"]
+            sp = [points[(w, BASELINE_DESIGN, fam, seed)].total_time_ns
+                  / points[(w, d, fam, seed)].total_time_ns
+                  for w in ("w0", "w1", "w2", "w3") for seed in range(8)]
+            seed = 2023 ^ zlib.crc32(f"{d}/{fam}/agg".encode())
+            assert (agg["ci_lo"], agg["ci_hi"]) == _reference_bootstrap_ci(
+                sp, seed=seed, statistic=gmean)
+        monkeypatch.setattr(mc_stats, "bootstrap_ci",
+                            _reference_bootstrap_ci)
+        assert json.dumps(bulk, sort_keys=True) \
+            == json.dumps(summarize_campaign(points), sort_keys=True)
 
 
 class TestSummarize:

@@ -7,7 +7,9 @@ covers all stats, energy breakdowns, per-period records, and the final
 memory image, so one ``==`` is a deep check.
 """
 
+import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -138,6 +140,37 @@ class TestDispatch:
     def test_empty_grid(self):
         assert run_grid_parallel([], DESIGNS, None, jobs=4) == {}
         assert run_grid([], scale=0.1) == {}
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the PREP_HOOK")
+    def test_progress_reports_each_chunk_as_it_returns(self, tmp_path,
+                                                        monkeypatch):
+        # two aligned chunks, one per workload; the second cannot finish
+        # until progress has reported a point of the first - which only
+        # happens if the first chunk is reported when it returns, not
+        # when every chunk has
+        from repro.lockstep import scheduler
+
+        gate = tmp_path / "first-chunk-reported"
+        deadline = time.monotonic() + 60  # one bound for every instance
+
+        def hold_second(task, _system):
+            if task.workload != "qsort":
+                return
+            while not gate.exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("the first chunk was never reported")
+                time.sleep(0.01)
+
+        def progress(_done, _total, key):
+            if key[0] == "sha":
+                gate.touch()
+
+        monkeypatch.setattr(scheduler, "PREP_HOOK", hold_second)
+        tasks = make_tasks(["sha", "qsort"], DESIGNS, None, None, 0.05,
+                           False, {"engine": "fast"})
+        out = run_tasks(tasks, jobs=2, progress=progress)
+        assert list(out) == [t.key for t in tasks]
 
     def test_run_tasks_order_independent_of_completion(self):
         # qsort at a larger scale finishes after sha; result order must
