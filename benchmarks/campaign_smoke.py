@@ -4,8 +4,10 @@ Runs the same ``(workload x design x stochastic family x seed)`` grid
 under the serial loop, the process pool, and the fast engine's
 record-once lockstep columns (on the pool), asserts the three are
 point-for-point bit-identical, checks the
-fixed-seed summary statistics are identical across engines, and writes
-the summary CSV/SVG artifacts the CI job uploads.
+fixed-seed summary statistics are identical across engines, checks
+every point's final NVM image and registers against the failure-free
+oracle (the fast engine's equal images arriving as one array per
+kernel), and writes the summary CSV/SVG artifacts the CI job uploads.
 
 The golden *content* pin for the statistical pipeline lives in
 ``tests/test_mc_stats.py`` (exact-match against
@@ -23,8 +25,11 @@ import os
 import sys
 import time
 
+from repro.errors import ConsistencyError
 from repro.mc import (CampaignSpec, campaign_to_dict, run_campaign,
                       summarize_campaign, write_report)
+from repro.verify.checker import check_crash_consistency
+from repro.workloads import build_workload
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
 
@@ -77,9 +82,26 @@ def main() -> int:
     if len(set(texts)) != 1:
         print("FAIL: summary statistics differ across execution engines")
         return 1
+
+    # point order is kernel-major, so the checker runs each kernel's
+    # oracle once per campaign
+    for name, points in (("serial", serial), ("parallel", parallel),
+                         ("fast", fast)):
+        for key in sorted(points):
+            try:
+                check_crash_consistency(build_workload(key[0], SCALE),
+                                        points[key])
+            except ConsistencyError as exc:
+                print(f"FAIL: {name} campaign point {key}: {exc}")
+                return 1
+    images = len({id(res.final_memory) for res in fast.values()})
+    if images > len(FAST_SPEC.workloads):
+        print(f"FAIL: fast campaign holds {images} final images for "
+              f"{len(FAST_SPEC.workloads)} kernels")
+        return 1
     print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
           f"fast {t_fast:.2f}s - {SPEC.n_points} points bit-identical, "
-          f"summaries identical")
+          f"summaries identical, every point matches the oracle")
 
     prefix = os.path.join(out_dir, "campaign_smoke")
     for path in write_report(summaries[0], prefix):

@@ -399,7 +399,7 @@ def cmd_audit(args) -> int:
     results = audit_suite(args.apps, designs=args.designs,
                           scale=args.scale)
     if args.format == "json":
-        print(format_findings_json(results))
+        print(format_findings_json(results, names=("units", "unit")))
     elif args.format == "sarif":
         print(format_findings_sarif(results, tool_name="repro-audit"))
     else:

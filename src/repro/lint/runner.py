@@ -141,12 +141,16 @@ def format_findings_text(results: dict[str, list[Finding]], *,
     return "\n".join(lines)
 
 
-def format_findings_json(results: dict[str, list[Finding]]) -> str:
-    """Machine-readable report (the CI findings artifact)."""
+def format_findings_json(results: dict[str, list[Finding]], *,
+                         names: tuple[str, str] = ("programs", "program")
+                         ) -> str:
+    """Machine-readable report (the CI findings artifact); ``names`` are
+    the keys of the entry list and of each entry's name."""
+    listed, item = names
     payload = {
-        "programs": [
+        listed: [
             {
-                "program": name,
+                item: name,
                 "findings": [f.as_dict() for f in findings],
                 "counts": count_by_severity(findings),
             }

@@ -99,7 +99,9 @@ class RunResult:
     periods: list[PeriodStats] = field(default_factory=list)
 
     # final state for the crash-consistency checker; the NVM image is an
-    # ``array("I")`` of u32 words (see Program.initial_memory)
+    # ``array("I")`` of u32 words (see Program.initial_memory). Treat it
+    # as read-only: fast-engine results of one column share one array
+    # when their images are equal, so copy it before mutating
     final_regs: list[int] = field(default_factory=list)
     final_memory: array | None = None
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cpu.core import program_content_key
 from repro.errors import ConsistencyError
 from repro.isa.program import Program
 from repro.sim.results import RunResult
@@ -55,6 +56,10 @@ def compare_states(result: RunResult, oracle: OracleResult,
     if len(mem) != len(oracle.memory):
         raise ConsistencyError(
             f"memory size mismatch: {len(mem)} vs {len(oracle.memory)}")
+    if len(result.final_regs) != len(oracle.regs):
+        raise ConsistencyError(
+            f"register file size mismatch: {len(result.final_regs)} vs "
+            f"{len(oracle.regs)}")
     # whole-image equality runs at C speed; only a mismatch pays for the
     # word-by-word scan that locates the divergences
     if mem == oracle.memory and result.final_regs == oracle.regs:
@@ -71,10 +76,20 @@ def compare_states(result: RunResult, oracle: OracleResult,
     return CheckReport(ok=not divs, divergences=divs)
 
 
+#: the most recent program's oracle, keyed by program content. Callers
+#: check one kernel's designs back to back (``repro compare``), so one
+#: entry runs each kernel's oracle once; the result never leaves here.
+_ORACLE: dict[tuple, OracleResult] = {}
+
+
 def check_crash_consistency(program: Program, result: RunResult) -> None:
     """End-to-end check; raises :class:`ConsistencyError` on divergence."""
     if not result.halted:
         raise ConsistencyError(f"{program.name}: run did not halt")
-    oracle = run_oracle(program)
+    key = program_content_key(program)
+    oracle = _ORACLE.get(key)
+    if oracle is None:
+        _ORACLE.clear()
+        oracle = _ORACLE[key] = run_oracle(program)
     compare_states(result, oracle).raise_if_bad(
         f"{program.name} on {result.design}/{result.trace}")

@@ -1,12 +1,17 @@
 """The crash-consistency checker must catch deliberately broken designs."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConsistencyError
 from repro.isa.builder import ProgramBuilder
+from repro.isa.program import Program
 from repro.mem.nvm import NVMainMemory
-from repro.sim.config import SimConfig
+from repro.sim.config import DESIGNS, SimConfig
+from repro.sim.factory import run_one
 from repro.sim.system import System
+from repro.verify import checker
 from repro.verify.checker import check_crash_consistency, compare_states
 from repro.verify.faults import (BrokenWLCacheNoCleanFirst,
                                  VCacheWBNoCheckpoint)
@@ -51,6 +56,70 @@ class TestOracle:
         report = compare_states(res, oracle)
         assert not report.ok
         assert any(d.kind == "register" for d in report.divergences)
+
+    def test_short_register_file_fails(self):
+        # the image matches; registers from x10 up are nonzero and must
+        # not go unchecked when the run reports fewer of them
+        prog = build_workload("sha", 0.1)
+        oracle = run_oracle(prog)
+        res = run_one(prog, "WL-Cache", trace=None)
+        assert any(oracle.regs[10:])
+        for regs in ([], res.final_regs[:3]):
+            short = dataclasses.replace(res, final_regs=regs)
+            with pytest.raises(ConsistencyError,
+                               match=f"register file size mismatch: "
+                                     f"{len(regs)} vs 32"):
+                compare_states(short, oracle)
+            with pytest.raises(ConsistencyError):
+                check_crash_consistency(prog, short)
+
+
+@pytest.fixture
+def oracle_runs(monkeypatch):
+    """Names of the programs ``check_crash_consistency`` runs the oracle
+    on, starting from an empty memo."""
+    runs = []
+    real = checker.run_oracle
+
+    def counting(program, *args, **kwargs):
+        runs.append(program.name)
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(checker, "run_oracle", counting)
+    monkeypatch.setattr(checker, "_ORACLE", {})
+    return runs
+
+
+class TestOracleMemo:
+    def test_one_oracle_run_per_program(self, oracle_runs):
+        for name in ("sha", "qsort"):
+            prog = build_workload(name, 0.1)
+            for design in DESIGNS:
+                check_crash_consistency(
+                    prog, run_one(prog, design, trace="trace1"))
+        assert oracle_runs == ["sha", "qsort"]
+
+    def test_data_edit_runs_its_own_oracle(self, oracle_runs):
+        old = build_workload("sha", 0.1)
+        new = Program(name=old.name, instructions=list(old.instructions),
+                      data=dict(old.data), labels=dict(old.labels),
+                      symbols=dict(old.symbols), mem_bytes=old.mem_bytes)
+        new.data[old.symbols["msg"] >> 2] ^= 0x5A5A5A5A
+        res = run_one(old, "WL-Cache", trace=None)
+        check_crash_consistency(old, res)
+        check_crash_consistency(new, run_one(new, "WL-Cache", trace=None))
+        assert oracle_runs == ["sha", "sha"]
+        with pytest.raises(ConsistencyError):
+            check_crash_consistency(new, res)
+
+    def test_corruption_after_a_pass_is_caught(self, oracle_runs):
+        prog = build_workload("qsort", 0.2)
+        res = run_one(prog, "WL-Cache", trace=None)
+        check_crash_consistency(prog, res)
+        res.final_memory[100] ^= 0xFF
+        with pytest.raises(ConsistencyError):
+            check_crash_consistency(prog, res)
+        assert oracle_runs == ["qsort"]
 
 
 def clean_first_race_program():

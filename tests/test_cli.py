@@ -126,6 +126,24 @@ def test_audit_text_counts_units(capsys, monkeypatch):
     assert "linted" not in out
 
 
+def test_audit_json_names_units(capsys, monkeypatch):
+    # the JSON report files audit units under "units", not "programs"
+    from repro.lint import codegen_audit
+    from repro.lint.findings import ERROR, Finding
+
+    units = {"batch:replay": [], "sha": [],
+             "lockstep:engines": [Finding("A001", ERROR, "lockstep:engines",
+                                          "generated code raised")]}
+    monkeypatch.setattr(codegen_audit, "audit_suite",
+                        lambda apps, designs, scale: units)
+    assert main(["audit", "--format", "json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert "programs" not in payload
+    assert [u["unit"] for u in payload["units"]] == list(units)
+    assert payload["units"][2]["counts"]["error"] == 1
+    assert payload["exit_code"] == 2
+
+
 def test_lint_json(capsys):
     assert main(["lint", "--apps", "sha", "--scale", "0.2",
                  "--format", "json"]) == 0

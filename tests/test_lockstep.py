@@ -1,8 +1,8 @@
 """Structural tests of lockstep columns: column formation, each design's
 column mode, bit-identity against the reference engine, divergence
 (forced bails, faults, wrapped design methods) with eviction and rejoin,
-pool propagation of the engine switch, freeing finished points, and the
-shared on-disk recording cache.
+pool propagation of the engine switch, freeing finished points, equal
+final images sharing one array, and the shared on-disk recording cache.
 
 The randomized bit-level differential lives in
 ``tests/test_engine_differential.py``; this file pins *when* columns
@@ -370,6 +370,100 @@ def test_finished_points_freed_without_gc(monkeypatch):
         assert not alive, f"{len(alive)} of {len(designs)} designs alive"
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# equal final images share one array
+# ---------------------------------------------------------------------------
+
+def _sha_column(engine="fast"):
+    return run_grid(["sha"], DESIGNS, "trace1", jobs=1, scale=0.1,
+                    engine=engine)
+
+
+def _flip_last_word(pick):
+    """A ``PREP_HOOK`` flipping the last NVM word - which sha never
+    touches - of the instance ``pick(task, seen)`` selects, where
+    ``seen`` lists the designs built before it in column order."""
+    seen: list[str] = []
+
+    def prep(task, system):
+        if pick(task, seen):
+            system.design.nvm.words[-1] ^= 1
+        seen.append(task.design)
+    return prep, seen
+
+
+def test_column_results_share_one_image():
+    from repro.verify.checker import check_crash_consistency
+    from repro.verify.oracle import run_oracle
+    from repro.workloads import build_workload
+
+    got = _sha_column()
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    program = build_workload("sha", 0.1)
+    assert got[("sha", "WL-Cache")].final_memory == \
+        run_oracle(program).memory
+    for res in got.values():
+        check_crash_consistency(program, res)
+    ref = _sha_column("reference")
+    # lone runs keep private images
+    assert len({id(r.final_memory) for r in ref.values()}) == len(ref)
+    _assert_equal_results(ref, got, "shared images")
+
+
+def test_differing_image_keeps_its_own_array(monkeypatch):
+    from repro.errors import ConsistencyError
+    from repro.verify.checker import check_crash_consistency
+    from repro.workloads import build_workload
+
+    prep, seen = _flip_last_word(
+        lambda task, seen: task.design == "NVSRAM(ideal)")
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
+    got = {design: res for (_, design), res in _sha_column().items()}
+    assert seen[0] != "NVSRAM(ideal)"
+    odd = got.pop("NVSRAM(ideal)")
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    assert odd.final_memory is not got["WL-Cache"].final_memory
+    program = build_workload("sha", 0.1)
+    with pytest.raises(ConsistencyError):
+        check_crash_consistency(program, odd)
+    for res in got.values():
+        check_crash_consistency(program, res)
+
+
+def test_differing_first_image_is_never_shared(monkeypatch):
+    from repro.verify.oracle import run_oracle
+    from repro.workloads import build_workload
+
+    prep, seen = _flip_last_word(lambda task, seen: not seen)
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
+    got = {design: res for (_, design), res in _sha_column().items()}
+    assert len({id(r.final_memory) for r in got.values()}) == len(got)
+    oracle = run_oracle(build_workload("sha", 0.1)).memory
+    first = got.pop(seen[0]).final_memory
+    assert first[:-1] == oracle[:-1] and first[-1] == oracle[-1] ^ 1
+    for res in got.values():
+        assert res.final_memory == oracle
+
+
+def test_pool_chunk_pickles_one_image():
+    """A pool chunk's equal images pickle once: 80 points cost less
+    than two images."""
+    import pickle
+
+    from repro.mc.engine import CampaignSpec, expand_campaign
+    from repro.sim.parallel import _run_chunk
+    from repro.workloads import build_workload
+
+    spec = CampaignSpec(("sha",), DESIGNS, scale=0.05,
+                        overrides={"engine": "fast"})
+    chunk = [task for _, task in expand_campaign(spec)]
+    assert len(chunk) == 80
+    records = _run_chunk(chunk)
+    assert [r[0] for r in records] == ["ok"] * 80 + ["stats"]
+    size = len(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
+    assert size < 2 * build_workload("sha", 0.05).mem_bytes
 
 
 # ---------------------------------------------------------------------------
