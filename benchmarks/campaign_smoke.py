@@ -13,7 +13,11 @@ The golden *content* pin for the statistical pipeline lives in
 ``tests/test_mc_stats.py`` (exact-match against
 ``tests/goldens/mc_campaign_summary.json``); this smoke guards the
 engine-invariance half of the contract at a size the unit tests don't
-reach (>= 64 points, each kernel recorded once for its 32 points).
+reach (>= 64 points). The pool deals each kernel's 32 fast-engine points
+round-robin into several chunks, so each kernel is recorded once per
+worker that runs a piece of it; the smoke fails unless the fast campaign
+ran more columns than kernels, so its one-image-per-kernel check spans
+dealt chunks.
 
 Usage::
 
@@ -26,6 +30,7 @@ import sys
 import time
 
 from repro.errors import ConsistencyError
+from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.mc import (CampaignSpec, campaign_to_dict, run_campaign,
                       summarize_campaign, write_report)
 from repro.verify.checker import check_crash_consistency
@@ -67,9 +72,15 @@ def main() -> int:
         print(f"FAIL: parallel campaign diverged from serial on {bad}")
         return 1
 
+    clear_lockstep_stats()
     t0 = time.perf_counter()
     fast = run_campaign(FAST_SPEC, jobs=max(2, os.cpu_count() or 2))
     t_fast = time.perf_counter() - t0
+    columns = lockstep_stats()["columns"]
+    if columns <= len(FAST_SPEC.workloads):
+        print(f"FAIL: fast campaign ran {columns} columns for "
+              f"{len(FAST_SPEC.workloads)} kernels; the pool dealt none")
+        return 1
     fd = campaign_to_dict(fast)
     if sd != fd:
         bad = [k for k in serial if serial[k] != fast[k]]
@@ -101,7 +112,8 @@ def main() -> int:
         return 1
     print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
           f"fast {t_fast:.2f}s - {SPEC.n_points} points bit-identical, "
-          f"summaries identical, every point matches the oracle")
+          f"summaries identical, every point matches the oracle, "
+          f"{images} fast images over {columns} columns")
 
     prefix = os.path.join(out_dir, "campaign_smoke")
     for path in write_report(summaries[0], prefix):

@@ -87,8 +87,9 @@ def expand_campaign(spec: CampaignSpec) -> list[tuple[PointKey, SweepTask]]:
     """Expand a spec into ``(key, task)`` pairs, workload-major.
 
     Workload-major ordering keeps every point sharing a kernel
-    contiguous, so aligned chunking never tears a column across pool
-    workers.
+    contiguous: one block, which a pool deals round-robin into chunks
+    that each carry the same design x family x seed mix
+    (:func:`repro.sim.parallel._chunked`).
     """
     from repro.energy.synthetic import make_trace
     from repro.workloads import get_workload

@@ -30,6 +30,8 @@ import random
 import sys
 import zlib
 from array import array
+from itertools import repeat
+from operator import truediv
 
 from repro.errors import ConfigError
 from repro.sim.config import BASELINE_DESIGN
@@ -91,17 +93,26 @@ def _draw_indices(rng: random.Random, n: int, count: int) -> list[int]:
     ``randbytes(4 * m)`` hands out the next ``m`` words little-endian.
     So keeping the in-range shifted words reproduces the draws. Words
     read past the last kept one are lost to later draws from ``rng``.
+    For ``n < 256`` the kept bits all lie in each word's top byte, every
+    fourth byte of the read, so one ``bytes.translate`` shifts them and
+    drops the rejected ones.
     """
     k = n.bit_length()
     shift = 32 - k
+    if k <= 8:
+        table = bytes(b >> (8 - k) for b in range(256))
+        reject = bytes(b for b in range(256) if table[b] >= n)
     out: list[int] = []
     while len(out) < count:
         # expected words for the rest, plus a margin against a re-read
         m = ((count - len(out)) << k) // n + 16
-        words = array("I", rng.randbytes(4 * m))
-        if _BIG_ENDIAN:
-            words.byteswap()
-        out += [r for w in words if (r := w >> shift) < n]
+        if k <= 8:
+            out += rng.randbytes(4 * m)[3::4].translate(table, reject)
+        else:
+            words = array("I", rng.randbytes(4 * m))
+            if _BIG_ENDIAN:
+                words.byteswap()
+            out += [r for w in words if (r := w >> shift) < n]
     del out[count:]
     return out
 
@@ -129,7 +140,12 @@ def bootstrap_ci(values, confidence: float = 0.95, n_boot: int = 1000,
     draws = map(xs.__getitem__,
                 _draw_indices(random.Random(seed), n, n * n_boot))
     # n consecutive draws make one resample, in draw order
-    stats = sorted(map(stat, map(list, zip(*[draws] * n))))
+    rows = zip(*[draws] * n)
+    if stat is mean:
+        # mean's own arithmetic, without a list per resample
+        stats = sorted(map(truediv, map(sum, rows), repeat(n)))
+    else:
+        stats = sorted(map(stat, map(list, rows)))
     alpha = (1.0 - confidence) / 2.0
     return (quantile(stats, alpha), quantile(stats, 1.0 - alpha))
 

@@ -219,29 +219,72 @@ def make_tasks(workloads: Iterable[str],
 
 
 def _chunked(tasks: list[SweepTask], jobs: int,
-             align_batches: bool = False) -> list[list[SweepTask]]:
-    """Split tasks into contiguous chunks, ~4 per worker for load balance.
+             align_batches: bool = False) -> list[list[int]]:
+    """Split task indices into chunks of ``n`` or more, ~4 per worker.
 
-    With ``align_batches`` the cuts land only where ``(workload, scale)``
-    changes (tasks arrive workload-major), so a column is never torn
-    across workers - a torn column records its kernel once per worker.
+    ``n = ceil(len(tasks) / (4 * jobs))``. Without ``align_batches`` the
+    chunks are contiguous runs of ``n``. With it, tasks are taken in
+    ``(workload, scale)`` blocks (tasks arrive workload-major): blocks
+    smaller than ``2n`` pack whole, in order, into chunks of at least
+    ``n``; a block of at least ``2n`` is dealt round-robin into
+    ``k = len(block) // n`` chunks of its own, chunk ``j`` taking the
+    block's tasks ``j, j+k, j+2k, ...``. Each dealt chunk then carries
+    the block's design x family x seed mix in the same order, so every
+    chunk of a kernel runs a column of one signature and costs the same.
+    Every index appears once, ascending within its chunk.
     """
     n = max(1, -(-len(tasks) // (jobs * 4)))
     if not align_batches:
-        return [tasks[i:i + n] for i in range(0, len(tasks), n)]
-    chunks: list[list[SweepTask]] = []
-    cur: list[SweepTask] = []
+        return [list(range(i, min(i + n, len(tasks))))
+                for i in range(0, len(tasks), n)]
+    chunks: list[list[int]] = []
+    cur: list[int] = []
+    start = 0
     for i, task in enumerate(tasks):
-        cur.append(task)
         nxt = tasks[i + 1] if i + 1 < len(tasks) else None
-        at_block_end = nxt is None or (
-            (nxt.workload, nxt.scale) != (task.workload, task.scale))
-        if at_block_end and len(cur) >= n:
+        if nxt is not None and (
+                (nxt.workload, nxt.scale) == (task.workload, task.scale)):
+            continue
+        block = range(start, i + 1)
+        start = i + 1
+        if len(block) >= 2 * n:
+            k = len(block) // n
+            chunks.extend(list(block[j::k]) for j in range(k))
+            continue
+        cur.extend(block)
+        if len(cur) >= n:
             chunks.append(cur)
             cur = []
     if cur:
         chunks.append(cur)
     return chunks
+
+
+def _share_images(tasks: list[SweepTask], fast: list[bool],
+                  chunk: list[int], records: list[tuple],
+                  kept: dict[tuple, object]) -> None:
+    """Give a returned chunk's fast-engine results the image ``kept``
+    holds for their ``(workload, scale)`` where it is equal, so a kernel
+    dealt over several chunks still holds one image in the parent.
+
+    A column hands its equal images one array, so each distinct array
+    of the chunk is compared once; the first one seen for a block is
+    kept. Reference-engine results keep their private images.
+    """
+    # id(array) -> (array, its replacement); the array stays referenced
+    # so its id cannot be reused while the chunk is walked
+    seen: dict[int, tuple] = {}
+    for i, rec in zip(chunk, records):
+        if rec[0] != "ok" or not fast[i]:
+            continue
+        res = rec[1]
+        image = res.final_memory
+        if id(image) not in seen:
+            same = kept.setdefault((tasks[i].workload, tasks[i].scale),
+                                   image)
+            seen[id(image)] = (
+                image, same if same is image or same == image else image)
+        res.final_memory = seen[id(image)][1]
 
 
 def _fast(task: SweepTask) -> bool:
@@ -266,6 +309,13 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
     first failure unchanged. A pool raises one :class:`SweepError`
     whose ``failures`` name every failing point by its key - or, under
     the default keys, by ``task.where``.
+
+    A pool runs the index chunks of :func:`_chunked` (wide kernel
+    blocks dealt round-robin when any task runs on the fast engine) and
+    maps each chunk's records, progress and crash blame back through
+    its index list. Fast-engine results then take the first equal image
+    this call kept for their kernel (:func:`_share_images`), so a dealt
+    kernel holds one image here as in a serial run.
     """
     names = keys if keys is not None else [t.where for t in tasks]
     keys = keys if keys is not None else [t.key for t in tasks]
@@ -286,32 +336,30 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
                 progress(done, total, keys[i])
         return dict(zip(keys, results))
 
-    chunks = _chunked(tasks, jobs, align_batches=any(fast))
     # (name, exc_name | None, msg | None, detail) records
     failures: list[tuple] = []
+    # (workload, scale) -> the first fast-engine image this call kept
+    kept: dict[tuple, object] = {}
     with ProcessPoolExecutor(max_workers=min(jobs, total),
                              initializer=_init_worker,
                              initargs=(worker_initargs(),)) as pool:
-        futures = {}
-        start = 0
-        for chunk in chunks:
-            span = range(start, start + len(chunk))
-            futures[pool.submit(_run_chunk, chunk)] = span
-            start += len(chunk)
+        futures = {pool.submit(_run_chunk, [tasks[i] for i in chunk]): chunk
+                   for chunk in _chunked(tasks, jobs, any(fast))}
         pending = set(futures)
         while pending:
             finished, pending = wait(pending, return_when=FIRST_COMPLETED)
             for fut in finished:
-                span = futures[fut]
+                chunk = futures[fut]
                 try:
                     records = _pop_stats(fut.result())
                 except BrokenProcessPool:
                     # a worker died without reporting; blame its chunk
                     failures.extend((names[i], None, None,
                                      "worker process crashed "
-                                     "(pool broken)") for i in span)
+                                     "(pool broken)") for i in chunk)
                     continue
-                for i, rec in zip(span, records):
+                _share_images(tasks, fast, chunk, records, kept)
+                for i, rec in zip(chunk, records):
                     if rec[0] == "ok":
                         results[i] = rec[1]
                         done += 1

@@ -2,7 +2,8 @@
 column mode, bit-identity against the reference engine, divergence
 (forced bails, faults, wrapped design methods) with eviction and rejoin,
 pool propagation of the engine switch, freeing finished points, equal
-final images sharing one array, and the shared on-disk recording cache.
+final images sharing one array (within a column, and across the chunks
+a pool deals one kernel into), and the shared on-disk recording cache.
 
 The randomized bit-level differential lives in
 ``tests/test_engine_differential.py``; this file pins *when* columns
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import multiprocessing
 import os
 import weakref
 
@@ -183,7 +185,12 @@ def test_pooled_sweep_ships_scheduler_counters_home():
         run_grid(*grid, jobs=jobs, scale=0.05, engine="fast")
         counts[jobs] = {k: lockstep_stats()[k] for k in keys}
     assert counts[1]["columns"] == 4
-    assert counts[2] == counts[1]
+    # n = ceil(8 / (4 * 2)) = 1, so the pool deals each kernel's two
+    # designs into two one-instance columns: the same instances and
+    # chunks, over twice the columns
+    assert counts[2]["columns"] == 8
+    for key in ("instances", "column_chunks"):
+        assert counts[2][key] == counts[1][key], key
 
 
 def test_error_parity_on_budget_truncation():
@@ -464,6 +471,61 @@ def test_pool_chunk_pickles_one_image():
     assert [r[0] for r in records] == ["ok"] * 80 + ["stats"]
     size = len(pickle.dumps(records, pickle.HIGHEST_PROTOCOL))
     assert size < 2 * build_workload("sha", 0.05).mem_bytes
+
+
+def _dealt_campaign(engine="fast", jobs=2):
+    """sha x 5 designs x 2 families x 4 seeds: on two workers
+    (n = ceil(40 / 8) = 5) the 40-point block is dealt into 8 chunks."""
+    from repro.mc.engine import CampaignSpec, run_campaign
+
+    spec = CampaignSpec(("sha",), DESIGNS, seeds=tuple(range(4)),
+                        scale=0.05, overrides={"engine": engine})
+    return run_campaign(spec, jobs=jobs)
+
+
+def test_dealt_kernel_holds_one_image_in_the_parent():
+    from repro.verify.checker import check_crash_consistency
+    from repro.workloads import build_workload
+
+    got = _dealt_campaign()
+    columns = lockstep_stats()["columns"]
+    stats = batch_stats()
+    assert columns == 8  # one per dealt chunk
+    assert stats["replays"] == stats["lockstep"] == len(got)
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    check_crash_consistency(build_workload("sha", 0.05),
+                            next(iter(got.values())))
+    _assert_equal_results(_dealt_campaign("reference", jobs=1), got,
+                          "dealt campaign")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the PREP_HOOK")
+def test_dealt_differing_image_keeps_its_own_array(monkeypatch):
+    from repro.errors import ConsistencyError
+    from repro.verify.checker import check_crash_consistency
+    from repro.workloads import build_workload
+
+    odd = ("sha", "WL-Cache", "mc-rf-home", 1)
+
+    def prep(task, system):
+        # WL-Cache comes last in its column, so the column's first
+        # image is an equal one
+        if (task.design, task.trace, task.overrides["trace_seed"]) \
+                == odd[1:]:
+            system.design.nvm.words[-1] ^= 1
+
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
+    got = _dealt_campaign()
+    assert lockstep_stats()["columns"] == 8
+    res = got.pop(odd)
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    assert all(r.final_memory is not res.final_memory for r in got.values())
+    program = build_workload("sha", 0.05)
+    with pytest.raises(ConsistencyError):
+        check_crash_consistency(program, res)
+    for other in got.values():
+        check_crash_consistency(program, other)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,16 @@ class TestBootstrapOracle:
                 == _reference_bootstrap_ci(xs, n_boot=n_boot, seed=n_boot,
                                            statistic=statistic), n_boot
 
+    @pytest.mark.parametrize("n", [2, 8, 32, 257])
+    def test_mean_by_default_name_or_wrapper(self, n):
+        """The default statistic and ``mean`` passed by name sum each
+        resample without a list; a wrapper around ``mean`` gets a list
+        per resample. All three equal the per-draw loop."""
+        xs = _positive_sample(n, seed=n)
+        ref = _reference_bootstrap_ci(xs, seed=n, statistic=mean)
+        for statistic in (None, mean, lambda ys: mean(ys)):
+            assert bootstrap_ci(xs, seed=n, statistic=statistic) == ref
+
     def test_no_resamples_rejected_alike(self):
         for boot in (bootstrap_ci, _reference_bootstrap_ci):
             with pytest.raises(ConfigError, match="quantile of no values"):

@@ -16,9 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SweepError
-from repro.sim.parallel import (SweepTask, make_tasks, resolve_jobs,
-                                run_grid_parallel, run_task, run_tasks)
+from repro.mc.engine import CampaignSpec, expand_campaign
+from repro.sim.config import DESIGNS as ALL_DESIGNS
+from repro.sim.parallel import (SweepTask, _chunked, make_tasks,
+                                resolve_jobs, run_grid_parallel, run_task,
+                                run_tasks)
 from repro.sim.sweep import run_grid
+from repro.workloads import ALL_WORKLOADS
 
 APPS = ("sha", "qsort")
 DESIGNS = ("NVSRAM(ideal)", "WL-Cache")
@@ -111,6 +115,41 @@ class TestFailureReporting:
         assert ("qsort", "WL-Cache", "trace1") in exc.value.failures
         assert "maxline" in str(exc.value)
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the PREP_HOOK")
+    def test_worker_killed_mid_chunk_names_its_points(self, monkeypatch):
+        # n = ceil(10 / (4 * 2)) = 2, so each kernel's 5-task block is
+        # dealt into chunks of 3 and 2; a worker dies building the last
+        # instance of qsort's 3-task chunk. The sweep runs in a forked
+        # child, so a hang fails this test instead of stalling the suite
+        from repro.lockstep import scheduler
+
+        def crash(task, _system):
+            if task.where == ("qsort", "WL-Cache", None):
+                os._exit(1)
+
+        monkeypatch.setattr(scheduler, "PREP_HOOK", crash)
+        tasks = make_tasks(APPS, ALL_DESIGNS, None, None, 0.05, False,
+                           {"engine": "fast"})
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_send_outcome, args=(send, tasks))
+        child.start()
+        try:
+            assert recv.poll(60), "run_tasks hung after a worker crash"
+            kind, message, failures = recv.recv()
+            child.join(30)
+            assert not child.is_alive(), "the sweep never exited"
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert kind == "SweepError", message
+        assert ("qsort", "WL-Cache", None) in failures
+        assert "worker process crashed" in message
+        assert len(set(failures)) == len(failures)
+        assert set(failures) <= {t.where for t in tasks}
+
     def test_unknown_design_fails_before_spawning(self):
         with pytest.raises(ConfigError, match="unknown design"):
             run_grid_parallel(APPS, ("Bogus",), None, jobs=4)
@@ -145,10 +184,10 @@ class TestDispatch:
                         reason="workers must inherit the PREP_HOOK")
     def test_progress_reports_each_chunk_as_it_returns(self, tmp_path,
                                                         monkeypatch):
-        # two aligned chunks, one per workload; the second cannot finish
-        # until progress has reported a point of the first - which only
-        # happens if the first chunk is reported when it returns, not
-        # when every chunk has
+        # each workload's 2-task block is dealt into two 1-task chunks
+        # (n = ceil(4 / (4 * 2)) = 1); a qsort chunk cannot finish until
+        # progress has reported a sha point - which only happens if a
+        # sha chunk is reported when it returns, not when every chunk has
         from repro.lockstep import scheduler
 
         gate = tmp_path / "first-chunk-reported"
@@ -179,6 +218,101 @@ class TestDispatch:
                            0.2, False, {})
         out = run_tasks(tasks, jobs=2)
         assert list(out) == [("qsort", "WL-Cache"), ("sha", "WL-Cache")]
+
+
+def _send_outcome(conn, tasks) -> None:
+    """Forked child body: send home how ``run_tasks`` on two workers
+    ended, as ``(exception type name, message, failures)``."""
+    try:
+        run_tasks(tasks, jobs=2)
+        conn.send(("ok", "", ()))
+    except Exception as exc:
+        conn.send((type(exc).__name__, str(exc),
+                   tuple(getattr(exc, "failures", ()))))
+
+
+def _blocks(*sizes) -> list[SweepTask]:
+    """Synthetic tasks in workload-major blocks of ``sizes`` tasks;
+    ``_chunked`` reads only their workload and scale, and nothing runs."""
+    return [SweepTask(f"w{b}", f"d{i}", None, 0.1, False, None)
+            for b, size in enumerate(sizes) for i in range(size)]
+
+
+_SHAPES = [((5,) * 23, 2), ((80,) * 4, 2), ((3, 40, 1, 2, 17), 3),
+           ((1,) * 10, 1), ((23,), 1), ((7, 30, 7), 2), ((2, 2), 4)]
+
+
+class TestChunking:
+    @pytest.mark.parametrize("aligned", [False, True])
+    @pytest.mark.parametrize("sizes, jobs", _SHAPES)
+    def test_every_index_once_ascending(self, sizes, jobs, aligned):
+        tasks = _blocks(*sizes)
+        chunks = _chunked(tasks, jobs, aligned)
+        assert sorted(i for c in chunks for i in c) == list(range(len(tasks)))
+        assert all(c and c == sorted(c) for c in chunks)
+
+    def test_small_blocks_pack_whole(self):
+        # n = ceil(15 / 8) = 2: each 3-task block reaches n and closes
+        # its chunk; none reaches 2n
+        assert _chunked(_blocks(3, 3, 3, 3, 3), 2, True) == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], [12, 13, 14]]
+        # n = ceil(10 / 4) = 3: one-task blocks pack three to a chunk
+        assert _chunked(_blocks(*(1,) * 10), 1, True) == [
+            [0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+
+    @pytest.mark.parametrize("sizes, jobs", _SHAPES)
+    def test_wide_blocks_dealt_round_robin(self, sizes, jobs):
+        tasks = _blocks(*sizes)
+        n = -(-len(tasks) // (4 * jobs))
+        chunks = _chunked(tasks, jobs, True)
+        start = 0
+        for b, size in enumerate(sizes):
+            block = range(start, start + size)
+            start += size
+            if size < 2 * n:
+                # whole, inside one chunk
+                assert sum(set(block) <= set(c) for c in chunks) == 1
+                continue
+            k = size // n
+            mine = [c for c in chunks if c[0] in block]
+            assert mine == [list(block[j::k]) for j in range(k)]
+            lengths = [len(c) for c in mine]
+            assert min(lengths) >= n and max(lengths) - min(lengths) <= 1
+
+    def test_small_blocks_pack_around_a_dealt_one(self):
+        # n = ceil(44 / 8) = 6: the 40-task block becomes 6 chunks of
+        # its own; the two 2-task blocks pack together around it
+        chunks = _chunked(_blocks(2, 40, 2), 2, True)
+        assert chunks == [list(range(2 + j, 42, 6)) for j in range(6)] \
+            + [[0, 1, 42, 43]]
+
+    def test_unaligned_runs_are_contiguous(self):
+        # n = ceil(23 / 4) = 6
+        assert _chunked(_blocks(23), 1) == [
+            list(range(i, min(i + 6, 23))) for i in range(0, 23, 6)]
+
+    def test_mc_campaign_shape(self):
+        """perfbench mc-campaign: 4 kernels x 80 points on two workers
+        become 8 chunks of 40, each with the same design order."""
+        spec = CampaignSpec(("sha", "qsort", "dijkstra", "adpcmencode"),
+                            ALL_DESIGNS, scale=0.25)
+        tasks = [task for _, task in expand_campaign(spec)]
+        chunks = _chunked(tasks, 2, True)
+        assert [len(c) for c in chunks] == [40] * 8
+        order = [tasks[i].design for i in chunks[0]]
+        for c in chunks:
+            assert [tasks[i].design for i in c] == order
+            assert len({tasks[i].workload for i in c}) == 1
+
+    def test_figure_grid_deals_nothing_below_15_workers(self):
+        tasks = make_tasks(ALL_WORKLOADS, ALL_DESIGNS, None, None, 1.0,
+                           False, {})
+        width = len(ALL_DESIGNS)
+        for jobs in range(1, 15):
+            for c in _chunked(tasks, jobs, True):
+                assert c == list(range(c[0], c[-1] + 1))
+                assert c[0] % width == 0 and (c[-1] + 1) % width == 0
+        assert _chunked(tasks, 15, True)[0] == [0, 2, 4]
 
 
 class TestPointKeys:
