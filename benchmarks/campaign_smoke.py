@@ -1,9 +1,9 @@
-"""CI campaign smoke: a 64-point Monte-Carlo campaign run three ways.
+"""CI campaign smoke: a 64-point Monte-Carlo campaign run four ways.
 
 Runs the same ``(workload x design x stochastic family x seed)`` grid
 under the serial loop, the process pool, and the fast engine's
-record-once lockstep columns (on the pool), asserts the three are
-point-for-point bit-identical, checks the
+record-once lockstep columns (on the pool and serially), asserts the
+four are point-for-point bit-identical, checks the
 fixed-seed summary statistics are identical across engines, checks
 every point's final NVM image and registers against the failure-free
 oracle (the fast engine's equal images arriving as one array per
@@ -17,7 +17,10 @@ reach (>= 64 points). The pool deals each kernel's 32 fast-engine points
 round-robin into several chunks, so each kernel is recorded once per
 worker that runs a piece of it; the smoke fails unless the fast campaign
 ran more columns than kernels, so its one-image-per-kernel check spans
-dealt chunks.
+dealt chunks. The serial fast campaign runs each kernel's 32-point
+cluster as 4 columns of ``COLUMN_WIDTH`` = 8; the smoke fails unless it
+ran more than one column per kernel, so its one-image-per-kernel check
+spans the columns of a cluster.
 
 Usage::
 
@@ -87,8 +90,24 @@ def main() -> int:
         print(f"FAIL: fast-engine campaign diverged from serial on {bad}")
         return 1
 
+    clear_lockstep_stats()
+    t0 = time.perf_counter()
+    fast_serial = run_campaign(FAST_SPEC, jobs=1)
+    t_fast_serial = time.perf_counter() - t0
+    serial_columns = lockstep_stats()["columns"]
+    if serial_columns <= len(FAST_SPEC.workloads):
+        print(f"FAIL: serial fast campaign ran {serial_columns} columns "
+              f"for {len(FAST_SPEC.workloads)} kernels; no cluster was "
+              f"cut")
+        return 1
+    if sd != campaign_to_dict(fast_serial):
+        bad = [k for k in serial if serial[k] != fast_serial[k]]
+        print(f"FAIL: serial fast-engine campaign diverged from serial "
+              f"on {bad}")
+        return 1
+
     summaries = [summarize_campaign(pts) for pts in (serial, parallel,
-                                                     fast)]
+                                                     fast, fast_serial)]
     texts = [json.dumps(s, sort_keys=True) for s in summaries]
     if len(set(texts)) != 1:
         print("FAIL: summary statistics differ across execution engines")
@@ -97,7 +116,7 @@ def main() -> int:
     # point order is kernel-major, so the checker runs each kernel's
     # oracle once per campaign
     for name, points in (("serial", serial), ("parallel", parallel),
-                         ("fast", fast)):
+                         ("fast", fast), ("serial fast", fast_serial)):
         for key in sorted(points):
             try:
                 check_crash_consistency(build_workload(key[0], SCALE),
@@ -105,15 +124,17 @@ def main() -> int:
             except ConsistencyError as exc:
                 print(f"FAIL: {name} campaign point {key}: {exc}")
                 return 1
-    images = len({id(res.final_memory) for res in fast.values()})
-    if images > len(FAST_SPEC.workloads):
-        print(f"FAIL: fast campaign holds {images} final images for "
-              f"{len(FAST_SPEC.workloads)} kernels")
-        return 1
+    for name, points in (("fast", fast), ("serial fast", fast_serial)):
+        images = len({id(res.final_memory) for res in points.values()})
+        if images > len(FAST_SPEC.workloads):
+            print(f"FAIL: {name} campaign holds {images} final images "
+                  f"for {len(FAST_SPEC.workloads)} kernels")
+            return 1
     print(f"serial {t_serial:.2f}s / parallel {t_parallel:.2f}s / "
-          f"fast {t_fast:.2f}s - {SPEC.n_points} points bit-identical, "
-          f"summaries identical, every point matches the oracle, "
-          f"{images} fast images over {columns} columns")
+          f"fast {t_fast:.2f}s / serial fast {t_fast_serial:.2f}s - "
+          f"{SPEC.n_points} points bit-identical, summaries identical, "
+          f"every point matches the oracle, {images} fast images over "
+          f"{columns} pooled and {serial_columns} serial columns")
 
     prefix = os.path.join(out_dir, "campaign_smoke")
     for path in write_report(summaries[0], prefix):

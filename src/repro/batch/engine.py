@@ -15,9 +15,10 @@ machinery. Given a list of sweep tasks it:
    expands it into a shared :class:`GuestStream`, cached process-wide so
    consecutive grids (one per power trace) reuse it;
 4. runs every ``(workload, scale)`` cluster of groups - the cost
-   families of one kernel share a stream skeleton - as one lockstep
-   column (:mod:`repro.lockstep.scheduler`); a point evicted from its
-   column, or whose family's skeleton was evicted from the cache,
+   families of one kernel share one stream skeleton - as contiguous
+   lockstep columns of at most
+   :data:`~repro.lockstep.scheduler.COLUMN_WIDTH` points
+   (:mod:`repro.lockstep.scheduler`); a point evicted from its column
    finishes on a per-instance :class:`~repro.batch.replay.ReplayCore`
    that calls its design's own methods - per-instance outages, stalls,
    and threshold adaptation all happen inside the replay,
@@ -194,7 +195,11 @@ def get_stream(program: Program, costs: CycleCosts,
         if len(_RECORDING_CACHE) >= _RECORDING_CACHE_CAP:
             _RECORDING_CACHE.pop(next(iter(_RECORDING_CACHE)))
         _RECORDING_CACHE[ckey] = recording
-    stream = build_stream(program, costs, recording)
+    # every family of a kernel expands from one skeleton, so the
+    # families of a cluster can share its columns
+    skel = next((s.skel for k, s in _STREAM_CACHE.items()
+                 if k[0] == ckey), None)
+    stream = build_stream(program, costs, recording, skel)
     if len(_STREAM_CACHE) >= _STREAM_CACHE_CAP:
         _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
     _STREAM_CACHE[key] = stream
@@ -224,18 +229,6 @@ def build_replay_system(program: Program, task, config: SimConfig,
     system = System(program, design, config, trace, costs)
     system.core = ReplayCore(program, design, costs, stream)
     return system
-
-
-def _replay_task(program: Program, task, config: SimConfig,
-                 stream: GuestStream):
-    from repro.store.results import store_task
-
-    res = build_replay_system(program, task, config, stream).run()
-    if task.verify:
-        verify_checks(program, res.final_memory)
-    _STREAM_STATS["replays"] += 1
-    store_task(task, res)
-    return res
 
 
 def _outcome(fn, *args) -> tuple:
@@ -296,10 +289,18 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
 
 
 def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
-    """Run one ``(workload, scale)`` cluster as one column over the
-    shared skeleton; a family whose skeleton was evicted mid-cluster
-    replays per instance."""
-    from repro.lockstep.scheduler import run_column
+    """Run one ``(workload, scale)`` cluster over the shared skeleton as
+    contiguous columns of at most ``COLUMN_WIDTH`` points, in plan
+    order.
+
+    Each column's results are verified, stored and yielded before the
+    next column is built, so a caller sees progress per column and the
+    finished systems are freed. Equal final images share the cluster's
+    first ok image, so a cluster holds one image whatever its width. A
+    column that raises boxes only its own tasks.
+    """
+    from repro.lockstep.scheduler import COLUMN_WIDTH, run_column
+    from repro.store.results import store_task
 
     try:
         program = build_workload(groups[0].workload, groups[0].scale)
@@ -309,7 +310,7 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
             for task in group.tasks:
                 yield task, ("err", exc, tb)
         return
-    column: list[tuple] = []
+    entries: list[tuple] = []
     for group in groups:
         try:
             stream = get_stream(program, group.costs, group.budget)
@@ -323,44 +324,38 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
             for task in group.tasks:
                 yield task, ("err", exc, tb)
             continue
-        for task, config in zip(group.tasks, group.configs):
-            # column instances must share the event list
-            if not column or stream.skel is column[0][2].skel:
-                column.append((task, config, stream))
-            else:
-                yield task, _outcome(_replay_task, program, task, config,
-                                     stream)
-    if not column:
-        return
-    try:
-        results = run_column(program, column)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        for task, _config, _stream in column:
-            yield task, ("err", exc, tb)
-        return
-    from repro.store.results import store_task
-
+        entries.extend((task, config, stream)
+                       for task, config in zip(group.tasks, group.configs))
     image = None
-    for task, outcome in results:
-        if outcome[0] == "ok" and task.verify:
-            try:
-                verify_checks(program, outcome[1].final_memory)
-            except Exception as exc:
-                outcome = ("err", exc, traceback.format_exc())
-        if outcome[0] == "ok":
-            # every halted point of a kernel ends in the oracle's image:
-            # an image equal to the column's first takes that array, so
-            # the column holds (and a pool chunk pickles) one copy
-            res = outcome[1]
-            if image is None:
-                image = res.final_memory
-            elif res.final_memory == image:
-                res.final_memory = image
-            _STREAM_STATS["replays"] += 1
-            _STREAM_STATS["lockstep"] += 1
-            store_task(task, res)
-        yield task, outcome
+    for start in range(0, len(entries), COLUMN_WIDTH):
+        column = entries[start:start + COLUMN_WIDTH]
+        try:
+            results = run_column(program, column)
+        except Exception as exc:
+            tb = traceback.format_exc()
+            for task, _config, _stream in column:
+                yield task, ("err", exc, tb)
+            continue
+        for task, outcome in results:
+            if outcome[0] == "ok" and task.verify:
+                try:
+                    verify_checks(program, outcome[1].final_memory)
+                except Exception as exc:
+                    outcome = ("err", exc, traceback.format_exc())
+            if outcome[0] == "ok":
+                # every halted point of a kernel ends in the oracle's
+                # image: an image equal to the cluster's first takes
+                # that array, so the cluster holds (and a pool chunk
+                # pickles) one copy
+                res = outcome[1]
+                if image is None:
+                    image = res.final_memory
+                elif res.final_memory == image:
+                    res.final_memory = image
+                _STREAM_STATS["replays"] += 1
+                _STREAM_STATS["lockstep"] += 1
+                store_task(task, res)
+            yield task, outcome
 
 
 def batch_stats() -> dict:

@@ -280,13 +280,17 @@ def _save_skeleton(ckey: tuple, skel: StreamSkeleton) -> None:
                 skel.blk_pc, skel.final_regs))
 
 
-def build_stream(program: Program, costs: CycleCosts,
-                 recording: tuple) -> GuestStream:
+def build_stream(program: Program, costs: CycleCosts, recording: tuple,
+                 skel: StreamSkeleton | None = None) -> GuestStream:
     """Expand a raw recording into this cost family's stream.
 
     ``recording`` is ``(codes, n_total, total_cycles, rec_costs,
     final_regs, ops)`` as the engine caches it - one recording serves
     every family because the architectural stream is cost-independent.
+    ``skel``, when given with a matching ``n_total``, is used as the
+    skeleton (the engine passes the one its kernel's other families
+    already run on); otherwise it comes from the skeleton cache, the
+    store, or a build.
     ``total_cycles`` was threaded under ``rec_costs`` (modulo the
     ``ifetch_miss=0`` substitution, which the expansion never folds into
     statics), so the prefix-sum cross-check applies exactly when
@@ -296,7 +300,8 @@ def build_stream(program: Program, costs: CycleCosts,
     codes, n_total, total_cycles, rec_costs, final_regs, ops = recording
     meta = _program_meta(program, costs)
     skey = (program_content_key(program),)
-    skel = _SKEL_CACHE.get(skey)
+    if skel is None or skel.n_total != n_total:
+        skel = _SKEL_CACHE.get(skey)
     if skel is None or skel.n_total != n_total:
         if len(_SKEL_CACHE) >= _SKEL_CACHE_CAP:
             _SKEL_CACHE.pop(next(iter(_SKEL_CACHE)))

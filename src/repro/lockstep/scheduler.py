@@ -72,6 +72,14 @@ BAIL_HOOK = None
 #: instance runs in ``call`` mode and every access reaches the wrapper.
 PREP_HOOK = None
 
+#: the most instances one column runs; the batch engine cuts a wider
+#: cluster into contiguous columns of this width. The generated engine's
+#: source, its per-yield mirror sync and its per-round target scan all
+#: grow with the width, and sharing one walk over more instances saves
+#: less than that costs (docs/parallel-execution.md, "Column width is
+#: bounded", has the measured curves).
+COLUMN_WIDTH = 8
+
 _STATS = {"columns": 0, "instances": 0, "segments": 0, "evictions": 0,
           "rejoins": 0, "faults": 0, "solo_chunks": 0,
           "column_chunks": 0}
@@ -137,7 +145,8 @@ class _Inst:
 
 def _build_inst(program, task, config, stream) -> _Inst:
     """Build one replay instance and run its pre-loop lifecycle,
-    mirroring ``_replay_task`` + the ``System.run`` prologue exactly."""
+    mirroring ``build_replay_system`` + the ``System.run`` prologue
+    exactly."""
     system = build_replay_system(program, task, config, stream)
     if PREP_HOOK is not None:
         PREP_HOOK(task, system)

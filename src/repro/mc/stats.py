@@ -144,6 +144,10 @@ def bootstrap_ci(values, confidence: float = 0.95, n_boot: int = 1000,
     if stat is mean:
         # mean's own arithmetic, without a list per resample
         stats = sorted(map(truediv, map(sum, rows), repeat(n)))
+    elif stat is _exp_mean:
+        # _exp_mean's own arithmetic, likewise
+        stats = sorted(map(math.exp,
+                           map(truediv, map(sum, rows), repeat(n))))
     else:
         stats = sorted(map(stat, map(list, rows)))
     alpha = (1.0 - confidence) / 2.0

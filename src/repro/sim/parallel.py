@@ -230,8 +230,9 @@ def _chunked(tasks: list[SweepTask], jobs: int,
     ``k = len(block) // n`` chunks of its own, chunk ``j`` taking the
     block's tasks ``j, j+k, j+2k, ...``. Each dealt chunk then carries
     the block's design x family x seed mix in the same order, so every
-    chunk of a kernel runs a column of one signature and costs the same.
-    Every index appears once, ascending within its chunk.
+    chunk of a kernel runs the same columns (of at most
+    :data:`~repro.lockstep.scheduler.COLUMN_WIDTH` points) and costs the
+    same. Every index appears once, ascending within its chunk.
     """
     n = max(1, -(-len(tasks) // (jobs * 4)))
     if not align_batches:

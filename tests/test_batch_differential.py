@@ -3,7 +3,7 @@ to the interpreter.
 
 Under ``engine="fast"`` a sweep point whose column instance bails
 finishes on :class:`~repro.batch.replay.ReplayCore`, one instance at a
-time - the path every evictee and skeleton miss takes. Forcing every
+time - the path every evictee takes. Forcing every
 instance out at event 0 (the scheduler's ``BAIL_HOOK`` seam) leaves the
 column empty, so nothing rejoins and whole randomized grids - kernel
 subsets, design subsets, power condition, workload scale, instruction

@@ -1,9 +1,11 @@
-"""Structural tests of lockstep columns: column formation, each design's
-column mode, bit-identity against the reference engine, divergence
-(forced bails, faults, wrapped design methods) with eviction and rejoin,
-pool propagation of the engine switch, freeing finished points, equal
-final images sharing one array (within a column, and across the chunks
-a pool deals one kernel into), and the shared on-disk recording cache.
+"""Structural tests of lockstep columns: column formation (every family
+of a kernel on one skeleton, a wide cluster cut into columns of at most
+``COLUMN_WIDTH``), each design's column mode, bit-identity against the
+reference engine, divergence (forced bails, faults, wrapped design
+methods) with eviction and rejoin, pool propagation of the engine
+switch, freeing finished points, equal final images sharing one array
+(within a cluster across its columns, and across the chunks a pool
+deals one kernel into), and the shared on-disk recording cache.
 
 The randomized bit-level differential lives in
 ``tests/test_engine_differential.py``; this file pins *when* columns
@@ -100,6 +102,150 @@ def test_observability_outranks_lockstep():
         _assert_equal_results(ref, got, f"{flag} under engine=fast")
     assert lockstep_stats()["columns"] == 0
     assert batch_stats()["recordings"] == 0
+
+
+def test_every_family_of_a_cluster_runs_on_one_skeleton(monkeypatch):
+    """A family expanded after its kernel's skeleton left the skeleton
+    cache, while the kernel's other family is still a cached stream,
+    takes that stream's skeleton: each kernel's cluster is one column
+    on one event list, and no point replays alone."""
+    from repro.batch.stream import stream_meta_stats
+
+    kernels = ["sha", "qsort", "dijkstra", "adpcmencode", "gsmdecode",
+               "fft"]
+    run_grid(kernels, ("VCache-WT", "ReplayCache", "NVSRAM(ideal)",
+                       "WL-Cache"), "trace1", jobs=1, scale=0.1,
+             engine="fast")
+    # some kernels' skeletons left the cache; their streams did not
+    assert stream_meta_stats()["skeletons"] < len(kernels)
+    real = scheduler.run_column
+    skeletons = []
+
+    def run_column(program, entries):
+        skeletons.append({id(stream.skel) for _, _, stream in entries})
+        return real(program, entries)
+
+    monkeypatch.setattr(scheduler, "run_column", run_column)
+    designs = ("NVCache-WB", "VCache-WT", "NVSRAM(ideal)", "WL-Cache")
+    before = batch_stats()
+    clear_lockstep_stats()
+    got = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
+                   engine="fast")
+    assert [len(ids) for ids in skeletons] == [1] * len(kernels)
+    after = batch_stats()
+    assert after["lockstep"] - before["lockstep"] == 24
+    assert after["replays"] - before["replays"] == 24
+    stats = lockstep_stats()
+    assert (stats["columns"], stats["instances"]) == (6, 24)
+    ref = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
+                   engine="reference")
+    _assert_equal_results(ref, got, "a family expanded later")
+
+
+# ---------------------------------------------------------------------------
+# bounded columns: a wide cluster runs as columns of COLUMN_WIDTH
+# ---------------------------------------------------------------------------
+
+def _bound_spec(engine="fast"):
+    """sha x 5 designs x 2 families x 2 seeds: one 20-point cluster in
+    plan order NVCache-WB, VCache-WT, ReplayCache, NVSRAM(ideal),
+    WL-Cache (4 points each), so it runs as columns of 8 + 8 + 4."""
+    from repro.mc.engine import CampaignSpec
+
+    return CampaignSpec(("sha",), DESIGNS, seeds=(0, 1), scale=0.05,
+                        overrides={"engine": engine})
+
+
+@pytest.fixture(scope="module")
+def bound_reference():
+    from repro.mc.engine import run_campaign
+
+    return run_campaign(_bound_spec("reference"), jobs=1)
+
+
+def test_wide_cluster_runs_bounded_columns(bound_reference):
+    from repro.mc.engine import run_campaign
+
+    clear_engines()
+    got = run_campaign(_bound_spec(), jobs=1)
+    stats = lockstep_stats()
+    assert (stats["columns"], stats["instances"]) == (3, 20)
+    assert engine_sources()
+    assert all(len(sig) <= scheduler.COLUMN_WIDTH
+               for sig in engine_sources())
+    # the cluster's columns share one final image
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    _assert_equal_results(bound_reference, got, "bounded columns")
+
+
+def test_failing_column_boxes_only_its_tasks(monkeypatch, bound_reference):
+    from repro.mc.engine import expand_campaign
+
+    pairs = expand_campaign(_bound_spec())
+    keys = {id(task): key for key, task in pairs}
+    marked = pairs[5][1]  # a VCache-WT point, in the first column
+    real = scheduler.run_column
+    widths = []
+
+    def run_column(program, entries):
+        widths.append(len(entries))
+        if any(task is marked for task, _config, _stream in entries):
+            raise RuntimeError("injected column failure")
+        return real(program, entries)
+
+    monkeypatch.setattr(scheduler, "run_column", run_column)
+    outcomes = {keys[id(task)]: outcome for task, outcome
+                in iter_outcomes([task for _, task in pairs], run_task)}
+    assert widths == [8, 8, 4]
+    assert {key for key, oc in outcomes.items() if oc[0] == "err"} \
+        == {key for key, _ in pairs[:8]}
+    for key, _ in pairs[:8]:
+        _kind, exc, tb = outcomes[key]
+        assert isinstance(exc, RuntimeError)
+        assert "injected column failure" in tb
+    got = {key: oc[1] for key, oc in outcomes.items() if oc[0] == "ok"}
+    assert len(got) == 12
+    _assert_equal_results({key: bound_reference[key] for key in got}, got,
+                          "columns after a failed one")
+
+
+def test_serial_progress_per_column(monkeypatch):
+    """A serial run reports a column's points before the next column is
+    built."""
+    from repro.mc.engine import run_campaign
+
+    log = []
+    monkeypatch.setattr(scheduler, "PREP_HOOK",
+                        lambda task, system: log.append("build"))
+    run_campaign(_bound_spec(), jobs=1,
+                 progress=lambda done, total, key: log.append("done"))
+    assert log.count("build") == log.count("done") == 20
+    last_build = len(log) - 1 - log[::-1].index("build")
+    assert log.index("done") < last_build
+
+
+def test_differing_image_in_a_later_column(monkeypatch):
+    from repro.errors import ConsistencyError
+    from repro.mc.engine import run_campaign
+    from repro.verify.checker import check_crash_consistency
+    from repro.workloads import build_workload
+
+    odd = ("sha", "WL-Cache", "mc-rf-office", 1)  # in the third column
+    prep, _seen = _flip_last_word(
+        lambda task, seen: (task.design, task.trace,
+                            task.overrides["trace_seed"]) == odd[1:])
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
+    got = run_campaign(_bound_spec(), jobs=1)
+    assert lockstep_stats()["columns"] == 3
+    res = got.pop(odd)
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    assert all(r.final_memory is not res.final_memory
+               for r in got.values())
+    program = build_workload("sha", 0.05)
+    with pytest.raises(ConsistencyError):
+        check_crash_consistency(program, res)
+    for other in got.values():
+        check_crash_consistency(program, other)
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,20 @@ class TestBootstrapOracle:
             with pytest.raises(ConfigError, match="quantile of no values"):
                 boot([1.0, 2.0, 3.0], n_boot=0)
 
-    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("n", [2, 8, 32, 257])
     def test_log_space_gmean(self, n):
         """Bootstrapping the logs with ``_exp_mean`` - the campaign
-        aggregate's form - is bootstrapping the values with ``gmean``."""
+        aggregate's form - is bootstrapping the values with ``gmean``.
+        ``_exp_mean`` by name sums each resample without a list; a
+        wrapper around it gets a list per resample. Both equal the
+        per-draw loop."""
         for seed in range(4):
             sp = _positive_sample(n, seed=100 * n + seed)
             logs = [math.log(x) for x in sp]
-            assert bootstrap_ci(logs, seed=seed, statistic=_exp_mean) \
-                == _reference_bootstrap_ci(sp, seed=seed, statistic=gmean)
+            ref = _reference_bootstrap_ci(sp, seed=seed, statistic=gmean)
+            for statistic in (_exp_mean, lambda ys: _exp_mean(ys)):
+                assert bootstrap_ci(logs, seed=seed,
+                                    statistic=statistic) == ref
             assert _exp_mean(logs) == gmean(sp)
 
     def test_summary_equals_per_draw_summary(self, monkeypatch):
