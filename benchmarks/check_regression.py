@@ -1,11 +1,12 @@
 """Perf-regression gate: fresh bench headlines vs committed baselines.
 
 The repository commits each performance benchmark's report
-(``results/BENCH_*.json``) as the baseline for its headline *speedup
-ratio* - lockstep columns over per-instance batch replay (BENCH_9) and
-a warm store over a cold process (BENCH_10). CI re-runs the benchmarks
-at smoke scale and this script compares the fresh headline against the
-committed one, bench by bench:
+(``results/BENCH_*.json``, recorded at CI's ``REPRO_BENCH_SCALE``) as
+the baseline for its headline *speedup ratio* - the fast engine over
+the reference engine (BENCH_9) and a warm store over a cold process
+(BENCH_10). CI re-runs the benchmarks at smoke scale and this script
+compares the fresh headline against the committed one, bench by
+bench:
 
     fresh_gmean >= baseline_gmean * REPRO_BENCH_TOL
 
@@ -14,7 +15,8 @@ machine: a shared runner is slower than the workstation that produced
 the baseline in both numerator and denominator. They still move with
 scale and scheduler noise, so the default tolerance is deliberately
 loose - the gate exists to catch a tier collapsing (a refactor that
-quietly stops forming columns, a store that stops serving), not to
+quietly sends fast points to the interpreter, a store that stops
+serving), not to
 police single-digit percentages. Tighten ``REPRO_BENCH_TOL`` locally
 for real perf work at full scale.
 
@@ -41,7 +43,7 @@ import sys
 #: BENCH_4/5/6.json are history: their benches were retired with the
 #: tiers they compared against, so they have no entry and are skipped.
 HEADLINES = {
-    "BENCH_9": ("gmean_sweep_speedup", "lockstep columns vs batch replay"),
+    "BENCH_9": ("gmean_sweep_speedup", "fast engine vs reference engine"),
     "BENCH_10": ("warmstart_speedup", "warm store vs cold process"),
 }
 

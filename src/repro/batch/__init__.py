@@ -2,14 +2,14 @@
 
 Groups grid points that share a kernel and cost model, records the
 shared architectural execution once on record-mode compiled code, and
-expands it into a guest stream that lockstep columns
-(:mod:`repro.lockstep`) and per-instance
-:class:`~repro.batch.replay.ReplayCore` runs replay cycle-accurately -
-outages, stalls, threshold adaptation and all - bit-identically to
-serial interpretation. Select it with ``SimConfig(engine="fast")``,
-``--engine fast`` on ``repro sweep``/``repro campaign``, or
-``REPRO_ENGINE=fast`` in the environment. See ``docs/batch.md`` for the
-stream layout, bail discipline, and the engine rules.
+expands it into a guest stream that each point's generated lockstep
+engine (:mod:`repro.lockstep`) replays cycle-accurately over its own
+:class:`~repro.batch.replay.ReplayCore` - outages, stalls, threshold
+adaptation and all - bit-identically to serial interpretation. Select
+it with ``SimConfig(engine="fast")``, ``--engine fast`` on ``repro
+sweep``/``repro campaign``, or ``REPRO_ENGINE=fast`` in the
+environment. See ``docs/batch.md`` for the stream layout, bail
+discipline, and the engine rules.
 """
 
 from repro.batch.engine import (batch_stats, build_replay_system,

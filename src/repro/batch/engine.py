@@ -1,4 +1,4 @@
-"""The fast sweep engine: group grid points, record once, run columns.
+"""The fast sweep engine: group grid points, record once, replay each.
 
 The engine sits between :mod:`repro.sim.parallel` and the per-run
 machinery. Given a list of sweep tasks it:
@@ -14,18 +14,15 @@ machinery. Given a list of sweep tasks it:
 3. records each group's kernel once (:mod:`repro.batch.record`) and
    expands it into a shared :class:`GuestStream`, cached process-wide so
    consecutive grids (one per power trace) reuse it;
-4. runs every ``(workload, scale)`` cluster of groups - the cost
-   families of one kernel share one stream skeleton - as contiguous
-   lockstep columns of at most
-   :data:`~repro.lockstep.scheduler.COLUMN_WIDTH` points
-   (:mod:`repro.lockstep.scheduler`); a point evicted from its column
-   finishes on a per-instance :class:`~repro.batch.replay.ReplayCore`
-   that calls its design's own methods - per-instance outages, stalls,
-   and threshold adaptation all happen inside the replay,
-   bit-identically;
+4. runs every point of a ``(workload, scale)`` cluster of groups - the
+   cost families of one kernel share one stream skeleton - alone on a
+   generated engine (:func:`repro.lockstep.scheduler.run_column`), in
+   plan order; the engine calls its design's own methods on a miss, and
+   per-point outages, stalls and threshold adaptation all happen in the
+   point's own ``System``, bit-identically;
 5. bails any group the stream model cannot serve - a guest fault or
    runaway kernel during recording - to the caller-supplied slow path
-   (a lone run on the interpreter), per instance, preserving exact
+   (a lone run on the interpreter), task by task, preserving exact
    error behaviour.
 
 Select the fast engine with ``SimConfig(engine="fast")``, ``--engine
@@ -73,7 +70,7 @@ _RECORDING_CACHE_CAP = 4
 _STREAM_CACHE: dict[tuple, GuestStream] = {}
 _STREAM_CACHE_CAP = 64
 _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
-                 "replays": 0, "solo": 0, "lockstep": 0, "disk_hits": 0,
+                 "solo": 0, "lockstep": 0, "disk_hits": 0,
                  "disk_writes": 0}
 
 
@@ -196,7 +193,7 @@ def get_stream(program: Program, costs: CycleCosts,
             _RECORDING_CACHE.pop(next(iter(_RECORDING_CACHE)))
         _RECORDING_CACHE[ckey] = recording
     # every family of a kernel expands from one skeleton, so the
-    # families of a cluster can share its columns
+    # points of a cluster walk one event list
     skel = next((s.skel for k, s in _STREAM_CACHE.items()
                  if k[0] == ckey), None)
     stream = build_stream(program, costs, recording, skel)
@@ -209,13 +206,14 @@ def get_stream(program: Program, costs: CycleCosts,
 
 def build_replay_system(program: Program, task, config: SimConfig,
                         stream: GuestStream) -> System:
-    """A ready-to-run System whose core replays ``stream``.
+    """A System whose core is a :class:`ReplayCore` over ``stream``,
+    ready for a lockstep engine to drive.
 
     Mirrors :func:`repro.sim.factory.build_system` minus the
     instrumentation the fast engine refuses to coexist with (trace
     recorder, invariant checker - :func:`plan` never routes such tasks
-    here). Nothing is attached to the design: the replay core calls its
-    own methods, and a lockstep column inlines their hit paths.
+    here). Nothing is attached to the design: the engine inlines its
+    hit paths and calls its own methods on a miss.
     """
     from repro.energy.synthetic import make_trace
 
@@ -227,7 +225,7 @@ def build_replay_system(program: Program, task, config: SimConfig,
     design = build_design(task.design, nvm, config)
     costs = effective_costs(task.design, config)
     system = System(program, design, config, trace, costs)
-    system.core = ReplayCore(program, design, costs, stream)
+    system.core = ReplayCore(stream, costs)
     return system
 
 
@@ -249,10 +247,10 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
     tasks go through it and finish as lone runs on the interpreter.
     Adjacent groups sharing a ``(workload, scale)`` - the cost families
     of one design sweep, which share a :class:`~repro.batch.stream.
-    StreamSkeleton` - form one *cluster* whose tasks advance together
-    as a column. Outcomes are yielded unit by unit in first-appearance
-    order, which is group-major; callers needing task order re-index by
-    task.
+    StreamSkeleton` - form one *cluster* whose points run one after
+    another over that skeleton. Outcomes are yielded unit by unit in
+    first-appearance order, which is group-major; callers needing task
+    order re-index by task.
 
     When result memoization is on (:mod:`repro.store.results`), every
     task is first checked against the persistent memo: hits are yielded
@@ -289,17 +287,16 @@ def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
 
 
 def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
-    """Run one ``(workload, scale)`` cluster over the shared skeleton as
-    contiguous columns of at most ``COLUMN_WIDTH`` points, in plan
-    order.
+    """Run one ``(workload, scale)`` cluster over the shared skeleton,
+    one point at a time in plan order, each alone on its generated
+    engine.
 
-    Each column's results are verified, stored and yielded before the
-    next column is built, so a caller sees progress per column and the
-    finished systems are freed. Equal final images share the cluster's
-    first ok image, so a cluster holds one image whatever its width. A
-    column that raises boxes only its own tasks.
+    Each point's result is verified, stored and yielded before the next
+    point is built, so a caller sees progress per point and the
+    finished system is freed. Equal final images share the cluster's
+    first ok image, so a cluster holds one image whatever its width.
     """
-    from repro.lockstep.scheduler import COLUMN_WIDTH, run_column
+    from repro.lockstep.scheduler import run_column
     from repro.store.results import store_task
 
     try:
@@ -310,7 +307,7 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
             for task in group.tasks:
                 yield task, ("err", exc, tb)
         return
-    entries: list[tuple] = []
+    image = None
     for group in groups:
         try:
             stream = get_stream(program, group.costs, group.budget)
@@ -324,19 +321,8 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
             for task in group.tasks:
                 yield task, ("err", exc, tb)
             continue
-        entries.extend((task, config, stream)
-                       for task, config in zip(group.tasks, group.configs))
-    image = None
-    for start in range(0, len(entries), COLUMN_WIDTH):
-        column = entries[start:start + COLUMN_WIDTH]
-        try:
-            results = run_column(program, column)
-        except Exception as exc:
-            tb = traceback.format_exc()
-            for task, _config, _stream in column:
-                yield task, ("err", exc, tb)
-            continue
-        for task, outcome in results:
+        for task, config in zip(group.tasks, group.configs):
+            outcome = run_column(program, task, config, stream)
             if outcome[0] == "ok" and task.verify:
                 try:
                     verify_checks(program, outcome[1].final_memory)
@@ -352,7 +338,6 @@ def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
                     image = res.final_memory
                 elif res.final_memory == image:
                     res.final_memory = image
-                _STREAM_STATS["replays"] += 1
                 _STREAM_STATS["lockstep"] += 1
                 store_task(task, res)
             yield task, outcome

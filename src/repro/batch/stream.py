@@ -2,7 +2,7 @@
 
 A :class:`GuestStream` is the structure-of-arrays expansion of one
 recording (:mod:`repro.batch.record`): per-instruction *static* cycle
-costs and branch counts as C-level ``array('q')`` prefix sums, plus a
+costs as a C-level ``array('q')`` prefix sum, plus a
 sparse, ordered event list holding everything the replay tier must
 actually do - I-cache line crossings and memory operations. Replaying a
 chunk is then O(events in the chunk), not O(instructions): the ALU work
@@ -10,8 +10,8 @@ between events collapses into two prefix-sum lookups.
 
 The expansion splits along what varies per design family:
 
-* the :class:`StreamSkeleton` - event list, branch prefix sum, and the
-  block-entry arrays that recover the architectural pc - depends only on
+* the :class:`StreamSkeleton` - event list and the block-entry arrays
+  that recover the architectural pc - depends only on
   *what* executed, so one skeleton (cached per program content) serves
   every cost model: ``NVCache-WB``'s private ``ifetch_extra`` family
   shares it with the SRAM-cost designs;
@@ -30,8 +30,8 @@ its memory event, exactly the interpreter's fetch-then-execute order):
 
 The ``now`` a memory call sees is ``cum_cycles[i] - mem_issue`` (the
 interpreter issues the call after charging the base cost, before
-``mem_issue``) plus the instance's dynamic cycles and chunk offset -
-computed by the replay tier, so events stay cost-independent.
+``mem_issue``) plus the point's dynamic cycles and chunk offset -
+computed by the lockstep engine, so events stay cost-independent.
 
 Expansion works from per-exit-code static metadata (block length, cost
 tuple, line-crossing template, memory-op template) cached process-
@@ -73,31 +73,28 @@ _SKEL_STATS = {"skeleton_builds": 0, "skeleton_loads": 0}
 class StreamSkeleton:
     """The cost-independent expansion of one recording."""
 
-    __slots__ = ("n_total", "events", "n_events", "cum_branches",
-                 "blk_g", "blk_pc", "final_regs", "ev_counts",
-                 "ev_prev")
+    __slots__ = ("n_total", "events", "n_events", "blk_g", "blk_pc",
+                 "final_regs", "ev_counts", "ev_prev")
 
-    def __init__(self, n_total: int, events: list, cum_branches: array,
-                 blk_g: array, blk_pc: array, final_regs: list[int]):
+    def __init__(self, n_total: int, events: list, blk_g: array,
+                 blk_pc: array, final_regs: list[int]):
         self.n_total = n_total
         self.events = events
         self.n_events = len(events)
-        self.cum_branches = cum_branches
         self.blk_g = blk_g
         self.blk_pc = blk_pc
         self.final_regs = final_regs
-        #: lazy per-event-kind prefix counts ``(fetches, loads, stores)``
-        #: (arrays of length ``n_events + 1``), filled by the lockstep
-        #: tier so a chunk's fetch/load/store counters become two lookups
-        #: instead of a per-event increment (see
-        #: :func:`repro.lockstep.state.event_counts`).
-        self.ev_counts: tuple | None = None
+        #: lazy fetch-event prefix count (length ``n_events + 1``),
+        #: filled by :func:`repro.lockstep.state.event_counts` so a
+        #: chunk's fetch count is one lookup instead of a per-event
+        #: increment.
+        self.ev_counts: array | None = None
         #: lazy previous-occurrence index per event (``-1`` for first
         #: occurrences and non-fetch events), filled by
         #: :func:`repro.lockstep.state.event_prev`: a line is resident
-        #: for an instance iff its previous occurrence is at or past
-        #: that instance's last I-cache flush, which turns the per-
-        #: instance residency-set lookups into one shared comparison.
+        #: for a point iff its previous occurrence is at or past the
+        #: point's last I-cache flush, which turns residency-set lookups
+        #: into one comparison.
         self.ev_prev = None
 
 
@@ -109,16 +106,14 @@ class GuestStream:
     hot loop pays one attribute hop per field.
     """
 
-    __slots__ = ("n_total", "cum_cycles", "cum_branches", "events",
-                 "final_regs", "n_events", "blk_g", "blk_pc", "c_mem",
-                 "skel")
+    __slots__ = ("n_total", "cum_cycles", "events", "final_regs",
+                 "n_events", "blk_g", "blk_pc", "c_mem", "skel")
 
     def __init__(self, skel: StreamSkeleton, cum_cycles: array,
                  c_mem: int):
         self.skel = skel
         self.n_total = skel.n_total
         self.cum_cycles = cum_cycles
-        self.cum_branches = skel.cum_branches
         self.events = skel.events
         self.final_regs = skel.final_regs
         self.n_events = skel.n_events
@@ -140,8 +135,8 @@ class _ProgramMeta:
         self.cost_table = _base_cost_table(costs)
         self.c_mem = costs.mem_issue
         self.c_brx = costs.branch_taken_extra
-        #: exit code -> (length, cost tuple, branch-flag tuple,
-        #:              first_line, last_line, template)
+        #: exit code -> (length, cost tuple, first_line, last_line,
+        #:              template)
         self.codes: dict[int, tuple] = {}
 
     def entry(self, code: int) -> tuple:
@@ -156,7 +151,6 @@ class _ProgramMeta:
         end = self.starts[j] if j < len(self.starts) else self.nprog
         length = end - start
         costs: list[int] = []
-        bflags: list[int] = []
         template: list[tuple] = []
         prev_line = start >> _ILINE_SHIFT
         for i in range(start, end):
@@ -176,13 +170,11 @@ class _ProgramMeta:
                     template.append((i - start, 2))
                 else:  # SB / SH
                     template.append((i - start, 3))
-            bflags.append(1 if op in oc.B_FORMAT else 0)
             costs.append(c)
         if taken:
             costs[-1] += self.c_brx
-        return (length, tuple(costs), tuple(bflags),
-                start >> _ILINE_SHIFT, (end - 1) >> _ILINE_SHIFT,
-                tuple(template))
+        return (length, tuple(costs), start >> _ILINE_SHIFT,
+                (end - 1) >> _ILINE_SHIFT, tuple(template))
 
 
 def _program_meta(program: Program, costs: CycleCosts) -> _ProgramMeta:
@@ -198,14 +190,12 @@ def _program_meta(program: Program, costs: CycleCosts) -> _ProgramMeta:
 def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
                     final_regs: list[int],
                     ops: list[tuple]) -> StreamSkeleton:
-    """The cost-independent pass: events, branch prefix, block arrays.
+    """The cost-independent pass: events and block arrays.
 
-    ``meta``'s templates, lengths, branch flags, and line bounds do not
+    ``meta``'s templates, lengths, and line bounds do not
     depend on its cost model, so any family's metadata serves.
     """
     entry = meta.entry
-    br_stream = array("q")
-    ext_b = br_stream.extend
     blk_g = array("q")
     blk_pc = array("q")
     ap_g = blk_g.append
@@ -217,12 +207,11 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
     prev_line = -1  # the first instruction always fetches (ic_last = -1)
     for code in codes:
         m = entry(code)
-        ext_b(m[2])
         ap_g(gi)
         ap_pc(code >> 1)
-        if m[3] != prev_line:
-            ap((gi, 0, m[3]))
-        for t in m[5]:
+        if m[2] != prev_line:
+            ap((gi, 0, m[2]))
+        for t in m[4]:
             k = t[1]
             if k == 0:
                 ap((gi + t[0], 0, t[2]))
@@ -235,13 +224,11 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
                     ap((gi + t[0], 2, op[1], op[2]))
                 else:
                     ap((gi + t[0], 3, op[1], op[2], op[3]))
-        prev_line = m[4]
+        prev_line = m[3]
         gi += m[0]
     assert gi == n_total and oi == len(ops), \
         "recorded memory ops disagree with the block templates"
-    cumb = array("q", accumulate(br_stream))
-    return StreamSkeleton(n_total, events, cumb, blk_g, blk_pc,
-                          final_regs)
+    return StreamSkeleton(n_total, events, blk_g, blk_pc, final_regs)
 
 
 def _skel_store_key(ckey: tuple, n_total: int) -> tuple:
@@ -262,7 +249,7 @@ def _load_skeleton(ckey: tuple, n_total: int) -> "StreamSkeleton | None":
     if store is None:
         return None
     payload = store.load("skel", _skel_store_key(ckey, n_total))
-    if not (isinstance(payload, tuple) and len(payload) == 6
+    if not (isinstance(payload, tuple) and len(payload) == 5
             and payload[0] == n_total):
         return None
     _SKEL_STATS["skeleton_loads"] += 1
@@ -276,8 +263,8 @@ def _save_skeleton(ckey: tuple, skel: StreamSkeleton) -> None:
     if store is None:
         return
     store.save("skel", _skel_store_key(ckey, skel.n_total),
-               (skel.n_total, skel.events, skel.cum_branches, skel.blk_g,
-                skel.blk_pc, skel.final_regs))
+               (skel.n_total, skel.events, skel.blk_g, skel.blk_pc,
+                skel.final_regs))
 
 
 def build_stream(program: Program, costs: CycleCosts, recording: tuple,

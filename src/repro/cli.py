@@ -15,7 +15,7 @@ Commands:
   gating too).
 * ``audit`` - statically audit the *generated* Python from the
   record-mode and lockstep compilers against their structural
-  contracts (A001-A003, A005-A008). Exit code 0 when every compiled
+  contracts (A001-A003, A005, A006, A008). Exit code 0 when every compiled
   family verifies, 2 on any contract violation.
 * ``cache`` - inspect and maintain the persistent artifact store
   (``REPRO_CACHE_DIR``): ``stats`` prints disk usage per artifact class
@@ -83,8 +83,8 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--engine", choices=ENGINES, default=None,
-                   help="'fast' records each kernel once and advances the "
-                        "points sharing it as one column; 'reference' "
+                   help="'fast' records each kernel once and replays "
+                        "every point on a generated engine; 'reference' "
                         "interprets every point (bit-identical results; "
                         "default: REPRO_ENGINE env, else reference)")
 
@@ -205,7 +205,7 @@ def _cache_stats_line(stats: dict) -> str | None:
     if stats.get("disk_hits") or stats.get("disk_writes"):
         parts.append(f"disk_hits={stats.get('disk_hits', 0)}")
         parts.append(f"disk_writes={stats.get('disk_writes', 0)}")
-    for key in ("replays", "lockstep", "solo"):
+    for key in ("lockstep", "solo"):
         if stats.get(key):
             parts.append(f"{key}={stats[key]}")
     return "stream cache: " + " ".join(parts)

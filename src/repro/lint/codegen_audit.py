@@ -3,16 +3,15 @@ lockstep tiers.
 
 Two subsystems in this codebase *generate* Python source and ``exec``
 it: the batch recorder's record-mode block codegen
-(:mod:`repro.jit.blocks`) and the lockstep tier's column engine
-(:mod:`repro.lockstep.codegen`); the batch tier's hand-written stream
-walker (:mod:`repro.batch.replay`) is audited alongside them. Their
-correctness contracts are exercised dynamically by differential tests,
-but dynamic tests only sample: an exit that forgets to flush one ``st``
-slot is invisible until a recording happens to leave through that exact
-exit. This module re-states the contracts *structurally* and verifies
-them over the ``ast`` of the actual generated source - every exit path,
-every episode, every baked constant - so a codegen regression is caught
-by shape, not by luck.
+(:mod:`repro.jit.blocks`) and the lockstep tier's per-point engine
+(:mod:`repro.lockstep.codegen`). Their correctness contracts are
+exercised dynamically by differential tests, but dynamic tests only
+sample: an exit that forgets to flush one ``st`` slot is invisible
+until a recording happens to leave through that exact exit. This
+module re-states the contracts *structurally* and verifies them over
+the ``ast`` of the actual generated source - every exit path, every
+episode, every baked constant - so a codegen regression is caught by
+shape, not by luck.
 
 The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 
@@ -32,8 +31,8 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   positionally, so a missing, doubled, or mislabeled exit code silently
   corrupts every replay of the recording.
 * **A005 baked-key-mismatch** - regenerating the source from the keying
-  inputs (program content and frozen costs; for column engines, the
-  column signature) reproduces the audited source byte for byte. This
+  inputs (program content and frozen costs; for lockstep engines, the
+  point signature) reproduces the audited source byte for byte. This
   pins the code cache's keying tuple to the baked constants: if codegen
   starts baking a value the key does not cover, the first sweep that
   varies it gets stale code - and this check fails loudly instead.
@@ -43,34 +42,26 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   wall-clock, no RNG, no module-global mutable state: a compiled module
   may be shared across cores and sweep points, and determinism (and
   record/replay bit-equality) depends on it.
-* **A007 replay-now-formula** - ``ReplayCore.run_chunk`` passes every
-  memory call the interpreter-equivalent timestamp, literally the
-  expression ``cum[i] - c_mem + dyn + offset``, and the replay module
-  imports only stdlib-pure ``bisect`` and ``repro.*``. This is the one
-  hand-written (not generated) piece of the batch fast path, and its
-  bit-exactness argument hangs on that formula.
-* **A008 lockstep-engine-protocol** - a generated column engine
+* **A008 lockstep-engine-protocol** - a generated engine
   (:mod:`repro.lockstep.codegen`) is a single generator
-  ``_make_engine``; every episode it appends is a well-formed tuple
-  whose tag the scheduler knows (``halt``/``outage``/``err``/``fault``
-  /``bail``, with the right arity); the column cursor cell is
-  published (``cell[0]``/``cell[2]`` assigned) and *every* instance's
-  mutable-mirror slice is written back before the yield. The scheduler
-  dispatches episodes positionally and resumes instances from their
-  slot lists, so a missing writeback silently forks an instance's
-  state from its solo-replay twin. Engines are also held to A005 (the
-  retained source must match a fresh render of the same column
-  signature) and A006 (free names resolve only to the engine's exec
-  namespace: the error types and the few helpers ``make_engine``
-  binds).
+  ``_make_engine``; every episode it yields is a well-formed tuple
+  whose tag the scheduler knows (``halt``/``outage``/``err``, with the
+  right arity); the event index cell is published (``cell[0]``
+  assigned) and the mirror slice is written back to the slot before
+  the yield. The scheduler syncs the point's core from the slot and
+  ``cell`` and resumes the engine from its slot, so a missing
+  writeback silently forks the lifecycle's state from the engine's.
+  Engines are also held to A005 (the retained source must match a
+  fresh render of the same point signature) and A006 (free names
+  resolve only to the engine's exec namespace: the error types and the
+  few helpers ``make_engine`` binds).
 
 Drivers: :func:`audit_compiled` (one
 :class:`~repro.jit.cache.CompiledProgram`, including any suffix modules
-it has materialized), :func:`audit_replay_module` (the batch walker),
-:func:`audit_lockstep_engines` (every retained column-engine source),
-and :func:`audit_suite` (the CLI's ``repro audit``: each requested
-kernel's record modules and the column engines a small lockstep sweep
-materializes).
+it has materialized), :func:`audit_lockstep_engines` (every retained
+engine source), and :func:`audit_suite` (the CLI's ``repro audit``:
+each requested kernel's record modules and the engines a small
+lockstep sweep materializes).
 """
 
 from __future__ import annotations
@@ -82,25 +73,17 @@ from repro.lint.findings import Finding, make_finding
 #: builtins generated code may reference (A006)
 _ALLOWED_BUILTINS = frozenset({"len", "hex"})
 
-#: the exact timestamp expression A007 requires (see replay.py docstring)
-_NOW_FORMULA = "cum[i] - c_mem + dyn + offset"
-
-#: module imports the replay walker may use (A007)
-_REPLAY_IMPORT_OK = ("__future__", "bisect", "repro")
-
 #: names a lockstep engine may resolve beyond its locals: the exec
 #: namespace :func:`repro.lockstep.codegen.make_engine` binds, plus the
 #: builtins the rendered source uses. Pinned here on purpose - a new
 #: bind in codegen must be reviewed against this list, not silently
 #: allowed.
 _ENGINE_BINDS = frozenset({"EnergyError", "ExecutionError", "_ILS",
-                           "_INF", "_DQE", "_bis",
-                           "Exception", "int", "min"})
+                           "_DQE", "_bis", "Exception", "int"})
 
 #: episode tag -> required tuple arity (the scheduler's dispatch
-#: contract; see repro.lockstep.scheduler._handle)
-_EPISODE_ARITY = {"halt": 2, "outage": 2, "err": 3, "fault": 3,
-                  "bail": 1}
+#: contract; see repro.lockstep.scheduler.run_column)
+_EPISODE_ARITY = {"halt": 1, "outage": 1, "err": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -422,65 +405,11 @@ def audit_compiled(compiled) -> list[Finding]:
     return findings
 
 
-def audit_replay_module() -> list[Finding]:
-    """A007 over the hand-written batch stream walker."""
-    import repro.batch.replay as replay_mod
-
-    unit = "batch:replay"
-    path = replay_mod.__file__
-    with open(path, encoding="utf-8") as f:
-        tree = ast.parse(f.read())
-    findings: list[Finding] = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            mods = [a.name for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            mods = [node.module or ""]
-        else:
-            continue
-        for mod in mods:
-            root = mod.split(".", 1)[0]
-            if root not in _REPLAY_IMPORT_OK:
-                findings.append(make_finding(
-                    "A007", f"{unit} line {node.lineno}",
-                    f"replay module imports {mod!r} (only bisect and "
-                    f"repro.* keep the walker deterministic)"))
-
-    run_chunk = None
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "ReplayCore":
-            run_chunk = next(
-                (f for f in node.body if isinstance(f, ast.FunctionDef)
-                 and f.name == "run_chunk"), None)
-    if run_chunk is None:
-        findings.append(make_finding(
-            "A007", unit, "ReplayCore.run_chunk not found"))
-        return findings
-
-    counts = dict.fromkeys(("load", "store", "store_masked"), 0)
-    for node in ast.walk(run_chunk):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id in counts):
-            counts[node.func.id] += 1
-            now = ast.unparse(node.args[-1]) if node.args else ""
-            if now != _NOW_FORMULA:
-                findings.append(make_finding(
-                    "A007", f"{unit} line {node.lineno}",
-                    f"{node.func.id} call passes now={now!r}, expected "
-                    f"the interpreter-equivalent {_NOW_FORMULA!r}"))
-    for name, c in counts.items():
-        if not c:
-            findings.append(make_finding(
-                "A007", unit,
-                f"run_chunk makes no {name} call - the stream walk "
-                f"contract cannot be verified"))
-    return findings
-
-
 def audit_lockstep_engine(sig: tuple, source: str,
                           unit: str) -> list[Finding]:
-    """A005/A006/A008 over one generated column engine's source."""
+    """A005/A006/A008 over one generated engine's source."""
     from repro.lockstep.codegen import render_engine_source
+    from repro.lockstep.state import S_CLT, S_P
 
     try:
         tree = ast.parse(source)
@@ -503,58 +432,52 @@ def audit_lockstep_engine(sig: tuple, source: str,
         findings.append(make_finding(
             "A008", unit, "_make_engine is not a generator"))
 
-    # A008: every episode append is a well-formed, known tuple
+    # A008: every episode is a well-formed, known tuple
     cell_slots: set[int] = set()
-    written_back: set[int] = set()
+    written_back = False
     for node in ast.walk(engine):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "append"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "_ep"):
-            arg = node.args[0] if node.args else None
-            tag = (arg.elts[0].value
-                   if isinstance(arg, ast.Tuple) and arg.elts
-                   and isinstance(arg.elts[0], ast.Constant) else None)
-            want = _EPISODE_ARITY.get(tag)
-            if want is None:
-                got = ast.unparse(arg) if arg is not None else "<none>"
-                findings.append(make_finding(
-                    "A008", f"{unit} line {node.lineno}",
-                    f"episode {got} has a tag the scheduler does not "
-                    f"dispatch"))
-            elif len(arg.elts) != want:
-                findings.append(make_finding(
-                    "A008", f"{unit} line {node.lineno}",
-                    f"episode {tag!r} has arity {len(arg.elts)} "
-                    f"(scheduler unpacks {want})"))
-        elif isinstance(node, ast.Assign):
-            for tgt in node.targets:
-                if (isinstance(tgt, ast.Subscript)
-                        and isinstance(tgt.value, ast.Name)):
-                    base = tgt.value.id
-                    if (base == "cell"
-                            and isinstance(tgt.slice, ast.Constant)):
-                        cell_slots.add(tgt.slice.value)
-                    elif (base.startswith("_s") and base[2:].isdigit()
-                            and isinstance(tgt.slice, ast.Slice)):
-                        written_back.add(int(base[2:]))
+        if not isinstance(node, ast.Assign):
+            continue
+        for tgt in node.targets:
+            if isinstance(tgt, ast.Name) and tgt.id == "_ep":
+                arg = node.value
+                tag = (arg.elts[0].value
+                       if isinstance(arg, ast.Tuple) and arg.elts
+                       and isinstance(arg.elts[0], ast.Constant) else None)
+                want = _EPISODE_ARITY.get(tag)
+                if want is None:
+                    findings.append(make_finding(
+                        "A008", f"{unit} line {node.lineno}",
+                        f"episode {ast.unparse(arg)} has a tag the "
+                        f"scheduler does not dispatch"))
+                elif len(arg.elts) != want:
+                    findings.append(make_finding(
+                        "A008", f"{unit} line {node.lineno}",
+                        f"episode {tag!r} has arity {len(arg.elts)} "
+                        f"(scheduler unpacks {want})"))
+            elif (isinstance(tgt, ast.Subscript)
+                    and isinstance(tgt.value, ast.Name)):
+                if (tgt.value.id == "cell"
+                        and isinstance(tgt.slice, ast.Constant)):
+                    cell_slots.add(tgt.slice.value)
+                elif (tgt.value.id == "_s"
+                        and isinstance(tgt.slice, ast.Slice)
+                        and ast.unparse(tgt.slice)
+                        == f"{S_P}:{S_CLT + 1}"):
+                    written_back = True
 
-    # A008: cursor publication and per-instance mirror writeback
-    for slot, what in ((0, "event index"), (2, "stream cursor")):
-        if slot not in cell_slots:
-            findings.append(make_finding(
-                "A008", unit,
-                f"engine never publishes cell[{slot}] (the column "
-                f"{what}); eviction would resume solos at a stale "
-                f"position"))
-    missing = sorted(set(range(len(sig))) - written_back)
-    if missing:
+    # A008: event-index publication and mirror writeback
+    if 0 not in cell_slots:
         findings.append(make_finding(
             "A008", unit,
-            f"instances {missing} get no mutable-mirror slice "
-            f"writeback before the yield (their slot lists would go "
-            f"stale on eviction/halt)"))
+            "engine never publishes cell[0] (the event index); an "
+            "outage would flush the I-cache at a stale epoch"))
+    if not written_back:
+        findings.append(make_finding(
+            "A008", unit,
+            "engine never writes its mirror slice back to the slot "
+            "before the yield (the lifecycle would read a stale "
+            "position, cycle and wall time)"))
 
     # A006 with the engine's exec-namespace allowlist
     findings.extend(_scope_findings(tree, unit, extra=_ENGINE_BINDS))
@@ -564,23 +487,19 @@ def audit_lockstep_engine(sig: tuple, source: str,
         findings.append(make_finding(
             "A005", unit,
             "retained engine source diverges from a fresh render of "
-            "the same column signature - a baked constant escapes the "
+            "the same point signature - a baked constant escapes the "
             "signature"))
     return findings
 
 
 def audit_lockstep_engines() -> list[Finding]:
-    """Audit every column-engine source the lockstep tier has retained
-    (run a lockstep sweep first to materialize them)."""
+    """Audit every engine source the lockstep tier has retained (run a
+    lockstep sweep first to materialize them)."""
     from repro.lockstep.codegen import engine_sources
 
     findings: list[Finding] = []
     for i, (sig, src) in enumerate(sorted(engine_sources().items())):
-        counts: dict[str, int] = {}
-        for el in sig:
-            counts[el[0]] = counts.get(el[0], 0) + 1
-        modes = "+".join(f"{m}x{c}" for m, c in sorted(counts.items()))
-        unit = f"lockstep:engine#{i}[{len(sig)} inst: {modes}]"
+        unit = f"lockstep:engine#{i}[{sig[0]}]"
         findings.extend(audit_lockstep_engine(sig, src, unit))
     return findings
 
@@ -592,9 +511,9 @@ def audit_lockstep_engines() -> list[Finding]:
 def audit_suite(apps=None, designs=None,
                 scale: float = 1.0) -> dict[str, list[Finding]]:
     """Statically audit the generated code a sweep over the requested
-    kernels and designs runs: the replay walker, the column engines a
-    small lockstep sweep (first kernel, every requested design, traced
-    and untraced) materializes, and each kernel's record modules once
+    kernels and designs runs: the engines a small lockstep sweep (first
+    kernel, every requested design, traced and untraced) materializes,
+    and each kernel's record modules once
     per cost family of the requested designs (with any suffix modules
     the sweep's recording materialized). Returns ``{unit: findings}``."""
     from repro.batch.record import recording_costs
@@ -610,8 +529,7 @@ def audit_suite(apps=None, designs=None,
     for trace in (None, "trace1"):
         run_grid(apps[:1], designs, trace, jobs=1, scale=scale,
                  verify=False, engine="fast")
-    results: dict[str, list[Finding]] = {
-        "batch:replay": audit_replay_module()}
+    results: dict[str, list[Finding]] = {}
     families = dict.fromkeys(recording_costs(effective_costs(d, config))
                              for d in designs)
     for app in apps:

@@ -102,14 +102,11 @@ AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
     Rule("A006", "ambient-state", ERROR,
          "generated code reaches outside its bound arguments (imports, "
          "wall-clock, or global mutable state)"),
-    Rule("A007", "replay-now-formula", ERROR,
-         "the batch replay stream walk passes a memory-call timestamp "
-         "that is not the interpreter-equivalent now formula"),
     Rule("A008", "lockstep-engine-protocol", ERROR,
-         "a generated lockstep column engine breaks the episode "
-         "protocol (unknown/misshapen episode tuple, missing cursor "
-         "publication, or an instance whose mirrors are never written "
-         "back before the yield)"),
+         "a generated lockstep engine breaks the episode protocol "
+         "(unknown/misshapen episode tuple, missing event-index "
+         "publication, or mirrors never written back before the "
+         "yield)"),
 ]}
 
 #: Every registered rule, both families, for SARIF/driver lookups.

@@ -141,13 +141,11 @@ class SimConfig:
     trace: bool = False
     #: Which engine runs sweep points: ``"reference"`` (every point on
     #: the interpreter) or ``"fast"`` (:mod:`repro.batch` records each
-    #: kernel once per cost family, and the points sharing a recording
-    #: advance together as one :mod:`repro.lockstep` column; a point
-    #: that leaves its column finishes on a per-instance
-    #: :class:`~repro.batch.replay.ReplayCore`). Both are bit-identical
-    #: on every ``RunResult`` field. ``None`` defers to
-    #: ``REPRO_ENGINE``, else ``"reference"``; an explicit value always
-    #: wins over the environment (:func:`repro.sim.factory.
+    #: kernel once per cost family, and every point replays the
+    #: recording on its own generated :mod:`repro.lockstep` engine).
+    #: Both are bit-identical on every ``RunResult`` field. ``None``
+    #: defers to ``REPRO_ENGINE``, else ``"reference"``; an explicit
+    #: value always wins over the environment (:func:`repro.sim.factory.
     #: resolve_engine`). Only sweeps (``run_grid``/``run_tasks``)
     #: consult it - a lone ``run_one`` always runs on the interpreter -
     #: and the trace recorder or invariant checker sends a point to the

@@ -12,7 +12,8 @@ per-process workload cache warm across the tasks of a chunk.
 through. Results come back keyed by caller-supplied point keys (default
 ``task.key``) in task order; serial and pooled runs both execute through
 :func:`repro.batch.engine.iter_outcomes`, which puts fast-engine points
-on lockstep columns and every other point on the interpreter.
+on generated lockstep engines and every other point on the
+interpreter.
 
 Worker counts resolve as: explicit ``jobs`` argument, then the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``. ``jobs=1``
@@ -230,9 +231,8 @@ def _chunked(tasks: list[SweepTask], jobs: int,
     ``k = len(block) // n`` chunks of its own, chunk ``j`` taking the
     block's tasks ``j, j+k, j+2k, ...``. Each dealt chunk then carries
     the block's design x family x seed mix in the same order, so every
-    chunk of a kernel runs the same columns (of at most
-    :data:`~repro.lockstep.scheduler.COLUMN_WIDTH` points) and costs the
-    same. Every index appears once, ascending within its chunk.
+    chunk of a kernel runs the same engines and costs the same. Every
+    index appears once, ascending within its chunk.
     """
     n = max(1, -(-len(tasks) // (jobs * 4)))
     if not align_batches:
@@ -268,7 +268,7 @@ def _share_images(tasks: list[SweepTask], fast: list[bool],
     holds for their ``(workload, scale)`` where it is equal, so a kernel
     dealt over several chunks still holds one image in the parent.
 
-    A column hands its equal images one array, so each distinct array
+    A cluster hands its equal images one array, so each distinct array
     of the chunk is compared once; the first one seen for a block is
     kept. Reference-engine results keep their private images.
     """

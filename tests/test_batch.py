@@ -4,13 +4,15 @@ equality against the reference engine (reduced grid tier-1, full grid
 tier-2).
 
 The bit-level differentials over randomized sweep grids live in
-``tests/test_engine_differential.py`` (columns) and
-``tests/test_batch_differential.py`` (the per-instance replay path);
-this file pins *which* engine a sweep point runs on (an explicit engine
-beats ``REPRO_ENGINE``; observability and checking always send a point
-to the interpreter; an unset engine records nothing), when a kernel
-bails to the interpreter slow path, and that the replay core's
-System-facing surface matches the interpreter chunk for chunk.
+``tests/test_engine_differential.py`` and
+``tests/test_batch_differential.py``, and over random programs in
+``tests/test_record_differential.py``; this file pins *which* engine a
+sweep point runs on (an explicit engine beats ``REPRO_ENGINE``;
+observability and checking always send a point to the interpreter; an
+unset engine records nothing), when a kernel bails to the interpreter
+slow path, that one point's engine matches the interpreter at fixed
+chunk sizes and across outages, and the replay core's pc and
+snapshot surface.
 """
 
 from __future__ import annotations
@@ -25,11 +27,13 @@ from repro.batch import (RecordingBail, ReplayCore, batch_stats,
 from repro.cpu.core import InOrderCore
 from repro.errors import ConfigError, SweepError
 from repro.isa.builder import ProgramBuilder
-from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
+from repro.lockstep.scheduler import (clear_lockstep_stats, lockstep_stats,
+                                      run_column)
 from repro.mem.memsys import NoCacheNVP
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
-from repro.sim.factory import effective_costs, resolve_engine, runs_fast
+from repro.sim.factory import (build_system, effective_costs, resolve_engine,
+                               runs_fast)
 from repro.sim.parallel import SweepTask, run_tasks
 from repro.sim.sweep import run_grid
 from repro.workloads import ALL_WORKLOADS, build_workload
@@ -131,9 +135,8 @@ def test_explicit_reference_beats_env(monkeypatch):
 
 
 def test_replay_system_attaches_nothing():
-    """A replay instance runs its design's own class methods: nothing
-    shadows the memory or checkpoint protocol on the design, and the
-    core's ``run_chunk`` is the class method."""
+    """A replay point runs its design's own class methods: nothing
+    shadows the memory or checkpoint protocol on the design."""
     prog = build_workload("sha", 0.2)
     config = SimConfig(engine="fast")
     for design in DESIGNS:
@@ -146,7 +149,6 @@ def test_replay_system_attaches_nothing():
                     "flush_for_checkpoint", "on_boot",
                     "finalize"} & set(vars(system.design))
         assert not shadowed, design
-        assert "run_chunk" not in vars(system.core), design
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +250,7 @@ def test_bailed_group_falls_back_to_slow_path(monkeypatch):
     tasks = [_task(design="WL-Cache"), _task(design="VCache-WT")]
     out = run_tasks(tasks, jobs=1)
     assert batch_stats()["bails"] == 1
-    assert batch_stats()["replays"] == 0
+    assert batch_stats()["lockstep"] == 0
     assert out == ref
 
 
@@ -296,78 +298,75 @@ def test_build_stream_cross_checks_recorded_cycles():
 
 
 # ---------------------------------------------------------------------------
-# ReplayCore: the System-facing surface, chunk for chunk
+# one point's engine against the interpreter; the ReplayCore surface
 # ---------------------------------------------------------------------------
+
+def _point_pair(prog, design="WL-Cache", **overrides):
+    """One trace1 point of ``prog`` on the interpreter and on its
+    generated engine."""
+    config = SimConfig(engine="fast", **overrides)
+    ref = build_system(prog, design, "trace1", config).run()
+    stream = get_stream(prog, effective_costs(design, config), 100_000)
+    task = SweepTask(prog.name, design, "trace1", 1.0, False, config)
+    outcome = run_column(prog, task, config, stream)
+    assert outcome[0] == "ok", outcome
+    return ref, outcome[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 32, 1000])
+def test_replay_matches_interpreter_per_chunk(chunk):
+    # a 10 uF capacitor fits the 1000-instruction chunk margin
+    ref, got = _point_pair(build_sum_program(40), chunk_instrs=chunk,
+                           capacitance_f=1e-5)
+    assert got == ref
+
+
+def test_replay_flush_icache_refetches_like_interpreter():
+    """Every outage flushes the I-cache; the interpreter then re-fetches
+    the resume line even when unchanged, and the engine synthesizes
+    that fetch (the stream has no event there). Under weak constant
+    power a 16k-instruction program meets several outages."""
+    from repro.energy.traces import ConstantTrace
+
+    prog = build_sum_program(4000)
+    config = SimConfig(engine="fast", capacitance_f=3e-7,
+                       von_headroom_v=0.1)
+    ref = build_system(prog, "NoCache", ConstantTrace(0.05), config).run()
+    assert ref.outages > 1
+    stream = get_stream(prog, effective_costs("NoCache", config), 100_000)
+    task = SweepTask(prog.name, "NoCache", ConstantTrace(0.05), 1.0, False,
+                     config)
+    assert run_column(prog, task, config, stream) == ("ok", ref)
+
 
 def _interp_core(prog):
     return InOrderCore(prog, NoCacheNVP(NVMainMemory(
         prog.initial_memory())))
 
 
-def _replay_core(prog, stream):
-    return ReplayCore(prog, NoCacheNVP(NVMainMemory(
-        prog.initial_memory())), _costs(), stream)
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 7, 32, 1000])
-def test_replay_matches_interpreter_per_chunk(chunk):
-    prog = build_sum_program(40)
-    stream = get_stream(prog, _costs(), 100_000)
-    interp = _interp_core(prog)
-    replay = _replay_core(prog, stream)
-    while not interp.halted:
-        ni, ci = interp.run_chunk(chunk)
-        nr, cr = replay.run_chunk(chunk)
-        assert (ni, ci) == (nr, cr)
-        for attr in ("instret", "cycle", "halted", "pc", "ic_fetches",
-                     "ic_misses", "n_loads", "n_stores", "n_branches"):
-            assert getattr(interp, attr) == getattr(replay, attr), attr
-    assert replay.halted
-    assert replay.arch_regs == interp.arch_regs
-
-
-def test_replay_flush_icache_refetches_like_interpreter():
-    """After a flush the interpreter re-fetches the current line even
-    when unchanged; the stream has no event there, so the replay core
-    synthesizes it (the pending-fetch path)."""
-    prog = build_sum_program(40)
-    stream = get_stream(prog, _costs(), 100_000)
-    interp = _interp_core(prog)
-    replay = _replay_core(prog, stream)
-    for step in (5, 5, 5):
-        interp.run_chunk(step)
-        replay.run_chunk(step)
-        interp.flush_icache()
-        replay.flush_icache()
-    while not interp.halted:
-        assert interp.run_chunk(17) == replay.run_chunk(17)
-        assert interp.ic_misses == replay.ic_misses
-        assert interp.cycle == replay.cycle
-
-
 def test_replay_pc_tracks_position():
     prog = build_sum_program(40)
     stream = get_stream(prog, _costs(), 100_000)
     interp = _interp_core(prog)
-    replay = _replay_core(prog, stream)
+    replay = ReplayCore(stream, _costs())
     assert replay.pc == 0
     seen = []
     while not interp.halted:
         interp.run_chunk(7)
-        replay.run_chunk(7)
+        replay._p = interp.instret
         seen.append(replay.pc)
         assert interp.pc == replay.pc
     assert len(set(seen)) > 1  # the property really moves
-    # once halted, the pc rests on the HALT instruction and stays put
-    replay.run_chunk(7)
+    # once halted, the pc rests on the HALT instruction
+    assert replay._p == stream.n_total
     assert replay.pc == interp.pc
 
 
 def test_replay_snapshot_restore_roundtrip():
     prog = build_sum_program(40)
     stream = get_stream(prog, _costs(), 100_000)
-    replay = _replay_core(prog, stream)
-    replay.run_chunk(13)
+    replay = ReplayCore(stream, _costs())
+    replay._p = 13
     regs, pc = replay.snapshot_arch_state()
     assert pc == replay.pc
     replay.restore_arch_state((regs, pc))  # no-op: position encodes pc
@@ -386,7 +385,7 @@ def test_run_results_identical_reduced_grid(trace):
     fast = run_grid(["sha", "qsort"], designs, trace, jobs=1, scale=0.2,
                     engine="fast")
     assert fast == ref
-    assert batch_stats()["replays"] == len(ref)
+    assert batch_stats()["lockstep"] == len(ref)
 
 
 def test_parallel_sweep_with_engine_env(monkeypatch):

@@ -1,18 +1,14 @@
-"""Hypothesis differential: the per-instance replay path is bit-identical
-to the interpreter.
+"""Hypothesis differential: whole randomized grids on the fast engine are
+bit-identical to the reference engine, one generated engine per point.
 
-Under ``engine="fast"`` a sweep point whose column instance bails
-finishes on :class:`~repro.batch.replay.ReplayCore`, one instance at a
-time - the path every evictee takes. Forcing every
-instance out at event 0 (the scheduler's ``BAIL_HOOK`` seam) leaves the
-column empty, so nothing rejoins and whole randomized grids - kernel
-subsets, design subsets, power condition, workload scale, instruction
-budget - run on that path alone. Each grid runs twice, once with
-``engine="reference"`` on the interpreter and once this way, and every
-:class:`~repro.sim.results.RunResult` field is compared exactly
-(including the float energy breakdown, which is sensitive to chunk
-boundaries and therefore the sharpest bit-identity probe the simulator
-has).
+Under ``engine="fast"`` every recorded point runs alone on an engine
+rendered for it. Randomized grids - kernel subsets, design subsets,
+power condition, workload scale, instruction budget - run twice, once
+with ``engine="reference"`` on the interpreter and once on the fast
+engine, and every :class:`~repro.sim.results.RunResult` field is
+compared exactly (including the float energy breakdown, which is
+sensitive to chunk boundaries and therefore the sharpest bit-identity
+probe the simulator has); the fast run must start one engine per point.
 
 The grid shape matters more than the kernel count: mixed design
 families (NVCache-WB records separately) and repeated (workload,
@@ -20,8 +16,9 @@ design) cells across conditions exercise the engine's grouping and
 cache paths differently, so the strategies draw the *shape*, not just
 the points.
 
-``tests/test_engine_differential.py`` covers the columns themselves,
-with random bail points; this module pins the replay half on its own.
+``tests/test_engine_differential.py`` draws cache geometries and
+thresholds on top; this module keeps the default geometry and draws
+the grid shape.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.lockstep.scheduler as scheduler
 from repro.batch import clear_streams
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.sim.sweep import run_grid
@@ -73,21 +69,17 @@ def test_batched_grid_bit_identical_to_serial(grid):
     except Exception as exc:  # budget truncation must match too
         ref, ref_err = None, (type(exc), str(exc))
     clear_lockstep_stats()
-    scheduler.BAIL_HOOK = lambda task: 0
     try:
         bat = run_grid(apps, designs, trace, jobs=1, scale=scale,
                        engine="fast", **overrides)
         bat_err = None
     except Exception as exc:
         bat, bat_err = None, (type(exc), str(exc))
-    finally:
-        scheduler.BAIL_HOOK = None
     assert ref_err == bat_err
     if ref_err is not None:
         return
-    # every point left its column before the first event
-    assert lockstep_stats()["evictions"] == len(ref)
-    assert lockstep_stats()["rejoins"] == 0
+    stats = lockstep_stats()
+    assert stats["columns"] == stats["instances"] == len(ref)
     assert ref.keys() == bat.keys()
     for key in ref:
         a, b = ref[key], bat[key]

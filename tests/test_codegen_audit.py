@@ -1,4 +1,4 @@
-"""The static codegen auditor (A001-A003, A005-A008): every contract
+"""The static codegen auditor (A001-A003, A005, A006, A008): every contract
 gets a clean case and at least one seeded mutation it must catch.
 
 The synthetic-module tests feed hand-written sources shaped like the
@@ -7,14 +7,12 @@ each contract is exercised in isolation; the integration tests then
 audit real compiled output (and tampered copies of it) end to end.
 """
 
-import pathlib
-
 from repro.isa.builder import ProgramBuilder
 from repro.jit.blocks import (block_spans, compile_blocks_source,
                               compile_suffix_source)
 from repro.jit.cache import get_compiled
 from repro.lint.codegen_audit import (audit_compiled, audit_module_source,
-                                      audit_replay_module, audit_suite)
+                                      audit_suite)
 from repro.sim.config import SimConfig
 
 
@@ -208,55 +206,23 @@ class TestRealCodegen:
             compiled.suffix_sources.clear()
 
 
-class TestReplayContract:
-    """A007 over the hand-written batch walker."""
-
-    def test_real_module_clean(self):
-        assert audit_replay_module() == []
-
-    def tampered(self, monkeypatch, tmp_path, mangle):
-        import repro.batch.replay as replay_mod
-        src = pathlib.Path(replay_mod.__file__).read_text(encoding="utf-8")
-        fake = tmp_path / "replay.py"
-        fake.write_text(mangle(src), encoding="utf-8")
-        monkeypatch.setattr(replay_mod, "__file__", str(fake))
-        return audit_replay_module()
-
-    def test_wrong_now_formula(self, monkeypatch, tmp_path):
-        findings = self.tampered(
-            monkeypatch, tmp_path,
-            lambda s: s.replace("cum[i] - c_mem + dyn + offset",
-                                "cum[i] + dyn + offset"))
-        assert rules_of(findings) == {"A007"}
-        assert any("now=" in f.message for f in findings)
-
-    def test_stray_import(self, monkeypatch, tmp_path):
-        findings = self.tampered(
-            monkeypatch, tmp_path,
-            lambda s: s.replace("from __future__ import annotations",
-                                "from __future__ import annotations\n"
-                                "import time"))
-        assert rules_of(findings) == {"A007"}
-        assert any("'time'" in f.message for f in findings)
-
-
 class TestLiveSystems:
     """The suite driver over a live sweep."""
 
     def test_audit_suite_smoke(self):
         results = audit_suite(["sha"], scale=0.2)
-        assert set(results) == {"batch:replay", "sha", "lockstep:engines"}
+        assert set(results) == {"sha", "lockstep:engines"}
         assert {k: [f.render() for f in v]
                 for k, v in results.items() if v} == {}
 
 
 class TestLockstepEngineContract:
-    """A008 (+ A005/A006) over the generated lockstep column engines:
-    a clean case per audited property and a seeded mutation each."""
+    """A008 (+ A005/A006) over the generated lockstep engines: a clean
+    case per audited property and a seeded mutation each."""
 
-    #: a mixed column: wl fast stores, base fast loads, call fallback
-    SIG = (("wl", 1, 1, 4, 15, 3), ("base", 0, 0, 4, 15, 3),
-           ("call", 0, 1, 0, 0, 0))
+    #: a traced WL-Cache point: inline probes, inline stores, the
+    #: capacitor accounting block and every episode kind
+    SIG = ("wl", 1, 1, 4, 15, 3)
 
     def _findings(self, mangle=None):
         from repro.lint.codegen_audit import audit_lockstep_engine
@@ -271,33 +237,32 @@ class TestLockstepEngineContract:
 
     def test_unknown_episode_tag(self):
         findings = self._findings(lambda s: s.replace(
-            "_ep.append(('bail',))", "_ep.append(('oops',))"))
+            "_ep = ('outage',)", "_ep = ('oops',)"))
         assert "A008" in rules_of(findings)
 
     def test_wrong_episode_arity(self):
         findings = self._findings(lambda s: s.replace(
-            "_ep.append(('bail',))", "_ep.append(('bail', 0))"))
+            "_ep = ('outage',)", "_ep = ('outage', 0)"))
         assert "A008" in rules_of(findings)
 
     def test_missing_cursor_publication(self):
         findings = self._findings(lambda s: s.replace(
-            "cell[2] = _cur", "pass"))
+            "cell[0] = _ei", "pass"))
         assert "A008" in rules_of(findings)
-        assert any("cell[2]" in f.message for f in findings)
+        assert any("cell[0]" in f.message for f in findings)
 
     def test_missing_instance_writeback(self):
-        # drop instance 1's mirror slice writeback (the slice *store*,
-        # not the matching unpack read at round entry)
-        from repro.lockstep.state import S_CLT, S_W
+        # drop the mirror slice writeback (the slice *store*, not the
+        # matching unpack read on resume)
+        from repro.lockstep.state import S_CLT, S_P
         findings = self._findings(lambda s: s.replace(
-            f"            _s1[{S_W}:{S_CLT + 1}] = ", "            _y = "))
+            f"        _s[{S_P}:{S_CLT + 1}] = ", "        _y = "))
         assert "A008" in rules_of(findings)
-        assert any("instances [1]" in f.message for f in findings)
+        assert any("mirror slice" in f.message for f in findings)
 
     def test_ambient_name_flagged(self):
         findings = self._findings(lambda s: s.replace(
-            "_ep.append(('bail',))",
-            "_ep.append(('bail',)) if _rng else None"))
+            "_ep = ('outage',)", "_ep = ('outage',) if _rng else None"))
         assert "A006" in rules_of(findings)
 
     def test_stale_retained_source(self):

@@ -2,31 +2,24 @@
 reference engine.
 
 Randomized small grids - kernel subsets, design subsets spanning every
-column engine shape (wl/wb fast stores, base, call) and both recording
+engine shape (wl/wb fast stores, base, call) and both recording
 families (NVCache-WB folds ``nvcache_ifetch_extra`` into its costs),
 power condition, scale, instruction budget - run twice, once with
 ``SimConfig(engine="reference")`` on the interpreter and once with
-``engine="fast"`` on lockstep columns, and every
+``engine="fast"`` on generated per-point engines, and every
 :class:`~repro.sim.results.RunResult` field is compared exactly
 (including the float energy breakdown, which is sensitive to chunk
 boundaries and therefore the sharpest bit-identity probe the simulator
-has). Mixed-trace grids matter most here: instances of one column
-differ in their capacitor accounting block, so the generated engine
-interleaves traced and untraced epilogues in one module.
+has). Traced and untraced points render different capacitor
+accounting blocks, so the condition draw covers both epilogues.
 
 Every example also draws a cache geometry (512/1024/2048 B, 16/32/64 B
 lines, 1/2/4-way, so every cache holds at least 8 lines), a replacement
 policy (LRU/FIFO) and WL-Cache thresholds (``maxline`` 2/4/6 with
-``waterline = maxline - 1``). The column engine bakes each geometry's
+``waterline = maxline - 1``). The engine bakes each geometry's
 shift and masks into its source and inlines the LRU stamp and the
 below-waterline insert, so these draws check every specialization of
 the inline hit path against the interpreter.
-
-A random forced-bail event index (the scheduler's test seam) is drawn
-for some examples, so eviction/rejoin at arbitrary stream positions is
-part of the differential, not just the hand-picked cases in
-``tests/test_lockstep.py``; a bail at event 0 sends a whole run down
-the per-instance :class:`~repro.batch.replay.ReplayCore` path.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ import dataclasses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.lockstep.scheduler as scheduler
 from repro.batch import clear_streams
 from repro.mem.setassoc import CacheGeometry
 from repro.sim.sweep import run_grid
@@ -70,17 +62,14 @@ def grid_st(draw):
         # it truncates the kernel, the error path must match exactly)
         overrides["max_instructions"] = draw(
             st.sampled_from([200_000, 1_000_000]))
-    bail_ei = draw(st.one_of(
-        st.none(), st.integers(min_value=0, max_value=20_000)))
-    bail_design = draw(st.sampled_from(designs))
-    return apps, designs, trace, scale, overrides, bail_ei, bail_design
+    return apps, designs, trace, scale, overrides
 
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(grid_st())
 def test_fast_engine_grid_bit_identical_to_reference(grid):
-    apps, designs, trace, scale, overrides, bail_ei, bail_design = grid
+    apps, designs, trace, scale, overrides = grid
     clear_streams()
     try:
         ref = run_grid(apps, designs, trace, jobs=1, scale=scale,
@@ -88,17 +77,12 @@ def test_fast_engine_grid_bit_identical_to_reference(grid):
         ref_err = None
     except Exception as exc:  # budget truncation must match too
         ref, ref_err = None, (type(exc), str(exc))
-    if bail_ei is not None:
-        scheduler.BAIL_HOOK = (
-            lambda task: bail_ei if task.design == bail_design else None)
     try:
         fast = run_grid(apps, designs, trace, jobs=1, scale=scale,
                         engine="fast", **overrides)
         fast_err = None
     except Exception as exc:
         fast, fast_err = None, (type(exc), str(exc))
-    finally:
-        scheduler.BAIL_HOOK = None
     assert ref_err == fast_err
     if ref_err is not None:
         return

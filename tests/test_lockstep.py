@@ -1,17 +1,16 @@
-"""Structural tests of lockstep columns: column formation (every family
-of a kernel on one skeleton, a wide cluster cut into columns of at most
-``COLUMN_WIDTH``), each design's column mode, bit-identity against the
-reference engine, divergence (forced bails, faults, wrapped design
-methods) with eviction and rejoin, pool propagation of the engine
-switch, freeing finished points, equal final images sharing one array
-(within a cluster across its columns, and across the chunks a pool
-deals one kernel into), and the shared on-disk recording cache.
+"""Structural tests of the lockstep engines: one generated engine per
+point (every family of a kernel on one skeleton, a wide cluster run
+point by point), each design's engine mode, bit-identity against the
+reference engine, fault isolation (a raising memory call or build ends
+only its own point, a wrapped design method sees every access), pool
+propagation of the engine switch, freeing finished points, equal final
+images sharing one array (within a cluster, and across the chunks a
+pool deals one kernel into), and the shared on-disk recording cache.
 
 The randomized bit-level differential lives in
-``tests/test_engine_differential.py``; this file pins *when* columns
-form, that a diverging instance leaves and re-enters the column without
-perturbing a single RunResult field, and that the campaign plumbing
-(cache stats across shards) round-trips.
+``tests/test_engine_differential.py``; this file pins *when* engines
+run, that a failing point perturbs no other point's RunResult, and
+that the campaign plumbing (cache stats across shards) round-trips.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def _assert_equal_results(ref: dict, got: dict, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# engagement: which sweeps form columns
+# engagement: which sweeps run on the engines
 # ---------------------------------------------------------------------------
 
 _PAIR = (["sha"], ("WL-Cache", "VCache-WT"), "trace1")
@@ -84,7 +83,7 @@ def test_lockstep_off_by_default(monkeypatch):
 def test_lockstep_env_switch(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "fast")
     run_grid(*_PAIR, jobs=1, scale=0.1)
-    assert lockstep_stats()["columns"] == 1
+    assert lockstep_stats()["columns"] == 2
     assert lockstep_stats()["instances"] == 2
     clear_lockstep_stats()
     monkeypatch.setenv("REPRO_ENGINE", "reference")
@@ -107,8 +106,8 @@ def test_observability_outranks_lockstep():
 def test_every_family_of_a_cluster_runs_on_one_skeleton(monkeypatch):
     """A family expanded after its kernel's skeleton left the skeleton
     cache, while the kernel's other family is still a cached stream,
-    takes that stream's skeleton: each kernel's cluster is one column
-    on one event list, and no point replays alone."""
+    takes that stream's skeleton: every point of a kernel's cluster
+    walks one event list."""
     from repro.batch.stream import stream_meta_stats
 
     kernels = ["sha", "qsort", "dijkstra", "adpcmencode", "gsmdecode",
@@ -119,11 +118,11 @@ def test_every_family_of_a_cluster_runs_on_one_skeleton(monkeypatch):
     # some kernels' skeletons left the cache; their streams did not
     assert stream_meta_stats()["skeletons"] < len(kernels)
     real = scheduler.run_column
-    skeletons = []
+    skeletons: dict[str, set] = {}
 
-    def run_column(program, entries):
-        skeletons.append({id(stream.skel) for _, _, stream in entries})
-        return real(program, entries)
+    def run_column(program, task, config, stream):
+        skeletons.setdefault(program.name, set()).add(id(stream.skel))
+        return real(program, task, config, stream)
 
     monkeypatch.setattr(scheduler, "run_column", run_column)
     designs = ("NVCache-WB", "VCache-WT", "NVSRAM(ideal)", "WL-Cache")
@@ -131,25 +130,25 @@ def test_every_family_of_a_cluster_runs_on_one_skeleton(monkeypatch):
     clear_lockstep_stats()
     got = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
                    engine="fast")
-    assert [len(ids) for ids in skeletons] == [1] * len(kernels)
+    assert sorted(skeletons) == sorted(kernels)
+    assert all(len(ids) == 1 for ids in skeletons.values())
     after = batch_stats()
     assert after["lockstep"] - before["lockstep"] == 24
-    assert after["replays"] - before["replays"] == 24
     stats = lockstep_stats()
-    assert (stats["columns"], stats["instances"]) == (6, 24)
+    assert (stats["columns"], stats["instances"]) == (24, 24)
     ref = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
                    engine="reference")
     _assert_equal_results(ref, got, "a family expanded later")
 
 
 # ---------------------------------------------------------------------------
-# bounded columns: a wide cluster runs as columns of COLUMN_WIDTH
+# a wide cluster runs point by point, one generated engine each
 # ---------------------------------------------------------------------------
 
 def _bound_spec(engine="fast"):
     """sha x 5 designs x 2 families x 2 seeds: one 20-point cluster in
     plan order NVCache-WB, VCache-WT, ReplayCache, NVSRAM(ideal),
-    WL-Cache (4 points each), so it runs as columns of 8 + 8 + 4."""
+    WL-Cache (4 points each)."""
     from repro.mc.engine import CampaignSpec
 
     return CampaignSpec(("sha",), DESIGNS, seeds=(0, 1), scale=0.05,
@@ -164,53 +163,66 @@ def bound_reference():
 
 
 def test_wide_cluster_runs_bounded_columns(bound_reference):
+    """A 20-point cluster runs as 20 one-point engines whose results
+    share the cluster's one final image."""
+    from repro.mc.engine import run_campaign
+
+    got = run_campaign(_bound_spec(), jobs=1)
+    stats = lockstep_stats()
+    assert stats["columns"] == stats["instances"] == 20
+    assert stats["column_chunks"] >= 20
+    assert len({id(r.final_memory) for r in got.values()}) == 1
+    _assert_equal_results(bound_reference, got, "one engine per point")
+
+
+def test_every_engine_renders_one_point():
+    """Each point of a 20-point cluster runs on its own engine, and
+    every retained engine source is rendered for one point: its
+    signature is one ``(mode, lru, traced, shift, smask, wmask)`` tuple
+    and its generator takes one slot."""
     from repro.mc.engine import run_campaign
 
     clear_engines()
-    got = run_campaign(_bound_spec(), jobs=1)
+    run_campaign(_bound_spec(), jobs=1)
     stats = lockstep_stats()
-    assert (stats["columns"], stats["instances"]) == (3, 20)
-    assert engine_sources()
-    assert all(len(sig) <= scheduler.COLUMN_WIDTH
-               for sig in engine_sources())
-    # the cluster's columns share one final image
-    assert len({id(r.final_memory) for r in got.values()}) == 1
-    _assert_equal_results(bound_reference, got, "bounded columns")
+    assert stats["columns"] == stats["instances"] == 20
+    sources = engine_sources()
+    assert sources
+    for sig, src in sources.items():
+        assert len(sig) == 6 and isinstance(sig[0], str), sig
+        assert src.startswith(
+            "def _make_engine(events, ne, po, evf, cell, _s, pname):")
 
 
 def test_failing_column_boxes_only_its_tasks(monkeypatch, bound_reference):
+    """A point whose build raises ends as that error; the cluster's
+    other points run on, bit-identically."""
     from repro.mc.engine import expand_campaign
 
     pairs = expand_campaign(_bound_spec())
     keys = {id(task): key for key, task in pairs}
-    marked = pairs[5][1]  # a VCache-WT point, in the first column
-    real = scheduler.run_column
-    widths = []
+    marked_key, marked = pairs[5]  # a VCache-WT point
 
-    def run_column(program, entries):
-        widths.append(len(entries))
-        if any(task is marked for task, _config, _stream in entries):
-            raise RuntimeError("injected column failure")
-        return real(program, entries)
+    def prep(task, system):
+        if task is marked:
+            raise RuntimeError("injected point failure")
 
-    monkeypatch.setattr(scheduler, "run_column", run_column)
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
     outcomes = {keys[id(task)]: outcome for task, outcome
                 in iter_outcomes([task for _, task in pairs], run_task)}
-    assert widths == [8, 8, 4]
     assert {key for key, oc in outcomes.items() if oc[0] == "err"} \
-        == {key for key, _ in pairs[:8]}
-    for key, _ in pairs[:8]:
-        _kind, exc, tb = outcomes[key]
-        assert isinstance(exc, RuntimeError)
-        assert "injected column failure" in tb
+        == {marked_key}
+    _kind, exc, tb = outcomes[marked_key]
+    assert isinstance(exc, RuntimeError)
+    assert "injected point failure" in tb
     got = {key: oc[1] for key, oc in outcomes.items() if oc[0] == "ok"}
-    assert len(got) == 12
+    assert len(got) == 19
     _assert_equal_results({key: bound_reference[key] for key in got}, got,
-                          "columns after a failed one")
+                          "points after a failed one")
 
 
 def test_serial_progress_per_column(monkeypatch):
-    """A serial run reports a column's points before the next column is
+    """A serial run reports each point before the next point is
     built."""
     from repro.mc.engine import run_campaign
 
@@ -230,13 +242,13 @@ def test_differing_image_in_a_later_column(monkeypatch):
     from repro.verify.checker import check_crash_consistency
     from repro.workloads import build_workload
 
-    odd = ("sha", "WL-Cache", "mc-rf-office", 1)  # in the third column
+    odd = ("sha", "WL-Cache", "mc-rf-office", 1)  # the cluster's last
     prep, _seen = _flip_last_word(
         lambda task, seen: (task.design, task.trace,
                             task.overrides["trace_seed"]) == odd[1:])
     monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
     got = run_campaign(_bound_spec(), jobs=1)
-    assert lockstep_stats()["columns"] == 3
+    assert lockstep_stats()["columns"] == 20
     res = got.pop(odd)
     assert len({id(r.final_memory) for r in got.values()}) == 1
     assert all(r.final_memory is not res.final_memory
@@ -249,7 +261,7 @@ def test_differing_image_in_a_later_column(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# column modes: which accesses the engine inlines per design
+# engine modes: which accesses the engine inlines per design
 # ---------------------------------------------------------------------------
 
 #: every design's column mode (see repro.lockstep.state.column_mode)
@@ -291,8 +303,7 @@ def test_reduced_grid_identical(trace):
                   engine="fast")
     _assert_equal_results(ref, lk, f"lockstep trace={trace}")
     stats = lockstep_stats()
-    assert stats["columns"] == 1
-    assert stats["instances"] == len(_DESIGNS)
+    assert stats["columns"] == stats["instances"] == len(_DESIGNS)
     assert batch_stats()["lockstep"] == len(_DESIGNS)
 
 
@@ -301,7 +312,7 @@ def test_single_task_column_identical_to_reference():
                    engine="reference")
     lk = run_grid(["qsort"], ("WL-Cache",), "trace1", jobs=1, scale=0.2,
                   engine="fast")
-    _assert_equal_results(ref, lk, "size-1 column")
+    _assert_equal_results(ref, lk, "one point")
     stats = lockstep_stats()
     assert stats["columns"] == 1
     assert stats["instances"] == 1
@@ -316,7 +327,7 @@ def test_parallel_pool_propagates_lockstep(monkeypatch):
     _assert_equal_results(ref, lk, "pooled lockstep")
     # the workers' counter deltas ride home on the chunk records and
     # are folded into this process (absorb_counters), so the parent
-    # sees the columns the pool actually ran
+    # sees the points the pool actually ran
     assert batch_stats()["lockstep"] >= 2
 
 
@@ -330,13 +341,9 @@ def test_pooled_sweep_ships_scheduler_counters_home():
         clear_lockstep_stats()
         run_grid(*grid, jobs=jobs, scale=0.05, engine="fast")
         counts[jobs] = {k: lockstep_stats()[k] for k in keys}
-    assert counts[1]["columns"] == 4
-    # n = ceil(8 / (4 * 2)) = 1, so the pool deals each kernel's two
-    # designs into two one-instance columns: the same instances and
-    # chunks, over twice the columns
-    assert counts[2]["columns"] == 8
-    for key in ("instances", "column_chunks"):
-        assert counts[2][key] == counts[1][key], key
+    # one engine per point, however the pool deals the kernels
+    assert counts[1]["columns"] == counts[1]["instances"] == 8
+    assert counts[2] == counts[1]
 
 
 def test_error_parity_on_budget_truncation():
@@ -358,7 +365,7 @@ def test_error_parity_on_budget_truncation():
 
 
 # ---------------------------------------------------------------------------
-# divergence: forced bails evict at an exact event, solos rejoin
+# fault isolation: a raising point ends alone
 # ---------------------------------------------------------------------------
 
 def _grid_ref(designs, trace="trace1"):
@@ -369,53 +376,9 @@ def _grid_ref(designs, trace="trace1"):
     return ref
 
 
-def test_first_event_bail_is_invisible(monkeypatch):
-    ref = _grid_ref(_DESIGNS)
-    monkeypatch.setattr(
-        scheduler, "BAIL_HOOK",
-        lambda task: 0 if task.design == "WL-Cache" else None)
-    lk = run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
-                  engine="fast")
-    _assert_equal_results(ref, lk, "bail at event 0")
-    assert lockstep_stats()["evictions"] >= 1
-
-
-def test_all_instances_bail_first_event(monkeypatch):
-    designs = ("WL-Cache", "NVSRAM(ideal)")
-    ref = _grid_ref(designs)
-    monkeypatch.setattr(scheduler, "BAIL_HOOK", lambda task: 0)
-    lk = run_grid(["sha"], designs, "trace1", jobs=1, scale=0.2,
-                  engine="fast")
-    _assert_equal_results(ref, lk, "all instances bail")
-    stats = lockstep_stats()
-    assert stats["evictions"] == len(designs)
-    assert stats["solo_chunks"] > 0
-
-
-@pytest.mark.parametrize("trace", [None, "trace1"])
-def test_mid_walk_bail_evicts_and_rejoins(monkeypatch, trace):
-    designs = ("WL-Cache", "NVSRAM(ideal)", "VCache-WT")
-    ref = _grid_ref(designs, trace)
-    monkeypatch.setattr(
-        scheduler, "BAIL_HOOK",
-        lambda task: 5_000 if task.design == "NVSRAM(ideal)" else None)
-    lk = run_grid(["sha"], designs, trace, jobs=1, scale=0.2,
-                  engine="fast")
-    _assert_equal_results(ref, lk, f"mid-walk bail trace={trace}")
-    stats = lockstep_stats()
-    assert stats["evictions"] >= 1
-    if trace is None:
-        # untraced budgets are the fixed 64Ki-instruction chunk, so the
-        # solo's boundaries coincide with the column cursor and the
-        # evicted instance re-enters the column; traced budgets are
-        # energy-dependent per instance, so a traced rejoin is possible
-        # but not guaranteed
-        assert stats["rejoins"] >= 1
-
-
 def test_mid_walk_fault_is_isolated(monkeypatch):
-    """A non-bail exception kills only its own instance; the rest of
-    the column finishes bit-identically."""
+    """A memory call that raises mid-walk ends only its own point; the
+    other points finish bit-identically."""
     ref = _grid_ref(("WL-Cache", "VCache-WT"))
 
     def prep(task, system):
@@ -501,17 +464,17 @@ def test_prep_hook_sees_every_access(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_finished_points_freed_without_gc(monkeypatch):
-    """No reference cycle keeps a finished column point alive: with the
-    cyclic collector off, every design is gone once the results are."""
+    """No reference cycle keeps a finished point alive: with the cyclic
+    collector off, every design is gone once the results are."""
     designs = []
-    real = scheduler._build_inst
+    real = scheduler.build_replay_system
 
     def spy(program, task, config, stream):
-        inst = real(program, task, config, stream)
-        designs.append(weakref.ref(inst.design))
-        return inst
+        system = real(program, task, config, stream)
+        designs.append(weakref.ref(system.design))
+        return system
 
-    monkeypatch.setattr(scheduler, "_build_inst", spy)
+    monkeypatch.setattr(scheduler, "build_replay_system", spy)
     gc.collect()
     gc.disable()
     try:
@@ -537,7 +500,7 @@ def _sha_column(engine="fast"):
 def _flip_last_word(pick):
     """A ``PREP_HOOK`` flipping the last NVM word - which sha never
     touches - of the instance ``pick(task, seen)`` selects, where
-    ``seen`` lists the designs built before it in column order."""
+    ``seen`` lists the designs built before it in plan order."""
     seen: list[str] = []
 
     def prep(task, system):
@@ -634,10 +597,8 @@ def test_dealt_kernel_holds_one_image_in_the_parent():
     from repro.workloads import build_workload
 
     got = _dealt_campaign()
-    columns = lockstep_stats()["columns"]
-    stats = batch_stats()
-    assert columns == 8  # one per dealt chunk
-    assert stats["replays"] == stats["lockstep"] == len(got)
+    assert lockstep_stats()["columns"] == len(got) == 40
+    assert batch_stats()["lockstep"] == len(got)
     assert len({id(r.final_memory) for r in got.values()}) == 1
     check_crash_consistency(build_workload("sha", 0.05),
                             next(iter(got.values())))
@@ -655,7 +616,7 @@ def test_dealt_differing_image_keeps_its_own_array(monkeypatch):
     odd = ("sha", "WL-Cache", "mc-rf-home", 1)
 
     def prep(task, system):
-        # WL-Cache comes last in its column, so the column's first
+        # WL-Cache comes last in each dealt chunk, so the chunk's first
         # image is an equal one
         if (task.design, task.trace, task.overrides["trace_seed"]) \
                 == odd[1:]:
@@ -663,7 +624,7 @@ def test_dealt_differing_image_keeps_its_own_array(monkeypatch):
 
     monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
     got = _dealt_campaign()
-    assert lockstep_stats()["columns"] == 8
+    assert lockstep_stats()["columns"] == 40
     res = got.pop(odd)
     assert len({id(r.final_memory) for r in got.values()}) == 1
     assert all(r.final_memory is not res.final_memory for r in got.values())
@@ -692,7 +653,7 @@ def test_engine_cached_per_signature():
     clear_streams()
     run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
              engine="fast")
-    # same column signature: the retained source is reused, not re-rendered
+    # same signatures: the retained sources are reused, not re-rendered
     assert engine_cache_stats()["renders"] == renders
     clear_engines()
     assert engine_cache_stats()["signatures"] == 0

@@ -1,9 +1,9 @@
 """The NVM word image is a flat ``array("I")`` on every execution path.
 
 ``Program.initial_memory`` builds the image every memory model starts
-from, so each path - the reference interpreter, per-instance batch
-replay, lockstep columns, pool workers, the oracle and the batch
-recorder - must end holding one flat u32 buffer whose bytes equal the
+from, so each path - the reference interpreter, the fast engine's
+lockstep engines, pool workers, the oracle and the batch recorder -
+must end holding one flat u32 buffer whose bytes equal the
 failure-free oracle's. The collector still tracks an array (CPython makes
 it a GC-aware type), but its only referent is its type, so a collection
 pass visits one object per image; a list image would put its 262,144
@@ -17,16 +17,14 @@ from array import array
 
 import pytest
 
-from repro.batch import (batch_stats, build_replay_system, clear_streams,
-                         get_stream)
+from repro.batch import batch_stats, clear_streams
 from repro.batch.record import RecordingMemsys
 from repro.cpu.core import InOrderCore
 from repro.energy.synthetic import make_trace
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import SimConfig
-from repro.sim.factory import build_design, build_system, effective_costs
-from repro.sim.parallel import SweepTask
+from repro.sim.factory import build_design, build_system
 from repro.sim.sweep import run_grid
 from repro.sim.system import System
 from repro.verify.checker import compare_states
@@ -76,22 +74,10 @@ def test_reference_lone_run(program, oracle):
     _assert_flat_image(res.final_memory, oracle)
 
 
-def test_batch_replay(program, oracle):
-    # the per-instance replay path evictees finish on
-    config = SimConfig()
-    for design in GRID_DESIGNS:
-        stream = get_stream(program, effective_costs(design, config),
-                            config.max_instructions)
-        task = SweepTask("sha", design, "trace1", SCALE, False, config)
-        res = build_replay_system(program, task, config, stream).run()
-        _assert_flat_image(res.final_memory, oracle)
-    assert lockstep_stats()["columns"] == 0
-
-
 def test_lockstep_column(oracle):
     for image in _grid_images(jobs=1, engine="fast"):
         _assert_flat_image(image, oracle)
-    assert lockstep_stats()["columns"] >= 1
+    assert lockstep_stats()["columns"] == len(GRID_DESIGNS)
     assert batch_stats()["lockstep"] == len(GRID_DESIGNS)
 
 

@@ -1,36 +1,43 @@
-"""Differential fuzzing: interpreter vs record-mode replay must be
-bit-identical.
+"""Differential fuzzing: the interpreter and the fast engine's replay of
+the record-mode recording must be bit-identical.
 
 Hypothesis generates structured random programs through the
 :class:`ProgramBuilder` - ALU mixes (including division by zero, whose
 semantics are architecturally defined), sub-word loads/stores, nested
 conditionals, calls (JAL/JALR), and loops - asserts they are lint-clean,
-then runs each under random chunk schedules on the interpreter and on a
-:class:`~repro.batch.replay.ReplayCore` walking the guest stream the
-batch recorder captured from record-mode compiled blocks
-(:func:`repro.batch.engine.get_stream`). Chunk by chunk it compares
-*everything*: each chunk's retired count and cycle delta, pc, cycle,
-instret, the i-cache residency and counters, and the per-class
-retirement counters; at the end the architectural registers and the
-final memory image. Any emitter bug that changes a value, a branch
-direction, a memory operation or a static cost changes the recording,
-and with it one of these.
+then runs each point twice: once on the interpreter ``System`` and once
+through :func:`repro.lockstep.scheduler.run_column`, the generated
+engine walking the guest stream the batch recorder captured from
+record-mode compiled blocks (:func:`repro.batch.engine.get_stream`).
+Both runs use a weak constant power source, a small capacitor and a
+drawn ``chunk_instrs``, so chunk boundaries, outages and the post-flush
+refetch land at random places (trace1's opening segments outpower a
+generated program, which retires a few hundred instructions, so under
+it no example met an outage). Every ``RunResult`` field is compared -
+cycles, instructions, the energy breakdown, the final architectural
+registers and the final memory image - and errors by type and message.
+Any emitter bug that changes a value, a branch direction, a memory
+operation or a static cost changes the recording, and with it one of
+these.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.batch import ReplayCore, clear_streams, get_stream
-from repro.cpu.core import InOrderCore
-from repro.cpu.costs import CycleCosts
+from repro.batch import clear_streams, get_stream
+from repro.energy.traces import ConstantTrace
 from repro.isa.builder import ProgramBuilder
 from repro.lint.findings import ERROR
 from repro.lint.runner import lint_program
-from repro.mem.memsys import NoCacheNVP
-from repro.mem.nvm import NVMainMemory
+from repro.lockstep.scheduler import run_column
+from repro.sim.config import SimConfig
+from repro.sim.factory import build_system, effective_costs
+from repro.sim.parallel import SweepTask
 
 _ARR_WORDS = 32
 
@@ -120,11 +127,18 @@ def programs(draw):
     return b.build()
 
 
-COSTS = CycleCosts()
 #: recording budget: far above any generated program's length (at most
 #: 24 iterations of 24 atoms), low enough that a miscompiled loop bails
 #: quickly instead of recording a runaway
 BUDGET = 50_000
+#: one design per engine shape the capacitor fits: call (NoCache,
+#: WT+Buffer), base (VCache-WT) and wl (WL-Cache)
+DESIGNS = ("NoCache", "WT+Buffer", "VCache-WT", "WL-Cache")
+#: a capacitor, power source and reboot headroom under which over half
+#: the generated programs meet an outage (several, on average), while
+#: the 64-instruction chunk margin and WL-Cache's reserve still fit
+POWER = {"capacitance_f": 3e-7, "von_headroom_v": 0.1}
+POWER_W = 0.05
 
 
 @pytest.fixture(autouse=True)
@@ -134,46 +148,52 @@ def _fresh_streams():
     clear_streams()
 
 
-def _cores(prog):
-    """An interpreter core and a replay core over fresh NVM images."""
-    stream = get_stream(prog, COSTS, BUDGET)
-    mi = NoCacheNVP(NVMainMemory(prog.initial_memory()))
-    mr = NoCacheNVP(NVMainMemory(prog.initial_memory()))
-    return (InOrderCore(prog, mi, COSTS), mi,
-            ReplayCore(prog, mr, COSTS, stream), mr)
+def _outcome(fn) -> tuple:
+    try:
+        return ("ok", fn())
+    except Exception as exc:
+        return ("err", type(exc), str(exc))
 
 
-def _check_chunk_by_chunk(prog, budgets: list[int]) -> None:
-    ci, mi, cr, mr = _cores(prog)
-    k = 0
-    while not ci.halted:
-        budget = budgets[k % len(budgets)]
-        assert cr.run_chunk(budget) == ci.run_chunk(budget), k
-        for attr in ("pc", "cycle", "instret", "halted", "ic_fetches",
-                     "ic_misses", "n_loads", "n_stores", "n_branches"):
-            assert getattr(cr, attr) == getattr(ci, attr), (k, attr)
-        assert cr.ic_lines == ci.ic_lines, k
-        k += 1
-        assert k < 1_000_000, "runaway program"
-    assert cr.halted
-    assert cr.arch_regs == ci.arch_regs
-    assert mr.nvm.words == mi.nvm.words
+def _check_point(prog, design: str, power_w: float | None,
+                 **overrides) -> None:
+    """One point on the interpreter and on its generated engine, under
+    a constant ``power_w`` source (``None``: no power failures)."""
+    def trace():
+        return None if power_w is None else ConstantTrace(power_w)
+
+    config = SimConfig(engine="fast", **overrides)
+    ref = _outcome(lambda: build_system(prog, design, trace(),
+                                        config).run())
+    stream = get_stream(prog, effective_costs(design, config), BUDGET)
+    task = SweepTask(prog.name, design, trace(), 1.0, False, config)
+    got = run_column(prog, task, config, stream)
+    if got[0] == "err":
+        got = ("err", type(got[1]), str(got[1]))
+    assert ref[0] == got[0], (ref, got)
+    if ref[0] == "err":
+        assert ref == got
+        return
+    a, b = ref[1], got[1]
+    for f in dataclasses.fields(a):
+        assert getattr(a, f.name) == getattr(b, f.name), \
+            f"RunResult.{f.name} diverged"
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(prog=programs(),
-       budgets=st.lists(st.integers(1, 700), min_size=1, max_size=6))
-def test_record_matches_interpreter(prog, budgets):
+@given(prog=programs(), design=st.sampled_from(DESIGNS),
+       chunk=st.integers(1, 64))
+def test_record_matches_interpreter(prog, design, chunk):
     assert not any(f.severity == ERROR for f in lint_program(prog))
-    _check_chunk_by_chunk(prog, budgets)
+    _check_point(prog, design, POWER_W, chunk_instrs=chunk, **POWER)
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
-@given(prog=programs())
-def test_record_matches_interpreter_unchunked(prog):
-    # one giant chunk: the whole replay in a single event walk
-    _check_chunk_by_chunk(prog, [1 << 20])
+@given(prog=programs(), design=st.sampled_from(DESIGNS))
+def test_record_matches_interpreter_unchunked(prog, design):
+    # no power trace: the whole run is one 64Ki-instruction chunk
+    _check_point(prog, design, None)
