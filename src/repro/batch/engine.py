@@ -10,10 +10,13 @@ machinery. Given a list of sweep tasks it:
    every other task runs alone on the interpreter;
 2. groups fast tasks by ``(workload, scale, effective cost model)``
    - the *design family*: ``NVCache-WB`` folds ``nvcache_ifetch_extra``
-   into its costs, so it records separately from the SRAM-cost designs;
-3. records each group's kernel once (:mod:`repro.batch.record`) and
-   expands it into a shared :class:`GuestStream`, cached process-wide so
-   consecutive grids (one per power trace) reuse it;
+   into its costs, so it expands its own stream, apart from the
+   SRAM-cost designs;
+3. records each kernel once (:mod:`repro.batch.record`) - the
+   architectural stream is cost-independent, so every family of a
+   kernel shares one recording - and expands it per group into a
+   :class:`GuestStream`, cached process-wide so consecutive grids (one
+   per power trace) reuse it;
 4. runs every point of a ``(workload, scale)`` cluster of groups - the
    cost families of one kernel share one stream skeleton - alone on a
    generated engine (:func:`repro.lockstep.scheduler.run_column`), in
@@ -35,7 +38,8 @@ from __future__ import annotations
 import traceback
 from collections.abc import Callable, Iterator
 
-from repro.batch.record import RecordingBail, record_run
+from repro.batch.record import (RecordingBail, record_run,
+                                recording_fingerprint)
 from repro.batch.replay import ReplayCore
 from repro.batch.stream import GuestStream, build_stream
 from repro.cpu.core import program_content_key
@@ -129,11 +133,7 @@ def plan(tasks) -> list[tuple]:
 
 
 def _stream_store_key(ckey: tuple) -> tuple:
-    from repro.store.keys import modules_fingerprint
-
-    return ("stream-rec",
-            modules_fingerprint("repro.batch.record", "repro.cpu.core",
-                                "repro.isa.opcodes"), ckey)
+    return ("stream-rec", recording_fingerprint(), ckey)
 
 
 def _disk_load(ckey: tuple) -> tuple | None:

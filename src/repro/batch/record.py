@@ -98,6 +98,22 @@ def recording_costs(costs: CycleCosts) -> CycleCosts:
     return replace(costs, ifetch_miss=0)
 
 
+def recording_fingerprint(*extra: str) -> str:
+    """The store-key fingerprint of every module a recording's content
+    depends on, plus ``extra``: this recorder, the interpreter whose
+    semantics it mirrors (``repro.cpu.core``, ``repro.isa.opcodes``),
+    ``Program.initial_memory`` it runs over, the record-mode code
+    ``repro.jit.blocks`` renders and ``repro.jit.cache`` binds with its
+    suffix blocks, and the block partition of ``repro.lint.cfg`` that
+    gives exit codes their meaning."""
+    from repro.store.keys import modules_fingerprint
+
+    return modules_fingerprint(
+        "repro.batch.record", "repro.cpu.core", "repro.isa.opcodes",
+        "repro.isa.program", "repro.jit.blocks", "repro.jit.cache",
+        "repro.lint.cfg", *extra)
+
+
 def record_run(program: Program, costs: CycleCosts,
                budget: int) -> tuple[list[int], int, int, list[int],
                                      list[tuple]]:

@@ -4,9 +4,9 @@ A :class:`ReplayCore` stands where a ``System``'s interpreter core
 would, but executes nothing: the point's generated lockstep engine
 (:mod:`repro.lockstep.codegen`) walks the recorded event list, calling
 the point's *own* memory system (the real cache design) for every
-recorded load/store. At each halt or outage the scheduler syncs the
-engine's position, cycle and event index into this core, and the
-``System`` lifecycle blocks read and write it exactly as they would the
+recorded load/store. Before each halt or outage lifecycle block the
+engine writes its position and cycle into this core, and the ``System``
+lifecycle blocks read and write it exactly as they would the
 interpreter's: ``cycle``/``instret``/``halted``, the architectural
 ``pc`` and registers for the NVFF checkpoint, ``flush_icache`` and
 ``restore_arch_state``. All per-point divergence the paper's designs
@@ -17,9 +17,9 @@ blocks, both of which are untouched.
 After :meth:`flush_icache` the interpreter re-fetches the current line
 even when it matches the previous instruction's line, a fetch the
 stream has no event for (events only mark line *changes*). The flush
-therefore leaves a pending-refetch flag and its event index, and the
-engine synthesizes the fetch when it resumes unless a line event
-already sits at the resume position.
+therefore leaves a pending-refetch flag, and the engine synthesizes the
+fetch after the lifecycle block returns unless a line event already
+sits at the resume position.
 """
 
 from __future__ import annotations
@@ -37,21 +37,20 @@ class ReplayCore:
 
     def __init__(self, stream: GuestStream, costs: CycleCosts):
         self.stream = stream
-        self.regs: list[int] = [0] * (ARCH_REGS + 1)
         self.cycle = 0
-        self.instret = 0
+        self.instret = 0  # == the stream position
         self.halted = False  # a recording always retires HALT
-        self._p = 0  # stream position == retired instructions
-        self._ei = 0  # next event index
         self._pending_fetch = False  # a flush the engine has not consumed
-        self._flush_ei = 0  # event index of the last flush
         self._c_imiss = costs.ifetch_miss
 
     @property
     def arch_regs(self) -> list[int]:
-        """Zero until HALT retires (mid-run registers are observable
-        only through NVFF checkpoints, which replay round-trips)."""
-        return self.regs[:ARCH_REGS]
+        """The recorded final registers once HALT retired, zero before
+        (mid-run registers are observable only through NVFF checkpoints,
+        which replay round-trips)."""
+        if self.halted:
+            return list(self.stream.final_regs)
+        return [0] * ARCH_REGS
 
     @property
     def pc(self) -> int:
@@ -60,7 +59,7 @@ class ReplayCore:
         recovered from the block-entry prefix arrays, matching the
         interpreter's ``pc`` at every chunk boundary."""
         s = self.stream
-        p = self._p
+        p = self.instret
         if p >= s.n_total and p:
             p = s.n_total - 1  # after HALT the interpreter's pc rests on it
         j = bisect_right(s.blk_g, p) - 1
@@ -69,7 +68,7 @@ class ReplayCore:
         return s.blk_pc[j] + (p - s.blk_g[j])
 
     def snapshot_arch_state(self) -> tuple[list[int], int]:
-        return (self.regs[:ARCH_REGS], self.pc)
+        return (self.arch_regs, self.pc)
 
     def restore_arch_state(self, state: tuple[list[int], int]) -> None:
         # the stream position *is* the architectural state; the NVFF
@@ -79,4 +78,3 @@ class ReplayCore:
 
     def flush_icache(self) -> None:
         self._pending_fetch = True
-        self._flush_ei = self._ei

@@ -85,16 +85,14 @@ class StreamSkeleton:
         self.blk_pc = blk_pc
         self.final_regs = final_regs
         #: lazy fetch-event prefix count (length ``n_events + 1``),
-        #: filled by :func:`repro.lockstep.state.event_counts` so a
-        #: chunk's fetch count is one lookup instead of a per-event
-        #: increment.
+        #: filled by :func:`event_counts` so a chunk's fetch count is
+        #: one lookup instead of a per-event increment.
         self.ev_counts: array | None = None
         #: lazy previous-occurrence index per event (``-1`` for first
         #: occurrences and non-fetch events), filled by
-        #: :func:`repro.lockstep.state.event_prev`: a line is resident
-        #: for a point iff its previous occurrence is at or past the
-        #: point's last I-cache flush, which turns residency-set lookups
-        #: into one comparison.
+        #: :func:`event_prev`: a line is resident for a point iff its
+        #: previous occurrence is at or past the point's last I-cache
+        #: flush, which turns residency-set lookups into one comparison.
         self.ev_prev = None
 
 
@@ -102,8 +100,7 @@ class GuestStream:
     """One kernel's recorded execution under one cost model.
 
     Flat references into the shared skeleton plus this family's static
-    cycle prefix sum - kept flat (not a skeleton pointer) so the replay
-    hot loop pays one attribute hop per field.
+    cycle prefix sum; a point's engine binds each field to a local once.
     """
 
     __slots__ = ("n_total", "cum_cycles", "events", "final_regs",
@@ -232,11 +229,9 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
 
 
 def _skel_store_key(ckey: tuple, n_total: int) -> tuple:
-    from repro.store.keys import modules_fingerprint
+    from repro.batch.record import recording_fingerprint
 
-    return ("stream-skel",
-            modules_fingerprint("repro.batch.stream", "repro.batch.record",
-                                "repro.cpu.core", "repro.isa.opcodes"),
+    return ("stream-skel", recording_fingerprint("repro.batch.stream"),
             ckey, n_total)
 
 
@@ -308,6 +303,62 @@ def build_stream(program: Program, costs: CycleCosts, recording: tuple,
     assert costs != rec_costs or not cum or cum[-1] == total_cycles, \
         "static cycle expansion disagrees with the recording"
     return GuestStream(skel, cum, meta.c_mem)
+
+
+def event_counts(stream: GuestStream) -> array:
+    """Prefix count of fetch events over the shared skeleton's event
+    list, of length ``n_events + 1``: ``fetches[ei]`` is the number of
+    line events among ``events[:ei]``, so a chunk's fetch count is one
+    lookup at its boundary instead of a per-event increment. I-cache
+    *misses* depend on the point's residency and stay a real counter in
+    the engine. Cached on the skeleton, so every cost family and every
+    point over the same recording shares one expansion.
+    """
+    skel = stream.skel
+    fetches = skel.ev_counts
+    if fetches is not None:
+        return fetches
+    fetches = array("q", [0])
+    append = fetches.append
+    f = 0
+    for ev in skel.events:
+        if ev[1] == 0:
+            f += 1
+        append(f)
+    skel.ev_counts = fetches
+    return fetches
+
+
+def event_prev(stream: GuestStream) -> array:
+    """Previous-occurrence index per event over the shared skeleton.
+
+    For a line event at index ``ei``, ``prev[ei]`` is the index of the
+    previous line event fetching the *same* line (``-1`` if none); for
+    other event kinds it is ``-1``. Because a point's residency set
+    only grows between flushes, a line is resident at event ``ei`` iff
+    ``prev[ei]`` is at or past the event index of the point's last
+    flush (or the line is the point's post-flush synthesized fetch), so
+    the engine keeps no residency set: one comparison per fetch event
+    decides a miss. Cached on the skeleton (fetch events are the
+    majority of a stream, so this one shared array replaces most of the
+    per-event work).
+    """
+    skel = stream.skel
+    prev = skel.ev_prev
+    if prev is not None:
+        return prev
+    prev = array("q", bytes())
+    ap = prev.append
+    last: dict[int, int] = {}
+    for idx, ev in enumerate(skel.events):
+        if ev[1] == 0:
+            line = ev[2]
+            ap(last.get(line, -1))
+            last[line] = idx
+        else:
+            ap(-1)
+    skel.ev_prev = prev
+    return prev
 
 
 def stream_meta_stats() -> dict:

@@ -10,8 +10,8 @@ sample: an exit that forgets to flush one ``st`` slot is invisible
 until a recording happens to leave through that exact exit. This
 module re-states the contracts *structurally* and verifies them over
 the ``ast`` of the actual generated source - every exit path, every
-episode, every baked constant - so a codegen regression is caught by
-shape, not by luck.
+lifecycle call, every baked constant - so a codegen regression is
+caught by shape, not by luck.
 
 The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 
@@ -43,18 +43,17 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
   may be shared across cores and sweep points, and determinism (and
   record/replay bit-equality) depends on it.
 * **A008 lockstep-engine-protocol** - a generated engine
-  (:mod:`repro.lockstep.codegen`) is a single generator
-  ``_make_engine``; every episode it yields is a well-formed tuple
-  whose tag the scheduler knows (``halt``/``outage``/``err``, with the
-  right arity); the event index cell is published (``cell[0]``
-  assigned) and the mirror slice is written back to the slot before
-  the yield. The scheduler syncs the point's core from the slot and
-  ``cell`` and resumes the engine from its slot, so a missing
-  writeback silently forks the lifecycle's state from the engine's.
+  (:mod:`repro.lockstep.codegen`) is one plain function ``_run`` (no
+  ``yield``), and every ``_sys._outage_reboot(...)`` and
+  ``_sys._halt_finalize(...)`` call follows writes of ``_cap._e_nj``,
+  ``_core.instret`` and ``_core.cycle`` in its own block. The engine
+  keeps energy, position and cycle in locals, and the lifecycle blocks
+  read them from the capacitor and the point's core, so a missing
+  write silently forks the lifecycle's state from the engine's.
   Engines are also held to A005 (the retained source must match a
   fresh render of the same point signature) and A006 (free names
   resolve only to the engine's exec namespace: the error types and the
-  few helpers ``make_engine`` binds).
+  few helpers ``get_engine`` binds).
 
 Drivers: :func:`audit_compiled` (one
 :class:`~repro.jit.cache.CompiledProgram`, including any suffix modules
@@ -74,16 +73,12 @@ from repro.lint.findings import Finding, make_finding
 _ALLOWED_BUILTINS = frozenset({"len", "hex"})
 
 #: names a lockstep engine may resolve beyond its locals: the exec
-#: namespace :func:`repro.lockstep.codegen.make_engine` binds, plus the
+#: namespace :func:`repro.lockstep.codegen.get_engine` binds, plus the
 #: builtins the rendered source uses. Pinned here on purpose - a new
 #: bind in codegen must be reviewed against this list, not silently
 #: allowed.
 _ENGINE_BINDS = frozenset({"EnergyError", "ExecutionError", "_ILS",
-                           "_DQE", "_bis", "Exception", "int"})
-
-#: episode tag -> required tuple arity (the scheduler's dispatch
-#: contract; see repro.lockstep.scheduler.run_column)
-_EPISODE_ARITY = {"halt": 1, "outage": 1, "err": 2}
+                           "_DQE", "_bis", "int"})
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +400,41 @@ def audit_compiled(compiled) -> list[Finding]:
     return findings
 
 
+def _lifecycle_findings(engine: ast.FunctionDef,
+                        unit: str) -> list[Finding]:
+    """A008: every ``System`` lifecycle call the engine makes sits in a
+    plain statement of a block that writes the capacitor energy, the
+    position and the cycle before it."""
+    calls = {"_sys._outage_reboot", "_sys._halt_finalize"}
+    sync = {"_cap._e_nj", "_core.instret", "_core.cycle"}
+    synced: set[int] = set()
+    for node in ast.walk(engine):
+        for field in ("body", "orelse", "finalbody"):
+            suite = getattr(node, field, None)
+            if not isinstance(suite, list):
+                continue
+            written: set[str] = set()
+            for stmt in suite:
+                if (sync <= written and not isinstance(
+                        stmt, (ast.If, ast.For, ast.While, ast.Try))):
+                    synced.update(id(n) for n in ast.walk(stmt))
+                if isinstance(stmt, ast.Assign):
+                    written.update(ast.unparse(t) for t in stmt.targets)
+    return [make_finding(
+        "A008", f"{unit} line {node.lineno}",
+        f"{ast.unparse(node.func)} does not follow writes of "
+        f"{', '.join(sorted(sync))} in its own block (the "
+        f"lifecycle would read a stale energy, position or cycle)")
+        for node in ast.walk(engine)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) in calls
+        and id(node) not in synced]
+
+
 def audit_lockstep_engine(sig: tuple, source: str,
                           unit: str) -> list[Finding]:
     """A005/A006/A008 over one generated engine's source."""
     from repro.lockstep.codegen import render_engine_source
-    from repro.lockstep.state import S_CLT, S_P
 
     try:
         tree = ast.parse(source)
@@ -418,66 +443,22 @@ def audit_lockstep_engine(sig: tuple, source: str,
                              f"engine source does not parse: {exc}")]
     findings: list[Finding] = []
 
-    # A008: single generator _make_engine
+    # A008: one plain function _run that drives its own lifecycle
     defs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
-    if [d.name for d in defs] != ["_make_engine"]:
+    if [d.name for d in defs] != ["_run"]:
         findings.append(make_finding(
             "A008", unit,
             f"engine module defines {[d.name for d in defs]} (expected "
-            f"exactly one _make_engine)"))
+            f"exactly one _run)"))
         return findings
     engine = defs[0]
-    if not any(isinstance(n, (ast.Yield, ast.YieldFrom))
-               for n in ast.walk(engine)):
-        findings.append(make_finding(
-            "A008", unit, "_make_engine is not a generator"))
-
-    # A008: every episode is a well-formed, known tuple
-    cell_slots: set[int] = set()
-    written_back = False
-    for node in ast.walk(engine):
-        if not isinstance(node, ast.Assign):
-            continue
-        for tgt in node.targets:
-            if isinstance(tgt, ast.Name) and tgt.id == "_ep":
-                arg = node.value
-                tag = (arg.elts[0].value
-                       if isinstance(arg, ast.Tuple) and arg.elts
-                       and isinstance(arg.elts[0], ast.Constant) else None)
-                want = _EPISODE_ARITY.get(tag)
-                if want is None:
-                    findings.append(make_finding(
-                        "A008", f"{unit} line {node.lineno}",
-                        f"episode {ast.unparse(arg)} has a tag the "
-                        f"scheduler does not dispatch"))
-                elif len(arg.elts) != want:
-                    findings.append(make_finding(
-                        "A008", f"{unit} line {node.lineno}",
-                        f"episode {tag!r} has arity {len(arg.elts)} "
-                        f"(scheduler unpacks {want})"))
-            elif (isinstance(tgt, ast.Subscript)
-                    and isinstance(tgt.value, ast.Name)):
-                if (tgt.value.id == "cell"
-                        and isinstance(tgt.slice, ast.Constant)):
-                    cell_slots.add(tgt.slice.value)
-                elif (tgt.value.id == "_s"
-                        and isinstance(tgt.slice, ast.Slice)
-                        and ast.unparse(tgt.slice)
-                        == f"{S_P}:{S_CLT + 1}"):
-                    written_back = True
-
-    # A008: event-index publication and mirror writeback
-    if 0 not in cell_slots:
-        findings.append(make_finding(
-            "A008", unit,
-            "engine never publishes cell[0] (the event index); an "
-            "outage would flush the I-cache at a stale epoch"))
-    if not written_back:
-        findings.append(make_finding(
-            "A008", unit,
-            "engine never writes its mirror slice back to the slot "
-            "before the yield (the lifecycle would read a stale "
-            "position, cycle and wall time)"))
+    findings.extend(make_finding(
+        "A008", f"{unit} line {n.lineno}",
+        "_run yields: the engine must be a plain function that returns "
+        "its RunResult")
+        for n in ast.walk(engine) if isinstance(n, (ast.Yield,
+                                                    ast.YieldFrom)))
+    findings.extend(_lifecycle_findings(engine, unit))
 
     # A006 with the engine's exec-namespace allowlist
     findings.extend(_scope_findings(tree, unit, extra=_ENGINE_BINDS))

@@ -103,10 +103,10 @@ AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
          "generated code reaches outside its bound arguments (imports, "
          "wall-clock, or global mutable state)"),
     Rule("A008", "lockstep-engine-protocol", ERROR,
-         "a generated lockstep engine breaks the episode protocol "
-         "(unknown/misshapen episode tuple, missing event-index "
-         "publication, or mirrors never written back before the "
-         "yield)"),
+         "a generated lockstep engine breaks the lifecycle contract "
+         "(not one plain function _run, or an _outage_reboot / "
+         "_halt_finalize call not preceded in its block by writes of "
+         "the capacitor energy, instret and cycle)"),
 ]}
 
 #: Every registered rule, both families, for SARIF/driver lookups.

@@ -1,15 +1,16 @@
-"""Engine codegen: one generated generator runs one sweep point's chunks.
+"""Engine codegen: one generated function runs one sweep point.
 
 The engine for a point's *signature* - the ``(mode, lru, traced, shift,
-smask, wmask)`` tuple from :func:`repro.lockstep.state.build_slot` - is
-a Python generator rendered and ``exec``-compiled once per signature
-(source-keyed cache, like the record-mode blocks). It owns the entire
-chunk machinery: the window budget (the serial ``System.run`` energy
-formula), the walk over the kernel's shared event list, the chunk
-epilogue arithmetic, and the per-chunk capacitor accounting (drain,
-trace harvest, outage detection), all on locals - so the steady state
-runs with no attribute traffic and no Python-level calls besides the
-design's own slow paths.
+smask, wmask)`` tuple :func:`engine_signature` reads off the point's
+built ``System`` - is one plain function ``_run``, rendered and
+compiled once per signature. It owns the whole run: it binds its locals
+straight from the ``System`` (design, capacitor, config, trace and the
+core's stream), calls ``_begin``, and runs the chunks - the window
+budget (the serial ``System.run`` energy formula), the walk over the
+kernel's shared event list, the chunk epilogue arithmetic and the
+per-chunk capacitor accounting (drain, trace harvest, outage detection)
+- all on locals, so the steady state runs with no attribute traffic and
+no Python-level calls besides the design's own slow paths.
 
 Per event kind it emits exactly what the interpreter would execute:
 ``call`` points call the design's bound method, while
@@ -23,35 +24,23 @@ so the stats are exact at every instant and no call needs a flush.
 the below-waterline clean->dirty insert, DirtyQueue bookkeeping
 included). The cache geometry's shift and masks are baked in as
 literals. I-cache residency is not kept as a set: a line is resident
-iff its previous occurrence (:func:`repro.lockstep.state.event_prev`)
-is at or past the point's flush epoch, or it is the line synthesized
-right after the flush.
+iff its previous occurrence (:func:`repro.batch.stream.event_prev`) is
+at or past the point's flush epoch, or it is the line synthesized right
+after the flush.
 
-Protocol: ``gen = make_engine(sig, events, ne, po, evf, cell, slot,
-pname)`` binds the read-only slot entries to locals and parks;
-``gen.send(None)`` runs chunks until the point needs the scheduler and
-yields one episode:
-
-* ``("halt",)`` - the point retired its last instruction and its chunk
-  accounting is done; the scheduler runs halt finalization.
-* ``("outage",)`` - the chunk accounting drained the capacitor to its
-  backup level; the scheduler runs the outage lifecycle and resumes the
-  engine.
-* ``("err", exc)`` - a memory call or a chunk close raised (a design
-  fault, budget exhaustion, a drained capacitor): the point ends as
-  that error, as the reference engine would raise it.
-
-Before every yield the engine writes its mirrors (position, cycle, wall
-time, accounting baselines) back to the slot, the capacitor energy back
-to the capacitor, and the event index and closed-chunk count to
-``cell`` (``[ei, chunks]``). After every resume it re-reads the mirrors,
-folds any cycles the lifecycle added (restore, reboot) into its chunk
-offset, and, after an I-cache flush on the point's
-:class:`~repro.batch.replay.ReplayCore`, synthesizes the refetch the
-interpreter makes of an unchanged line (a fetch the stream has no event
-for). State only the engine changes - the event index, dynamic cycles,
-the miss and fetch counters and their baselines, the flush epoch -
-stays in the generator's locals across yields.
+The engine drives the point's outage lifecycle itself. Before it calls
+``System._outage_reboot`` or ``_halt_finalize`` it writes the capacitor
+energy, the position (``core.instret``) and the cycle (``core.cycle``)
+back, in the call's own block. After a reboot it re-reads
+``design.stats``, the cycle and the energy, folds any cycles the
+lifecycle added (restore, reboot) into its chunk offset, and, since the
+reboot flushed the point's :class:`~repro.batch.replay.ReplayCore`,
+synthesizes the refetch the interpreter makes of an unchanged line (a
+fetch the stream has no event for); the flush epoch is the engine's own
+event index. At the halt it returns ``_finish``'s ``RunResult``. Any
+error - a design fault, budget exhaustion, a drained capacitor, a
+failed lifecycle block - propagates to the caller as the reference
+engine would raise it.
 
 Every memory call's timestamp is the now formula ``_cum[_i] - _cm + _dy
 + _of``, the interpreter's cycle counter at the same call, bit for bit.
@@ -61,28 +50,23 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.caches.base import CachedMemorySystem
+from repro.caches.nvcache import NVCacheWB
+from repro.caches.nvsram import NVSRAMIdeal
 from repro.core.dirty_queue import DQEntry
+from repro.core.wl_cache import WLCache
 from repro.cpu.core import _ILINE_SHIFT
 from repro.errors import EnergyError, ExecutionError
-from repro.lockstep.state import (S_ARR, S_CAP, S_CIMISS, S_CLT, S_CMEM,
-                                  S_CORE, S_CT, S_CUM, S_CYC, S_KON, S_LC,
-                                  S_LNV, S_LOAD, S_NVM, S_P, S_PEND, S_RE,
-                                  S_RH, S_SM, S_STATS, S_STORE, S_SYS, S_T,
-                                  S_TRACE, S_WE, S_WH)
+from repro.mem.setassoc import SetAssocArray
 
 _U32 = 0xFFFFFFFF
 
 #: the timestamp every memory call passes
 _NOW_FORMULA = "_cum[_i] - _cm + _dy + _of"
 
-#: signature -> rendered source (kept for the audit; rebaking a
-#: signature must reproduce its retained source exactly)
-_SIG_SOURCES: dict[tuple, str] = {}
-
-#: source -> compiled code object
-_CODE_CACHE: dict[str, object] = {}
-
-_ENGINE_STATS = {"renders": 0, "builds": 0}
+#: signature -> (rendered source, compiled ``_run``); the source is kept
+#: for the audit (rebaking a signature must reproduce it exactly)
+_ENGINES: dict[tuple, tuple] = {}
 
 #: exec globals for the generated engines: the serial loop's exception
 #: types (raised with the serial paths' exact messages), the I-line
@@ -92,23 +76,65 @@ _ENGINE_STATS = {"renders": 0, "builds": 0}
 _NS_BINDS = {"EnergyError": EnergyError, "ExecutionError": ExecutionError,
              "_ILS": _ILINE_SHIFT, "_DQE": DQEntry, "_bis": bisect_right}
 
-#: constant slot entries every mode unpacks to locals
-_COMMON_BINDS = (("_ld", S_LOAD), ("_st", S_STORE), ("_sm", S_SM),
-                 ("_cum", S_CUM), ("_cm", S_CMEM), ("_ci", S_CIMISS),
-                 ("_cap", S_CAP), ("_nvm", S_NVM), ("_sys", S_SYS),
-                 ("_core", S_CORE))
-_PROBE_BINDS = (("_arr", S_ARR), ("_fe", S_RE), ("_fh", S_RH),
-                ("_few", S_WE), ("_fhw", S_WH))
-_WL_BINDS = (("_pd", S_PEND),)
+#: instance attributes that mean something wraps the design's memory
+#: methods (the trace recorder, the invariant checker, a
+#: ``scheduler.PREP_HOOK`` fault injector): every access must reach them
+_GUARDED_METHODS = ("load", "store", "store_masked")
 
-#: (local, slot index) for every mirror: the contiguous S_P..S_CLT
-#: block, re-read by one slice unpack after each resume and written
-#: back by one slice assignment before each yield
-_MIRRORS = (("_p", S_P), ("_cy", S_CYC), ("_t", S_T), ("_lc", S_LC),
-            ("_lnv", S_LNV), ("_ct", S_CT), ("_cl", S_CLT))
 
-assert [idx for _nm, idx in _MIRRORS] == list(range(S_P, S_CLT + 1)), \
-    "mirror block must stay contiguous for the slice sync"
+def column_mode(design) -> str:
+    """How the engine issues one point's memory accesses.
+
+    * ``call`` - every access calls the design's bound method: a design
+      whose ``load``/``store``/``store_masked`` is shadowed on the
+      instance, that overrides the shared load path (WT+Buffer,
+      NVSRAM(practical)), or that has no set-associative array
+      (NoCache);
+    * ``wl`` - WL-Cache's store policy: inline load hits, same-dirty-line
+      store hits and below-waterline clean->dirty inserts;
+    * ``wb`` - plain write-back stores (NVSRAM(ideal), NVSRAM(full),
+      NVCache-WB): inline load and store hits;
+    * ``base`` - inline load hits, every store calls the design
+      (write-through and persist-queue stores: VCache-WT, ReplayCache).
+
+    Method identity, not class identity, decides: a subclass that
+    overrides a store method falls back to a safer mode.
+    """
+    md = vars(design)
+    if any(name in md for name in _GUARDED_METHODS):
+        return "call"
+    cls = type(design)
+    if (cls.load is not CachedMemorySystem.load
+            or not isinstance(getattr(design, "array", None),
+                              SetAssocArray)):
+        return "call"
+    if (cls.store_masked is WLCache.store_masked
+            and cls.store is WLCache.store):
+        return "wl"
+    if (cls.store_masked in (NVSRAMIdeal.store_masked,
+                             NVCacheWB.store_masked)
+            and cls.store in (NVSRAMIdeal.store, NVCacheWB.store)):
+        return "wb"
+    return "base"
+
+
+def engine_signature(system) -> tuple:
+    """One built point's ``(mode, lru, traced, shift, smask, wmask)``
+    engine signature (geometry ``None`` in ``call`` mode): the cache
+    geometry rides in it so the engine bakes the set/tag/word masks as
+    literals.
+
+    Runs after ``scheduler.PREP_HOOK``, so a hook that wraps a memory
+    method is seen here and turns the point into ``call`` mode.
+    """
+    design = system.design
+    traced = 0 if system.trace is None else 1
+    mode = column_mode(design)
+    if mode == "call":
+        return ("call", 0, traced, None, None, None)
+    arr = design.array
+    return (mode, 1 if arr._lru else 0, traced, arr.line_shift,
+            arr.set_mask, design._word_mask)
 
 
 def _stamp(pad: str) -> list[str]:
@@ -176,8 +202,8 @@ def _store_hit(mode: str, lru: int, masked: bool, dirty: bool,
                 f"{pad}_dq.inserts += 1",
                 f"{pad}_sta.cache_write_energy_nj += _dqj",
                 f"{pad}_occ = len(_dqe)",
-                f"{pad}if _occ > _wlc.dirty_highwater:",
-                f"{pad}    _wlc.dirty_highwater = _occ"]
+                f"{pad}if _occ > _dsg.dirty_highwater:",
+                f"{pad}    _dsg.dirty_highwater = _occ"]
     out.append(f"{pad}_dy += _fhw")
     return out
 
@@ -218,15 +244,16 @@ def _emit_store(mode: str, lru: int, masked: bool, p: str,
         return
     out.append(f"{p}elif _li.dirty:")
     out += _store_hit(mode, lru, masked, True, p + "    ")
-    out += [f"{p}elif len(_dqe) >= _wlc.waterline:",
+    out += [f"{p}elif len(_dqe) >= _dsg.waterline:",
             f"{p}    _dy += {slow}",
             f"{p}else:"]
     out += _store_hit(mode, lru, masked, False, p + "    ")
 
 
-def _emit_open(traced: int, pad: str, out: list[str]) -> None:
+def _emit_open(traced: int, out: list[str]) -> None:
     """Open the next chunk window: the serial budget formula and the new
     target instruction index."""
+    pad = " " * 8
     if traced:
         # min(cki, max(2, int(x))) with the calls unrolled
         out += [f"{pad}_bi = int((_en - _sys._e_backup_level) / _wnj)",
@@ -243,11 +270,10 @@ def _emit_open(traced: int, pad: str, out: list[str]) -> None:
 
 def _emit_close(traced: int, out: list[str]) -> None:
     """The chunk epilogue plus the ``System.run`` post-chunk accounting,
-    all on locals; ends in a halt/outage episode or an inline reopen.
-    A serial-parity raise (budget exhaustion, capacitor drain) reaches
-    the engine's handler, which ends the point as that error."""
-    pad = " " * 16
-    out += [f"{pad}_nck += 1",
+    all on locals. A serial-parity raise (budget exhaustion, capacitor
+    drain) propagates out of the engine."""
+    pad = " " * 8
+    out += [f"{pad}cnt['column_chunks'] += 1",
             # _tg >= 1 always: a target is the entry + max(2, ...)
             # clamped to n_total, and a recording always retires HALT
             f"{pad}_nc = _cum[_tg - 1] + _dy + _of",
@@ -330,158 +356,169 @@ def _emit_close(traced: int, out: list[str]) -> None:
                 f"{pad}_t = _te"]
     else:
         out.append(f"{pad}_t += _dc")
-    out += [f"{pad}if _p == _ntot:",
-            f"{pad}    _ep = ('halt',)",
-            f"{pad}    break"]
-    if traced:
-        out += [f"{pad}if _en <= _sys._e_backup_level:",
-                f"{pad}    _ep = ('outage',)",
-                f"{pad}    break"]
-    _emit_open(traced, pad, out)
+
+
+def _emit_lifecycle(traced: int, out: list[str]) -> None:
+    """The halt and (traced) outage blocks after a chunk closes: each
+    writes the capacitor energy, position and cycle back in its own
+    block before it calls the ``System`` lifecycle."""
+    sync = ["            _cap._e_nj = _en",
+            "            _core.instret = _p",
+            "            _core.cycle = _cy"]
+    out += ["        if _p == _ntot:"] + sync
+    out += ["            _core.halted = True",
+            "            _t = _sys._halt_finalize(_t)",
+            "            return _sys._finish(res, bd, _t, _per, _ct, _cl)"]
+    if not traced:
+        return
+    out += ["        if _en <= _sys._e_backup_level:"] + sync
+    out += ["            (_t, _per, _np, _lc,",
+            "             _lnv) = _sys._outage_reboot(res, bd, _t, _per, _np)",
+            "            _sta = _dsg.stats",
+            "            _cy = _core.cycle",
+            "            _en = _cap._e_nj",
+            # fold the cycles the lifecycle added (restore, reboot) into
+            # the offset; _p >= 1 here (a chunk closed before the check)
+            "            _of = _cy - (_cum[_p - 1] + _dy)",
+            "            if _core._pending_fetch:",
+            # after a flush the interpreter re-fetches the resume line
+            # even when it matches the previous instruction's line; the
+            # stream has no event there, so the fetch is synthesized
+            # from the pc (it always misses: the epoch is empty)
+            "                _core._pending_fetch = False",
+            "                _fl = _ei",
+            "                _sy = -1",
+            "                _evx = events[_ei] if _ei < ne else None",
+            "                if _evx is None or _evx[0] != _p or _evx[1] != 0:",
+            "                    _sy = _core.pc >> _ILS",
+            "                    _tf += 1",
+            "                    _ms += 1",
+            "                    _dy += _ci"]
 
 
 def render_engine_source(sig: tuple) -> str:
     """The engine source for a point signature (pure function of the
     signature - the audit rebakes it and compares)."""
     mode, lru, traced, shift, smask, wmask = sig
-    binds = _COMMON_BINDS
+    out = ["def _run(_sys, res, bd, po, evf, cnt):",
+           "    _dsg = _sys.design",
+           "    _core = _sys.core",
+           "    _stm = _core.stream",
+           "    _cap = _sys.capacitor",
+           "    _cfg = _sys.config",
+           "    _em = _cfg.energy",
+           "    pname = _sys.program.name",
+           "    _ld = _dsg.load",
+           "    _st = _dsg.store",
+           "    _sm = _dsg.store_masked",
+           "    _nvm = _dsg.nvm",
+           "    events = _stm.events",
+           "    ne = _stm.n_events",
+           "    _cum = _stm.cum_cycles",
+           "    _cm = _stm.c_mem",
+           "    _ntot = _stm.n_total",
+           "    _ci = _core._c_imiss",
+           "    _knj = _em.compute_nj",
+           "    _fnj = _em.ifetch_nj",
+           "    _mnj = _em.ifetch_miss_nj",
+           "    _clw = _em.core_leakage_w",
+           "    _wnj = _em.worst_instr_nj",
+           "    _dlw = _dsg.leakage_w()",
+           "    _cki = _cfg.chunk_instrs",
+           "    _mxi = _cfg.max_instructions",
+           "    _emx = _cap._e_max"]
     if mode != "call":
-        binds = binds + _PROBE_BINDS
+        out += ["    _arr = _dsg.array",
+                "    _mru = _arr.mru",
+                "    _sets = _arr.sets",
+                "    _fe = _dsg._e_read",
+                "    _fh = _dsg._hit_read_cycles",
+                "    _few = _dsg._e_write",
+                "    _fhw = _dsg._hit_write_cycles"]
     if mode == "wl":
-        binds = binds + _WL_BINDS
-    out = ["def _make_engine(events, ne, po, evf, cell, _s, pname):"]
-    out += [f"    {name} = _s[{idx}]" for name, idx in binds]
-    if mode != "call":
-        out += ["    _mru = _arr.mru",
-                "    _sets = _arr.sets"]
-    if mode == "wl":
-        out += ["    _wlc = _sys.design",
-                "    _dq = _wlc.dq",
+        out += ["    _pd = _dsg.pending",
+                "    _dq = _dsg.dq",
                 "    _dqe = _dq.entries",
-                "    _dqj = _wlc.dq_access_energy_nj"]
-    out.append("    (_knj, _fnj, _mnj, _clw, _dlw, _wnj, _cki, _mxi, _emx,"
-               f" _ntot) = _s[{S_KON}]")
+                "    _dqj = _dsg.dq_access_energy_nj"]
     if traced:
-        out += [f"    _tr = _s[{S_TRACE}]",
+        out += ["    _tr = _sys.trace",
                 "    _tst = _tr.starts",
                 "    _tpw = _tr.powers",
                 "    _tex = _tr._extend"]
-    mirrors = ", ".join(name for name, _idx in _MIRRORS)
-    # engine-only state: the event index, dynamic cycles, misses,
-    # synthesized fetches and their accounting baselines, the flush
-    # epoch and its synthesized line
-    out += ["    _ei = _dy = _ms = _tf = _lf = _lim = _fl = 0",
+    # the System.run prologue, then the engine-only state: the event
+    # index, dynamic cycles, chunk offset, misses, synthesized fetches
+    # and their accounting baselines, the flush epoch and its
+    # synthesized line
+    out += ["    _t = _sys._begin(res)",
+            "    _per = _sys._new_period()",
+            "    _np = 0",
+            "    _sta = _dsg.stats",
+            "    _en = _cap._e_nj",
+            "    _p = _cy = _ei = _dy = _of = _ms = _tf = _lf = _lim = _fl = 0",
+            "    _lc = _lnv = _ct = _cl = 0.0",
             "    _sy = -1",
-            "    yield None",
-            "    while True:",
-            f"        ({mirrors}) = _s[{S_P}:{S_CLT + 1}]",
-            f"        _sta = _s[{S_STATS}]",
-            "        _en = _cap._e_nj",
-            # the lifecycle may have added cycles (restore, reboot):
-            # fold them into the offset (a no-op when it added none)
-            "        _of = _cy - ((_cum[_p - 1] if _p else 0) + _dy)",
-            "        if _core._pending_fetch:",
-            # after a flush the interpreter re-fetches the resume line
-            # even when it matches the previous instruction's line; the
-            # stream has no event there, so the fetch is synthesized
-            # from the pc (it always misses: the epoch is empty)
-            "            _core._pending_fetch = False",
-            "            _fl = _core._flush_ei",
-            "            _sy = -1",
-            "            _evx = events[_ei] if _ei < ne else None",
-            "            if _evx is None or _evx[0] != _p or _evx[1] != 0:",
-            "                _sy = _core.pc >> _ILS",
-            "                _tf += 1",
-            "                _ms += 1",
-            "                _dy += _ci"]
-    _emit_open(traced, "        ", out)
-    out += ["        _nck = 0",
-            "        try:",
-            "            while True:",
-            "                while _ei < ne:",
-            "                    _ev = events[_ei]",
-            "                    _i = _ev[0]",
-            "                    if _i >= _tg:",
-            "                        break",
-            "                    _k = _ev[1]",
-            "                    if _k == 0:",
-            "                        if po[_ei] < _fl and _ev[2] != _sy:",
-            "                            _ms += 1",
-            "                            _dy += _ci",
-            "                    elif _k == 1:",
-            "                        _a = _ev[2]"]
-    ev = " " * 24  # an event-kind body inside the walk
+            "    while True:"]
+    _emit_open(traced, out)
+    out += ["        while _ei < ne:",
+            "            _ev = events[_ei]",
+            "            _i = _ev[0]",
+            "            if _i >= _tg:",
+            "                break",
+            "            _k = _ev[1]",
+            "            if _k == 0:",
+            "                if po[_ei] < _fl and _ev[2] != _sy:",
+            "                    _ms += 1",
+            "                    _dy += _ci",
+            "            elif _k == 1:",
+            "                _a = _ev[2]"]
+    ev = " " * 16  # an event-kind body inside the walk
     probe = [f"{ev}_ln = _a >> {shift}",
              f"{ev}_ix = _ln & {smask}"] if mode != "call" else []
     store_probe = probe + [f"{ev}_wi = (_a >> 2) & {wmask}"] \
         if mode in ("wb", "wl") else []
     out += probe
     _emit_load(mode, lru, ev, out)
-    out += ["                    elif _k == 2:",
+    out += ["            elif _k == 2:",
             f"{ev}_a = _ev[2]",
             f"{ev}_val = _ev[3]"]
     out += store_probe
     _emit_store(mode, lru, False, ev, out)
-    out += ["                    else:",
+    out += ["            else:",
             f"{ev}_a = _ev[2]",
             f"{ev}_bits = _ev[3]",
             f"{ev}_mask = _ev[4]"]
     out += store_probe
     _emit_store(mode, lru, True, ev, out)
-    out.append("                    _ei += 1")
+    out.append("            _ei += 1")
     _emit_close(traced, out)
-    out += ["        except Exception as _e:",
-            "            _ep = ('err', _e)",
-            "        cell[0] = _ei",
-            "        cell[1] += _nck",
-            f"        _s[{S_P}:{S_CLT + 1}] = ({mirrors})",
-            "        _cap._e_nj = _en",
-            "        yield _ep",
-            ""]
+    _emit_lifecycle(traced, out)
+    out.append("")
     return "\n".join(out)
 
 
-def engine_source(sig: tuple) -> str:
-    """The (cached) retained source for a signature."""
-    src = _SIG_SOURCES.get(sig)
-    if src is None:
-        src = _SIG_SOURCES[sig] = render_engine_source(sig)
-        _ENGINE_STATS["renders"] += 1
-    return src
-
-
-def make_engine(sig: tuple, events: list, ne: int, po, evf, cell: list,
-                slot: list, pname: str):
-    """A primed engine generator for one point.
-
-    The returned generator is already parked at its protocol yield:
-    call ``send(None)`` to run chunks until the first episode.
-    """
-    src = engine_source(sig)
-    code = _CODE_CACHE.get(src)
-    if code is None:
-        code = _CODE_CACHE[src] = compile(src, "<lockstep>", "exec")
-    ns: dict = dict(_NS_BINDS)
-    exec(code, ns)
-    gen = ns["_make_engine"](events, ne, po, evf, cell, slot, pname)
-    next(gen)  # run the constant binds, park at the protocol yield
-    _ENGINE_STATS["builds"] += 1
-    return gen
+def get_engine(sig: tuple):
+    """The compiled ``_run`` for a signature, rendered and compiled on
+    first demand and shared by every point of that signature."""
+    entry = _ENGINES.get(sig)
+    if entry is None:
+        src = render_engine_source(sig)
+        ns: dict = dict(_NS_BINDS)
+        exec(compile(src, "<lockstep>", "exec"), ns)
+        entry = _ENGINES[sig] = (src, ns["_run"])
+    return entry[1]
 
 
 def engine_sources() -> dict[tuple, str]:
     """Signature -> retained source, for the codegen audit."""
-    return dict(_SIG_SOURCES)
+    return {sig: src for sig, (src, _run) in _ENGINES.items()}
 
 
 def engine_cache_stats() -> dict:
-    """Codegen counters (tests/benchmarks)."""
-    return {"signatures": len(_SIG_SOURCES), **_ENGINE_STATS}
+    """Codegen counters (tests/benchmarks): every signature renders
+    once, so the count of compiled engines is the count of renders."""
+    return {"signatures": len(_ENGINES)}
 
 
 def clear_engines() -> None:
-    """Drop generated engines and reset counters (tests/benchmarks)."""
-    _SIG_SOURCES.clear()
-    _CODE_CACHE.clear()
-    for k in _ENGINE_STATS:
-        _ENGINE_STATS[k] = 0
+    """Drop generated engines (tests/benchmarks)."""
+    _ENGINES.clear()

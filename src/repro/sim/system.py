@@ -119,10 +119,10 @@ class System:
                 f"capacitor (usable {self._e_max - self._e_floor:.0f} nJ)")
 
     # ------------------------------------------------------------------
-    # run-loop lifecycle blocks, shared with the lockstep scheduler
-    # (repro.lockstep.scheduler drives the same System objects chunk by
-    # chunk, so every cold block below must be the single source of
-    # truth for its arithmetic)
+    # run-loop lifecycle blocks, shared with the lockstep engines
+    # (each generated engine in repro.lockstep.codegen calls them on
+    # its point's System between chunks, so every cold block below must
+    # be the single source of truth for its arithmetic)
     # ------------------------------------------------------------------
     def _begin(self, res: RunResult) -> int:
         """Initial charge-to-Von, first boot, watchdog start; returns

@@ -353,12 +353,12 @@ def test_replay_pc_tracks_position():
     seen = []
     while not interp.halted:
         interp.run_chunk(7)
-        replay._p = interp.instret
+        replay.instret = interp.instret
         seen.append(replay.pc)
         assert interp.pc == replay.pc
     assert len(set(seen)) > 1  # the property really moves
     # once halted, the pc rests on the HALT instruction
-    assert replay._p == stream.n_total
+    assert replay.instret == stream.n_total
     assert replay.pc == interp.pc
 
 
@@ -366,7 +366,7 @@ def test_replay_snapshot_restore_roundtrip():
     prog = build_sum_program(40)
     stream = get_stream(prog, _costs(), 100_000)
     replay = ReplayCore(stream, _costs())
-    replay._p = 13
+    replay.instret = 13
     regs, pc = replay.snapshot_arch_state()
     assert pc == replay.pc
     replay.restore_arch_state((regs, pc))  # no-op: position encodes pc

@@ -221,7 +221,7 @@ class TestLockstepEngineContract:
     case per audited property and a seeded mutation each."""
 
     #: a traced WL-Cache point: inline probes, inline stores, the
-    #: capacitor accounting block and every episode kind
+    #: capacitor accounting block and both lifecycle calls
     SIG = ("wl", 1, 1, 4, 15, 3)
 
     def _findings(self, mangle=None):
@@ -232,37 +232,44 @@ class TestLockstepEngineContract:
             src = mangle(src)
         return audit_lockstep_engine(self.SIG, src, "t")
 
+    def _mutated(self, old, new):
+        """Findings for the source with ``old`` replaced by ``new``
+        (``old`` must occur, so a rendering change cannot turn the
+        mutation into a no-op)."""
+        def mangle(src):
+            assert old in src
+            return src.replace(old, new)
+        return self._findings(mangle)
+
     def test_rendered_engine_clean(self):
         assert self._findings() == []
 
-    def test_unknown_episode_tag(self):
-        findings = self._findings(lambda s: s.replace(
-            "_ep = ('outage',)", "_ep = ('oops',)"))
+    def test_outage_without_position_write(self):
+        findings = self._mutated(
+            "            _core.instret = _p\n"
+            "            _core.cycle = _cy\n"
+            "            (_t, _per, _np, _lc,\n",
+            "            _core.cycle = _cy\n"
+            "            (_t, _per, _np, _lc,\n")
         assert "A008" in rules_of(findings)
+        assert any("_sys._outage_reboot" in f.message for f in findings)
 
-    def test_wrong_episode_arity(self):
-        findings = self._findings(lambda s: s.replace(
-            "_ep = ('outage',)", "_ep = ('outage', 0)"))
+    def test_halt_without_energy_write(self):
+        findings = self._mutated(
+            "        if _p == _ntot:\n"
+            "            _cap._e_nj = _en\n",
+            "        if _p == _ntot:\n")
         assert "A008" in rules_of(findings)
+        assert any("_sys._halt_finalize" in f.message for f in findings)
 
-    def test_missing_cursor_publication(self):
-        findings = self._findings(lambda s: s.replace(
-            "cell[0] = _ei", "pass"))
+    def test_injected_yield(self):
+        header = "def _run(_sys, res, bd, po, evf, cnt):\n"
+        findings = self._mutated(header, header + "    yield None\n")
         assert "A008" in rules_of(findings)
-        assert any("cell[0]" in f.message for f in findings)
-
-    def test_missing_instance_writeback(self):
-        # drop the mirror slice writeback (the slice *store*, not the
-        # matching unpack read on resume)
-        from repro.lockstep.state import S_CLT, S_P
-        findings = self._findings(lambda s: s.replace(
-            f"        _s[{S_P}:{S_CLT + 1}] = ", "        _y = "))
-        assert "A008" in rules_of(findings)
-        assert any("mirror slice" in f.message for f in findings)
+        assert any("yields" in f.message for f in findings)
 
     def test_ambient_name_flagged(self):
-        findings = self._findings(lambda s: s.replace(
-            "_ep = ('outage',)", "_ep = ('outage',) if _rng else None"))
+        findings = self._mutated("    _np = 0\n", "    _np = _rng\n")
         assert "A006" in rules_of(findings)
 
     def test_stale_retained_source(self):

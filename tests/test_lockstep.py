@@ -26,10 +26,9 @@ import pytest
 import repro.lockstep.scheduler as scheduler
 from repro.batch import batch_stats, clear_streams
 from repro.batch.engine import iter_outcomes
-from repro.lockstep.codegen import (clear_engines, engine_cache_stats,
-                                    engine_sources)
+from repro.lockstep.codegen import (clear_engines, column_mode,
+                                    engine_cache_stats, engine_sources)
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
-from repro.lockstep.state import column_mode
 from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
 from repro.sim.factory import ALL_DESIGN_NAMES, build_design
@@ -176,10 +175,10 @@ def test_wide_cluster_runs_bounded_columns(bound_reference):
 
 
 def test_every_engine_renders_one_point():
-    """Each point of a 20-point cluster runs on its own engine, and
+    """Each point of a 20-point cluster runs on its own engine call, and
     every retained engine source is rendered for one point: its
     signature is one ``(mode, lru, traced, shift, smask, wmask)`` tuple
-    and its generator takes one slot."""
+    and its one function takes the point's ``System``."""
     from repro.mc.engine import run_campaign
 
     clear_engines()
@@ -190,8 +189,8 @@ def test_every_engine_renders_one_point():
     assert sources
     for sig, src in sources.items():
         assert len(sig) == 6 and isinstance(sig[0], str), sig
-        assert src.startswith(
-            "def _make_engine(events, ne, po, evf, cell, _s, pname):")
+        assert src.startswith("def _run(_sys, res, bd, po, evf, cnt):")
+        assert "yield" not in src
 
 
 def test_failing_column_boxes_only_its_tasks(monkeypatch, bound_reference):
@@ -264,7 +263,7 @@ def test_differing_image_in_a_later_column(monkeypatch):
 # engine modes: which accesses the engine inlines per design
 # ---------------------------------------------------------------------------
 
-#: every design's column mode (see repro.lockstep.state.column_mode)
+#: every design's column mode (see repro.lockstep.codegen.column_mode)
 _MODES = {
     "WL-Cache": "wl", "WL-Cache(eager)": "wl",
     "NVSRAM(ideal)": "wb", "NVSRAM(full)": "wb", "NVCache-WB": "wb",
@@ -362,6 +361,40 @@ def test_error_parity_on_budget_truncation():
         lk_err = (type(exc), str(exc))
     assert ref_err is not None
     assert lk_err == ref_err
+
+
+@pytest.mark.parametrize("max_outages", [0, 1, 3])
+def test_lifecycle_errors_match_reference(max_outages):
+    """A lifecycle block that raises inside the engine (the outage cap
+    of ``_outage_reboot``) ends its point with the reference engine's
+    error, and every such point counts as a fault. Compared task by
+    task: a serial grid raises the first failure in completion order,
+    and the two engines complete points in different orders."""
+    def outcomes(engine):
+        tasks = [_task(workload=w, design=d, config=SimConfig(engine=engine),
+                       max_outages=max_outages)
+                 for w in ("sha", "qsort")
+                 for d in ("WL-Cache", "NVCache-WB", "VCache-WT",
+                           "WT+Buffer")]
+        return {(t.workload, t.design): oc
+                for t, oc in iter_outcomes(tasks, run_task)}
+
+    ref = outcomes("reference")
+    clear_lockstep_stats()
+    got = outcomes("fast")
+    assert got.keys() == ref.keys()
+    for key, want in ref.items():
+        have = got[key]
+        assert have[0] == want[0], key
+        if want[0] == "ok":
+            _assert_equal_results({key: want[1]}, {key: have[1]},
+                                  f"max_outages={max_outages}")
+        else:
+            assert (type(have[1]), str(have[1])) \
+                == (type(want[1]), str(want[1])), key
+    errors = sum(oc[0] == "err" for oc in got.values())
+    assert errors >= 1
+    assert lockstep_stats()["faults"] == errors
 
 
 # ---------------------------------------------------------------------------
@@ -639,22 +672,43 @@ def test_dealt_differing_image_keeps_its_own_array(monkeypatch):
 # generated engines
 # ---------------------------------------------------------------------------
 
-def test_engine_cached_per_signature():
-    run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
+def test_engine_cached_per_signature(monkeypatch):
+    """A signature renders and compiles once, and every point of it
+    runs the same compiled function."""
+    from repro.lockstep import codegen
+
+    renders: list[tuple] = []
+    real_render = codegen.render_engine_source
+
+    def render_engine_source(sig):
+        renders.append(sig)
+        return real_render(sig)
+
+    runs: dict[tuple, set] = {}
+    real_get = codegen.get_engine
+
+    def get_engine(sig):
+        run = real_get(sig)
+        runs.setdefault(sig, set()).add(id(run))
+        return run
+
+    monkeypatch.setattr(codegen, "render_engine_source",
+                        render_engine_source)
+    monkeypatch.setattr(scheduler, "get_engine", get_engine)
+    clear_engines()
+    run_grid(["sha", "qsort"], _DESIGNS, "trace1", jobs=1, scale=0.2,
              engine="fast")
-    stats = engine_cache_stats()
-    assert stats["signatures"] >= 1
-    assert stats["builds"] >= 1
     sources = engine_sources()
-    assert sources
+    assert sorted(renders) == sorted(sources) == sorted(runs)
+    assert engine_cache_stats()["signatures"] == len(sources) >= 1
+    assert all(len(ids) == 1 for ids in runs.values())
     for sig, src in sources.items():
         compile(src, f"<lockstep {sig}>", "exec")  # stays valid Python
-    renders = stats["renders"]
     clear_streams()
     run_grid(["sha"], _DESIGNS, "trace1", jobs=1, scale=0.2,
              engine="fast")
-    # same signatures: the retained sources are reused, not re-rendered
-    assert engine_cache_stats()["renders"] == renders
+    # same signatures: the compiled engines are reused, not re-rendered
+    assert len(renders) == len(sources)
     clear_engines()
     assert engine_cache_stats()["signatures"] == 0
 

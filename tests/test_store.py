@@ -377,6 +377,36 @@ class TestWarmCodegen:
         ref = build_system(new, "WL-Cache", trace="trace1").run()
         assert got[("sha", "WL-Cache")] == ref
 
+    @pytest.mark.parametrize("module", [
+        "repro.batch.record", "repro.cpu.core", "repro.isa.opcodes",
+        "repro.isa.program", "repro.jit.blocks", "repro.jit.cache",
+        "repro.lint.cfg"])
+    def test_generator_edit_rerecords(self, store_dir, fresh_codegen,
+                                      monkeypatch, tmp_path_factory,
+                                      module):
+        # a stale fingerprint: an edit to any module a recording's
+        # content depends on (say, the record-mode XOR codegen) must not
+        # serve the recording or skeleton the old code made
+        import importlib
+
+        from repro.store import keys
+
+        kwargs = dict(scale=0.1, jobs=1, verify=False, engine="fast")
+        run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
+        assert batch_stats()["recordings"] == 1
+
+        mod = importlib.import_module(module)
+        edited = tmp_path_factory.mktemp("edited") / "module.py"
+        with open(mod.__file__, "rb") as fh:
+            edited.write_bytes(fh.read() + b"\n# edited\n")
+        monkeypatch.setattr(mod, "__file__", str(edited))
+        monkeypatch.setattr(keys, "_FP_CACHE", {})
+
+        fresh_codegen()
+        run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
+        assert batch_stats()["recordings"] == 1
+        assert stream_meta_stats()["skeleton_builds"] == 1
+
 
 # ---------------------------------------------------------------------------
 # the store holds data only: generated code is never persisted or read
