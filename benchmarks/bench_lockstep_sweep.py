@@ -73,7 +73,7 @@ SENS_DQ = (8, 12)
 
 
 def grid_tasks(app: str, scale: float, cfg: SimConfig) -> list[SweepTask]:
-    """The kernel's full figure grid as one task list (one cluster)."""
+    """The kernel's full figure grid as one task list."""
     tasks = [SweepTask(app, design, trace, scale, False, cfg)
              for trace in CONDITIONS for design in DESIGNS]
     for trace in SENS_TRACES:
@@ -93,14 +93,13 @@ def _reference_sweep(tasks: list[SweepTask]) -> list:
 
 
 def _fast_sweep(tasks: list[SweepTask]) -> list:
-    """The fast engine: one recording, one generated engine per point.
-    Outcomes arrive group-major, so they are put back in task order."""
-    by_task = {}
-    for task, outcome in iter_outcomes(tasks, run_task):
+    """The fast engine: one recording, one generated engine per point."""
+    results = []
+    for _task, outcome in iter_outcomes(tasks, run_task):
         if outcome[0] != "ok":
             raise outcome[1]
-        by_task[id(task)] = outcome[1]
-    return [by_task[id(task)] for task in tasks]
+        results.append(outcome[1])
+    return results
 
 
 #: engine name -> (its config, its sweep function); the names key

@@ -1,21 +1,21 @@
 """CI warm-cache check: a second process against a primed store records
-nothing, builds no skeleton, and simulates nothing it has a memo for.
+nothing and simulates nothing it has a memo for.
 
 Runs the same work twice, in two child interpreters sharing one store
 root:
 
 * a sweep with result memoization on (exercises the ``result``
   artifact class), and
-* a fast-engine sweep (exercises ``stream`` recordings and ``skel``
-  skeletons).
+* a fast-engine sweep (exercises the ``skel`` class: one stream
+  skeleton per kernel).
 
-The second child must report **zero** recordings, zero skeleton builds,
-at least one recording disk hit and one skeleton load, an all-hit
-result memo, and results identical to the first child's. Generated code
-is not stored, so the second child renders its own. Any violation exits
-non-zero with the offending counters - this is the CI tripwire for "the
-store silently stopped working" (which the perf gate alone could miss
-at smoke scale).
+The second child must report **zero** recordings, one skeleton load
+(``disk_hits``) per kernel the first child recorded (at least one), an
+all-hit result memo, and results identical to the first child's.
+Generated code is not stored, so the second child renders its own. Any
+violation exits non-zero with the offending counters - this is the CI
+tripwire for "the store silently stopped working" (which the perf gate
+alone could miss at smoke scale).
 
 Usage::
 
@@ -40,7 +40,6 @@ SCALE = 0.2
 def child(out_path: str) -> int:
     from repro.analysis.stats_io import result_to_dict
     from repro.batch.engine import batch_stats
-    from repro.batch.stream import stream_meta_stats
     from repro.sim.config import SimConfig
     from repro.sim.sweep import run_grid
     from repro.store import store_stats
@@ -61,7 +60,6 @@ def child(out_path: str) -> int:
         "memo_grid": dump(memo),
         "replay_grid": dump(replay),
         "batch": batch_stats(),
-        "stream_meta": stream_meta_stats(),
         "store_events": store_stats(),
     }
     with open(out_path, "w") as f:
@@ -110,17 +108,16 @@ def main() -> int:
             failures.append(f"{label} = {n} (want 0)")
 
     expect_zero("warm recordings", second["batch"]["recordings"])
-    expect_zero("warm skeleton builds",
-                second["stream_meta"]["skeleton_builds"])
 
     hits = second["store_events"].get("result_hits", 0)
     want = len(second["memo_grid"])
     if hits != want:
         failures.append(f"warm result_hits = {hits} (want {want})")
-    if second["batch"].get("disk_hits", 0) < 1:
-        failures.append("warm run never hit the recording cache")
-    if second["stream_meta"]["skeleton_loads"] < 1:
-        failures.append("warm run never loaded a skeleton")
+    loads = second["batch"].get("disk_hits", 0)
+    if loads != first["batch"]["recordings"]:
+        failures.append(f"warm skeleton loads (disk_hits) = {loads} (want "
+                        f"{first['batch']['recordings']}, one per kernel "
+                        f"the cold run recorded)")
     for grid in ("memo_grid", "replay_grid"):
         if first[grid] != second[grid]:
             failures.append(f"{grid}: warm results differ from cold")
@@ -136,9 +133,8 @@ def main() -> int:
         return 1
     print(f"warm-cache check passed: second process recorded and "
           f"simulated nothing it had stored "
-          f"({second['batch']['disk_hits']} recording loads, "
-          f"{second['stream_meta']['skeleton_loads']} skeleton loads, "
-          f"{hits} result hits; results bit-identical)")
+          f"({loads} skeleton loads, {hits} result hits; results "
+          f"bit-identical)")
     return 0
 
 

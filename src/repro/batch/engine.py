@@ -1,32 +1,27 @@
-"""The fast sweep engine: group grid points, record once, replay each.
+"""The fast sweep engine: record each kernel once, replay each point.
 
 The engine sits between :mod:`repro.sim.parallel` and the per-run
-machinery. Given a list of sweep tasks it:
+machinery. :func:`iter_outcomes` routes each task on its own, in task
+order:
 
-1. resolves each task's effective :class:`SimConfig` and routes it to
-   the fast engine when :func:`repro.sim.factory.runs_fast` says so -
-   ``engine="fast"`` (or ``REPRO_ENGINE=fast`` under an unset engine)
-   and neither the trace recorder nor the invariant checker attached;
-   every other task runs alone on the interpreter;
-2. groups fast tasks by ``(workload, scale, effective cost model)``
-   - the *design family*: ``NVCache-WB`` folds ``nvcache_ifetch_extra``
-   into its costs, so it expands its own stream, apart from the
-   SRAM-cost designs;
-3. records each kernel once (:mod:`repro.batch.record`) - the
-   architectural stream is cost-independent, so every family of a
-   kernel shares one recording - and expands it per group into a
-   :class:`GuestStream`, cached process-wide so consecutive grids (one
-   per power trace) reuse it;
-4. runs every point of a ``(workload, scale)`` cluster of groups - the
-   cost families of one kernel share one stream skeleton - alone on a
-   generated engine (:func:`repro.lockstep.scheduler.run_column`), in
-   plan order; the engine calls its design's own methods on a miss, and
-   per-point outages, stalls and threshold adaptation all happen in the
-   point's own ``System``, bit-identically;
-5. bails any group the stream model cannot serve - a guest fault or
-   runaway kernel during recording - to the caller-supplied slow path
-   (a lone run on the interpreter), task by task, preserving exact
-   error behaviour.
+1. a hit in the persistent result memo (when on) is the outcome;
+2. a task that :func:`repro.sim.factory.runs_fast` rejects - the
+   reference engine, or the trace recorder or invariant checker
+   attached - runs alone on the interpreter (the caller's slow path);
+3. any other task gets its kernel's stream under its design's cost
+   model (:func:`get_stream`) and runs alone on a generated engine
+   (:func:`repro.lockstep.scheduler.run_column`); the engine calls its
+   design's own methods on a miss, and per-point outages, stalls and
+   threshold adaptation all happen in the point's own ``System``,
+   bit-identically.
+
+A kernel is recorded once (:mod:`repro.batch.record`): the architectural
+stream is cost-independent, so its one :class:`StreamSkeleton` serves
+every *cost family* - ``NVCache-WB`` folds ``nvcache_ifetch_extra``
+into its costs, so it expands its own cycle prefix sum apart from the
+SRAM-cost designs. A kernel the stream model cannot serve - a guest
+fault or runaway kernel during recording - bails its tasks to the slow
+path one by one, preserving exact error behaviour.
 
 Select the fast engine with ``SimConfig(engine="fast")``, ``--engine
 fast`` on ``repro sweep``/``repro campaign``, or ``REPRO_ENGINE=fast``
@@ -41,38 +36,27 @@ from collections.abc import Callable, Iterator
 from repro.batch.record import (RecordingBail, record_run,
                                 recording_fingerprint)
 from repro.batch.replay import ReplayCore
-from repro.batch.stream import GuestStream, build_stream
+from repro.batch.stream import (GuestStream, StreamSkeleton, build_stream,
+                                clear_stream_meta)
 from repro.cpu.core import program_content_key
 from repro.cpu.costs import CycleCosts
 from repro.isa.program import Program
-from repro.mem.nvm import NVMainMemory
 from repro.sim.config import SimConfig
-from repro.sim.factory import build_design, effective_costs, runs_fast
+from repro.sim.factory import build_system, effective_costs, runs_fast
 # imported by name only so perfbench/spans.py, which wraps
 # repro.batch.engine.attach_memfast, still resolves it; never called
 from repro.sim.factory import attach_memfast  # noqa: F401
 from repro.sim.system import System
 from repro.workloads import build_workload, verify_checks
 
-#: program content key -> raw recording ``(codes, n_total, cycles,
-#: rec_costs, final_regs, ops)``. The architectural stream is *cost-
-#: independent* (control flow never reads the cycle counter), so one
-#: recording serves every design family; only the cheap static-cycle
-#: expansion happens per family. Recordings are the big allocation
-#: (exit codes + memory ops), so the cache holds only the most recent
-#: few - enough for every family of the kernel being planned to expand
-#: from one recording; the stream cache below serves later grids.
-_RECORDING_CACHE: dict[tuple, tuple] = {}
-_RECORDING_CACHE_CAP = 4
-
-#: (program content key, effective costs) -> GuestStream. Streams share
-#: their event list with the kernel's skeleton, so the per-family entry
-#: adds only the cycle prefix sum. The cap holds a full figure grid - 23
-#: kernels x 2 cost families = 46 streams - so back-to-back grids over
-#: the same kernels (Figs. 4-6, one per power condition) expand each
-#: stream once.
-_STREAM_CACHE: dict[tuple, GuestStream] = {}
-_STREAM_CACHE_CAP = 64
+#: program content key -> the kernel's StreamSkeleton (its expanded
+#: cost families in ``skel.streams``), or ``(reason, budget)`` when its
+#: last recording bailed under that instruction budget
+_KERNELS: dict[tuple, StreamSkeleton | tuple] = {}
+#: holds every kernel of a figure grid (23), so back-to-back grids over
+#: the same kernels (Figs. 4-6, one per power condition) record and
+#: expand each kernel once
+_KERNEL_CACHE_CAP = 32
 _STREAM_STATS = {"recordings": 0, "expansions": 0, "hits": 0, "bails": 0,
                  "solo": 0, "lockstep": 0, "disk_hits": 0,
                  "disk_writes": 0}
@@ -86,146 +70,80 @@ def resolve_config(task) -> SimConfig:
     return config
 
 
-class _Group:
-    """Fast-engine tasks sharing one recording."""
-
-    __slots__ = ("workload", "scale", "costs", "tasks", "configs",
-                 "budget")
-
-    def __init__(self, workload: str, scale: float, costs: CycleCosts):
-        self.workload = workload
-        self.scale = scale
-        self.costs = costs
-        self.tasks: list = []
-        self.configs: list[SimConfig] = []
-        self.budget = 0
-
-    def add(self, task, config: SimConfig) -> None:
-        self.tasks.append(task)
-        self.configs.append(config)
-        self.budget = max(self.budget, config.max_instructions)
-
-
-def plan(tasks) -> list[tuple]:
-    """Partition tasks into ``("solo", task)`` and ``("group", _Group)``
-    units, in first-appearance order."""
-    units: list[tuple] = []
-    groups: dict[tuple, _Group] = {}
-    for task in tasks:
-        try:
-            config = resolve_config(task)
-        except Exception:
-            # invalid overrides: the slow path raises the real error
-            units.append(("solo", task))
-            continue
-        if not runs_fast(config):
-            units.append(("solo", task))
-            continue
-        costs = effective_costs(task.design, config)
-        key = (task.workload, task.scale, costs)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = _Group(task.workload, task.scale,
-                                         costs)
-            units.append(("group", group))
-        group.add(task, config)
-    return units
-
-
-def _stream_store_key(ckey: tuple) -> tuple:
-    return ("stream-rec", recording_fingerprint(), ckey)
-
-
-def _disk_load(ckey: tuple) -> tuple | None:
-    """A previously shared recording, or None (not cached / unreadable -
-    a bad entry is never an error, just a re-record). Recordings live in
-    the ``"stream"`` class of the persistent artifact store
-    (:mod:`repro.store`)."""
-    from repro.store.core import get_store
-
-    store = get_store()
-    if store is None:
-        return None
-    recording = store.load("stream", _stream_store_key(ckey))
-    if not (isinstance(recording, tuple) and len(recording) == 6):
-        return None
-    _STREAM_STATS["disk_hits"] += 1
-    return recording
-
-
-def _disk_store(ckey: tuple, recording: tuple) -> None:
-    from repro.store.core import get_store
-
-    store = get_store()
-    if store is None:
-        return
-    if store.save("stream", _stream_store_key(ckey), recording):
-        _STREAM_STATS["disk_writes"] += 1
+def _remember(ckey: tuple, entry: StreamSkeleton | tuple) -> None:
+    _KERNELS.pop(ckey, None)
+    if len(_KERNELS) >= _KERNEL_CACHE_CAP:
+        old = _KERNELS.pop(next(iter(_KERNELS)))
+        if isinstance(old, StreamSkeleton):
+            # its streams point back at it: drop them so reference
+            # counting frees the evicted kernel, not the cyclic GC
+            old.streams.clear()
+    _KERNELS[ckey] = entry
 
 
 def get_stream(program: Program, costs: CycleCosts,
                budget: int) -> GuestStream:
-    """The kernel's guest stream, recording it on first demand.
+    """The kernel's guest stream under ``costs``, recording the kernel
+    on first demand.
 
-    Raises :class:`RecordingBail` when the kernel cannot be recorded;
-    bails are not cached (a larger budget may succeed later). With the
-    artifact store on (``REPRO_CACHE_DIR``), recordings round-trip
-    through it so campaign shards record each kernel once fleet-wide (a
+    A bailed recording raises :class:`RecordingBail`, and so does every
+    later request whose ``budget`` is no larger, without recording; a
+    larger budget records again. With the artifact store on
+    (``REPRO_CACHE_DIR``), skeletons round-trip through its ``skel``
+    class, so campaign shards record each kernel once fleet-wide (a
     completed recording is budget-independent - the budget only caps
     runaway kernels, which bail and are never stored).
     """
+    from repro.store.core import get_store
+
     ckey = program_content_key(program)
-    key = (ckey, costs)
-    stream = _STREAM_CACHE.get(key)
-    if stream is not None:
-        _STREAM_STATS["hits"] += 1
-        return stream
-    recording = _RECORDING_CACHE.get(ckey)
-    if recording is None:
-        recording = _disk_load(ckey)
-        if recording is None:
-            codes, n, cycles, final_regs, ops = record_run(
-                program, costs, budget)
-            recording = (codes, n, cycles, costs, final_regs, ops)
+    source = _KERNELS.get(ckey)
+    if isinstance(source, StreamSkeleton):
+        stream = source.streams.get(costs)
+        if stream is not None:
+            _STREAM_STATS["hits"] += 1
+            return stream
+    elif source is not None and budget <= source[1]:
+        raise RecordingBail(source[0])
+    else:
+        store = get_store()
+        key = ("stream-skel", recording_fingerprint("repro.batch.stream"),
+               ckey)
+        payload = store.load("skel", key) if store is not None else None
+        if isinstance(payload, tuple) and len(payload) == 5:
+            _STREAM_STATS["disk_hits"] += 1
+            source = StreamSkeleton(*payload)
+        else:
+            try:
+                source = record_run(program, costs, budget)
+            except RecordingBail as bail:
+                _STREAM_STATS["bails"] += 1
+                _remember(ckey, (bail.reason, budget))
+                raise
             _STREAM_STATS["recordings"] += 1
-            _disk_store(ckey, recording)
-        if len(_RECORDING_CACHE) >= _RECORDING_CACHE_CAP:
-            _RECORDING_CACHE.pop(next(iter(_RECORDING_CACHE)))
-        _RECORDING_CACHE[ckey] = recording
-    # every family of a kernel expands from one skeleton, so the
-    # points of a cluster walk one event list
-    skel = next((s.skel for k, s in _STREAM_CACHE.items()
-                 if k[0] == ckey), None)
-    stream = build_stream(program, costs, recording, skel)
-    if len(_STREAM_CACHE) >= _STREAM_CACHE_CAP:
-        _STREAM_CACHE.pop(next(iter(_STREAM_CACHE)))
-    _STREAM_CACHE[key] = stream
+    stream = build_stream(program, costs, source)
     _STREAM_STATS["expansions"] += 1
+    skel = stream.skel
+    if not isinstance(source, StreamSkeleton) and store is not None \
+            and store.save("skel", key, (skel.n_total, skel.events,
+                                         skel.blk_g, skel.codes,
+                                         skel.final_regs)):
+        _STREAM_STATS["disk_writes"] += 1
+    _remember(ckey, skel)
     return stream
 
 
 def build_replay_system(program: Program, task, config: SimConfig,
                         stream: GuestStream) -> System:
     """A System whose core is a :class:`ReplayCore` over ``stream``,
-    ready for a lockstep engine to drive.
-
-    Mirrors :func:`repro.sim.factory.build_system` minus the
-    instrumentation the fast engine refuses to coexist with (trace
-    recorder, invariant checker - :func:`plan` never routes such tasks
-    here). Nothing is attached to the design: the engine inlines its
-    hit paths and calls its own methods on a miss.
+    ready for a lockstep engine to drive: :func:`~repro.sim.factory.
+    build_system` with the interpreter core swapped out. Only tasks
+    :func:`runs_fast` accepts get here, so nothing is attached to the
+    design: the engine inlines its hit paths and calls its own methods
+    on a miss.
     """
-    from repro.energy.synthetic import make_trace
-
-    trace = task.trace
-    if isinstance(trace, str):
-        trace = (make_trace(trace) if config.trace_seed is None
-                 else make_trace(trace, config.trace_seed))
-    nvm = NVMainMemory(program.initial_memory(), config.nvm)
-    design = build_design(task.design, nvm, config)
-    costs = effective_costs(task.design, config)
-    system = System(program, design, config, trace, costs)
-    system.core = ReplayCore(stream, costs)
+    system = build_system(program, task.design, task.trace, config)
+    system.core = ReplayCore(stream, effective_costs(task.design, config))
     return system
 
 
@@ -239,121 +157,78 @@ def _outcome(fn, *args) -> tuple:
 
 
 def iter_outcomes(tasks, run_slow: Callable) -> Iterator[tuple]:
-    """Yield ``(task, outcome)`` for every task, on the fast engine
-    where it can.
+    """Yield ``(task, outcome)`` for every task, in task order, on the
+    fast engine where it can.
 
     ``run_slow`` is the caller's single-task path; it must not consult
-    the result memo again. Reference-engine, instrumented and bailed
-    tasks go through it and finish as lone runs on the interpreter.
-    Adjacent groups sharing a ``(workload, scale)`` - the cost families
-    of one design sweep, which share a :class:`~repro.batch.stream.
-    StreamSkeleton` - form one *cluster* whose points run one after
-    another over that skeleton. Outcomes are yielded unit by unit in
-    first-appearance order, which is group-major; callers needing task
-    order re-index by task.
-
-    When result memoization is on (:mod:`repro.store.results`), every
-    task is first checked against the persistent memo: hits are yielded
-    up front without touching the recorder, so an all-hit grid never
-    records, expands, or replays anything.
+    the result memo again. Each task is first looked up in the
+    persistent result memo (:mod:`repro.store.results`), when on, so an
+    all-hit grid never records, expands, or replays anything.
+    Reference-engine, instrumented and bailed tasks go through
+    ``run_slow`` and finish as lone runs on the interpreter. Every other
+    task runs on its generated engine, and its result is verified,
+    stored and yielded before the next task starts, so a caller sees
+    progress per point and the finished system is freed. Equal final
+    images share the first ok image of their ``(workload, scale)``, so a
+    kernel holds one image however many points it has.
     """
-    from repro.store.results import lookup_task
+    from repro.lockstep.scheduler import run_column
+    from repro.store.results import lookup_task, store_task
 
-    pending = []
+    images: dict[tuple, object] = {}
     for task in tasks:
         memo = lookup_task(task)
         if memo is not None:
             yield task, ("ok", memo)
-        else:
-            pending.append(task)
-    units = plan(pending)
-    i = 0
-    while i < len(units):
-        kind, unit = units[i]
-        if kind == "solo":
-            _STREAM_STATS["solo"] += 1
-            yield unit, _outcome(run_slow, unit)
-            i += 1
             continue
-        cluster = [unit]
-        j = i + 1
-        while (j < len(units) and units[j][0] == "group"
-               and units[j][1].workload == unit.workload
-               and units[j][1].scale == unit.scale):
-            cluster.append(units[j][1])
-            j += 1
-        i = j
-        yield from _run_cluster(cluster, run_slow)
-
-
-def _run_cluster(groups: list, run_slow: Callable) -> Iterator[tuple]:
-    """Run one ``(workload, scale)`` cluster over the shared skeleton,
-    one point at a time in plan order, each alone on its generated
-    engine.
-
-    Each point's result is verified, stored and yielded before the next
-    point is built, so a caller sees progress per point and the
-    finished system is freed. Equal final images share the cluster's
-    first ok image, so a cluster holds one image whatever its width.
-    """
-    from repro.lockstep.scheduler import run_column
-    from repro.store.results import store_task
-
-    try:
-        program = build_workload(groups[0].workload, groups[0].scale)
-    except Exception as exc:
-        tb = traceback.format_exc()
-        for group in groups:
-            for task in group.tasks:
-                yield task, ("err", exc, tb)
-        return
-    image = None
-    for group in groups:
         try:
-            stream = get_stream(program, group.costs, group.budget)
+            config = resolve_config(task)
+        except Exception:
+            config = None  # invalid overrides: the slow path raises them
+        if config is None or not runs_fast(config):
+            _STREAM_STATS["solo"] += 1
+            yield task, _outcome(run_slow, task)
+            continue
+        try:
+            program = build_workload(task.workload, task.scale)
+            stream = get_stream(program,
+                                effective_costs(task.design, config),
+                                config.max_instructions)
         except RecordingBail:
-            _STREAM_STATS["bails"] += 1
-            for task in group.tasks:
-                yield task, _outcome(run_slow, task)
+            yield task, _outcome(run_slow, task)
             continue
         except Exception as exc:
-            tb = traceback.format_exc()
-            for task in group.tasks:
-                yield task, ("err", exc, tb)
+            yield task, ("err", exc, traceback.format_exc())
             continue
-        for task, config in zip(group.tasks, group.configs):
-            outcome = run_column(program, task, config, stream)
-            if outcome[0] == "ok" and task.verify:
-                try:
-                    verify_checks(program, outcome[1].final_memory)
-                except Exception as exc:
-                    outcome = ("err", exc, traceback.format_exc())
-            if outcome[0] == "ok":
-                # every halted point of a kernel ends in the oracle's
-                # image: an image equal to the cluster's first takes
-                # that array, so the cluster holds (and a pool chunk
-                # pickles) one copy
-                res = outcome[1]
-                if image is None:
-                    image = res.final_memory
-                elif res.final_memory == image:
-                    res.final_memory = image
-                _STREAM_STATS["lockstep"] += 1
-                store_task(task, res)
-            yield task, outcome
+        outcome = run_column(program, task, config, stream)
+        if outcome[0] == "ok" and task.verify:
+            try:
+                verify_checks(program, outcome[1].final_memory)
+            except Exception as exc:
+                outcome = ("err", exc, traceback.format_exc())
+        if outcome[0] == "ok":
+            # every halted point of a kernel ends in the oracle's image:
+            # an image equal to the kernel's first takes that array, so
+            # the call holds (and a pool chunk pickles) one copy
+            res = outcome[1]
+            image = images.setdefault((task.workload, task.scale),
+                                      res.final_memory)
+            if image is not res.final_memory and image == res.final_memory:
+                res.final_memory = image
+            _STREAM_STATS["lockstep"] += 1
+            store_task(task, res)
+        yield task, outcome
 
 
 def batch_stats() -> dict:
-    """Engine counters (tests/benchmarks)."""
-    return {"streams": len(_STREAM_CACHE),
-            "raw_recordings": len(_RECORDING_CACHE), **_STREAM_STATS}
+    """Engine counters, plus the ``kernels`` gauge (tests/benchmarks)."""
+    return {"kernels": len(_KERNELS), **_STREAM_STATS}
 
 
 def clear_streams() -> None:
-    """Drop cached recordings/streams and reset counters (tests)."""
-    _STREAM_CACHE.clear()
-    _RECORDING_CACHE.clear()
-    from repro.batch.stream import clear_stream_meta
+    """Drop cached kernels and expansion metadata and reset counters
+    (tests)."""
+    _KERNELS.clear()
     clear_stream_meta()
     for k in _STREAM_STATS:
         _STREAM_STATS[k] = 0
@@ -365,6 +240,5 @@ __all__ = [
     "clear_streams",
     "get_stream",
     "iter_outcomes",
-    "plan",
     "resolve_config",
 ]

@@ -1,13 +1,13 @@
 """Recording pass: execute a kernel once, capture its guest stream.
 
-A sweep group shares one *architectural* execution: registers, memory
-values, and control flow are a pure function of (program, initial
-memory), because every design checkpoints and restores exact state
-across outages - geometry, capacitor, and power trace change *when*
-things happen, never *what* happens. The recorder therefore runs the
-kernel exactly once per (program, cost model) group, block-at-a-time on
-record-mode compiled code (:mod:`repro.jit.blocks`), against a
-latency-free flat-memory system, and captures:
+Every sweep point of a kernel shares one *architectural* execution:
+registers, memory values, and control flow are a pure function of
+(program, initial memory), because every design checkpoints and
+restores exact state across outages - geometry, capacitor, and power
+trace change *when* things happen, never *what* happens. The recorder
+therefore runs the kernel exactly once, block-at-a-time on record-mode
+compiled code (:mod:`repro.jit.blocks`), against a latency-free
+flat-memory system, and captures:
 
 * the exit-code sequence (which basic blocks ran, in order, with branch
   directions), from which :mod:`repro.batch.stream` reconstructs the
@@ -18,17 +18,19 @@ latency-free flat-memory system, and captures:
 * the final architectural registers (the only register state a
   :class:`~repro.sim.results.RunResult` exposes).
 
-Recording costs are the group's effective :class:`CycleCosts` with
-``ifetch_miss=0``: the threaded cycle counter then accumulates exactly
-the *static* per-instruction costs (base + ``mem_issue``), which is what
-the replay tier's prefix-sum arrays need - I-cache misses and memory
-latencies are per-instance dynamics added back at replay time.
+Recording costs are the requesting task's effective
+:class:`CycleCosts` with ``ifetch_miss=0``: the threaded cycle counter
+then accumulates exactly the *static* per-instruction costs (base +
+``mem_issue``), which is what the replay tier's prefix-sum arrays need -
+I-cache misses and memory latencies are per-instance dynamics added back
+at replay time.
 
 Anything the stream model cannot represent raises
-:class:`RecordingBail` and the group falls back to the interpreter per
-instance: a guest fault (the slow path must reproduce the exact
-error state), a runaway kernel that exhausts the group's instruction
-budget without halting, or a stream that would exceed the memory cap.
+:class:`RecordingBail` and the kernel's tasks fall back to the
+interpreter one by one: a guest fault (the slow path must reproduce the
+exact error state), a runaway kernel that exhausts the task's
+instruction budget without halting, or a stream that would exceed the
+memory cap.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.errors import ExecutionError
 from repro.isa.program import Program
 from repro.jit.cache import get_compiled
 
-#: Instructions a recording may run beyond the group's largest
+#: Instructions a recording may run beyond the task's
 #: ``max_instructions`` before declaring the kernel runaway (one chunk's
 #: worth of slack: the serial tiers overshoot the budget by at most one
 #: 65536-instruction chunk before ``System.run`` raises).
@@ -51,7 +53,7 @@ STREAM_CAP = 8_000_000
 
 
 class RecordingBail(Exception):
-    """The kernel cannot be recorded; the group takes the slow path."""
+    """The kernel cannot be recorded; its tasks take the slow path."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -120,11 +122,10 @@ def record_run(program: Program, costs: CycleCosts,
     """Execute ``program`` once and return its raw recording.
 
     Returns ``(exit_codes, n_retired, total_static_cycles, final_regs,
-    ops)``. ``costs`` is the group's *effective* cost model (with any
+    ops)``. ``costs`` is the task's *effective* cost model (with any
     per-design ``ifetch_extra`` already folded in); ``budget`` the
-    largest ``max_instructions`` in the group. Raises
-    :class:`RecordingBail` on a guest fault, a runaway kernel, or a
-    stream-cap overflow.
+    task's ``max_instructions``. Raises :class:`RecordingBail` on a
+    guest fault, a runaway kernel, or a stream-cap overflow.
     """
     rcosts = recording_costs(costs)
     compiled = get_compiled(program, rcosts)
@@ -158,7 +159,7 @@ def record_run(program: Program, costs: CycleCosts,
                 break
             if n >= stop:
                 raise RecordingBail(
-                    f"{program.name}: no HALT within the group's "
+                    f"{program.name}: no HALT within the task's "
                     f"instruction budget ({budget})")
             if n > cap:
                 raise RecordingBail(

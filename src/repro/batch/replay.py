@@ -56,8 +56,9 @@ class ReplayCore:
     def pc(self) -> int:
         """The architectural pc at the current stream position (the
         next instruction to retire; the HALT pc once halted) -
-        recovered from the block-entry prefix arrays, matching the
-        interpreter's ``pc`` at every chunk boundary."""
+        recovered from the block-entry indices and the recorded exit
+        codes, matching the interpreter's ``pc`` at every chunk
+        boundary."""
         s = self.stream
         p = self.instret
         if p >= s.n_total and p:
@@ -65,7 +66,7 @@ class ReplayCore:
         j = bisect_right(s.blk_g, p) - 1
         if j < 0:
             return 0
-        return s.blk_pc[j] + (p - s.blk_g[j])
+        return (s.codes[j] >> 1) + (p - s.blk_g[j])
 
     def snapshot_arch_state(self) -> tuple[list[int], int]:
         return (self.arch_regs, self.pc)

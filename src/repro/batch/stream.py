@@ -8,15 +8,16 @@ actually do - I-cache line crossings and memory operations. Replaying a
 chunk is then O(events in the chunk), not O(instructions): the ALU work
 between events collapses into two prefix-sum lookups.
 
-The expansion splits along what varies per design family:
+The expansion splits along what varies per cost family:
 
-* the :class:`StreamSkeleton` - event list and the block-entry arrays
-  that recover the architectural pc - depends only on
-  *what* executed, so one skeleton (cached per program content) serves
-  every cost model: ``NVCache-WB``'s private ``ifetch_extra`` family
-  shares it with the SRAM-cost designs;
+* the :class:`StreamSkeleton` - event list, block-entry indices and the
+  recorded exit codes, which recover the architectural pc - depends
+  only on *what* executed, so one skeleton per kernel serves every cost
+  model: ``NVCache-WB``'s private ``ifetch_extra`` family shares it with
+  the SRAM-cost designs;
 * only the static cycle prefix sum (``cum_cycles``) is expanded per
-  (program, cost model).
+  (program, cost model), from the skeleton's exit codes, and hung off
+  the skeleton (``StreamSkeleton.streams``).
 
 Event encoding (``i`` is the global retired-instruction index; events
 are ordered by ``i``, with an instruction's line-crossing event before
@@ -36,7 +37,7 @@ computed by the lockstep engine, so events stay cost-independent.
 Expansion works from per-exit-code static metadata (block length, cost
 tuple, line-crossing template, memory-op template) cached process-
 globally per (program content, cost model) - a sweep expands each
-kernel's metadata once, then every recording replays it with C-speed
+kernel's metadata once, then every expansion replays it with C-speed
 ``array.extend`` + ``itertools.accumulate``.
 """
 
@@ -61,28 +62,23 @@ _TERMINATORS = oc.B_FORMAT | {oc.JAL, oc.JALR, oc.HALT}
 _META_CACHE: dict[tuple, "_ProgramMeta"] = {}
 _META_CACHE_CAP = 256
 
-#: program content key -> StreamSkeleton; 1:1 with cached recordings.
-#: Skeletons are the big half of a stream (the event list), so the cap
-#: mirrors the engine's stream-cache cap.
-_SKEL_CACHE: dict[tuple, "StreamSkeleton"] = {}
-_SKEL_CACHE_CAP = 4
-
-_SKEL_STATS = {"skeleton_builds": 0, "skeleton_loads": 0}
-
 
 class StreamSkeleton:
-    """The cost-independent expansion of one recording."""
+    """The cost-independent expansion of one recording, with the cost
+    families expanded from it so far."""
 
-    __slots__ = ("n_total", "events", "n_events", "blk_g", "blk_pc",
-                 "final_regs", "ev_counts", "ev_prev")
+    __slots__ = ("n_total", "events", "n_events", "blk_g", "codes",
+                 "final_regs", "ev_counts", "ev_prev", "streams")
 
     def __init__(self, n_total: int, events: list, blk_g: array,
-                 blk_pc: array, final_regs: list[int]):
+                 codes: array, final_regs: list[int]):
         self.n_total = n_total
         self.events = events
         self.n_events = len(events)
+        #: per block run: its first retired-instruction index, and its
+        #: recorded exit code (``start pc << 1 | branch taken``)
         self.blk_g = blk_g
-        self.blk_pc = blk_pc
+        self.codes = codes
         self.final_regs = final_regs
         #: lazy fetch-event prefix count (length ``n_events + 1``),
         #: filled by :func:`event_counts` so a chunk's fetch count is
@@ -94,6 +90,8 @@ class StreamSkeleton:
         #: previous occurrence is at or past the point's last I-cache
         #: flush, which turns residency-set lookups into one comparison.
         self.ev_prev = None
+        #: effective costs -> this kernel's GuestStream under them
+        self.streams: dict[CycleCosts, GuestStream] = {}
 
 
 class GuestStream:
@@ -104,7 +102,7 @@ class GuestStream:
     """
 
     __slots__ = ("n_total", "cum_cycles", "events", "final_regs",
-                 "n_events", "blk_g", "blk_pc", "c_mem", "skel")
+                 "n_events", "blk_g", "codes", "c_mem", "skel")
 
     def __init__(self, skel: StreamSkeleton, cum_cycles: array,
                  c_mem: int):
@@ -115,7 +113,7 @@ class GuestStream:
         self.final_regs = skel.final_regs
         self.n_events = skel.n_events
         self.blk_g = skel.blk_g
-        self.blk_pc = skel.blk_pc
+        self.codes = skel.codes
         self.c_mem = c_mem
 
 
@@ -194,9 +192,7 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
     """
     entry = meta.entry
     blk_g = array("q")
-    blk_pc = array("q")
     ap_g = blk_g.append
-    ap_pc = blk_pc.append
     events: list[tuple] = []
     ap = events.append
     gi = 0
@@ -205,7 +201,6 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
     for code in codes:
         m = entry(code)
         ap_g(gi)
-        ap_pc(code >> 1)
         if m[2] != prev_line:
             ap((gi, 0, m[2]))
         for t in m[4]:
@@ -225,84 +220,40 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
         gi += m[0]
     assert gi == n_total and oi == len(ops), \
         "recorded memory ops disagree with the block templates"
-    return StreamSkeleton(n_total, events, blk_g, blk_pc, final_regs)
+    return StreamSkeleton(n_total, events, blk_g, array("q", codes),
+                          final_regs)
 
 
-def _skel_store_key(ckey: tuple, n_total: int) -> tuple:
-    from repro.batch.record import recording_fingerprint
+def build_stream(program: Program, costs: CycleCosts,
+                 source: tuple | StreamSkeleton) -> GuestStream:
+    """Expand this cost family's stream and hang it off its skeleton.
 
-    return ("stream-skel", recording_fingerprint("repro.batch.stream"),
-            ckey, n_total)
-
-
-def _load_skeleton(ckey: tuple, n_total: int) -> "StreamSkeleton | None":
-    """A persisted skeleton (class ``"skel"`` of :mod:`repro.store`), or
-    None - anything malformed is just a rebuild."""
-    from repro.store.core import get_store
-
-    store = get_store()
-    if store is None:
-        return None
-    payload = store.load("skel", _skel_store_key(ckey, n_total))
-    if not (isinstance(payload, tuple) and len(payload) == 5
-            and payload[0] == n_total):
-        return None
-    _SKEL_STATS["skeleton_loads"] += 1
-    return StreamSkeleton(*payload)
-
-
-def _save_skeleton(ckey: tuple, skel: StreamSkeleton) -> None:
-    from repro.store.core import get_store
-
-    store = get_store()
-    if store is None:
-        return
-    store.save("skel", _skel_store_key(ckey, skel.n_total),
-               (skel.n_total, skel.events, skel.blk_g, skel.blk_pc,
-                skel.final_regs))
-
-
-def build_stream(program: Program, costs: CycleCosts, recording: tuple,
-                 skel: StreamSkeleton | None = None) -> GuestStream:
-    """Expand a raw recording into this cost family's stream.
-
-    ``recording`` is ``(codes, n_total, total_cycles, rec_costs,
-    final_regs, ops)`` as the engine caches it - one recording serves
-    every family because the architectural stream is cost-independent.
-    ``skel``, when given with a matching ``n_total``, is used as the
-    skeleton (the engine passes the one its kernel's other families
-    already run on); otherwise it comes from the skeleton cache, the
-    store, or a build.
-    ``total_cycles`` was threaded under ``rec_costs`` (modulo the
-    ``ifetch_miss=0`` substitution, which the expansion never folds into
-    statics), so the prefix-sum cross-check applies exactly when
-    ``costs == rec_costs``; other families are covered structurally by
-    the shared skeleton's op-consumption assert.
+    ``source`` is the kernel's :class:`StreamSkeleton`, or a fresh raw
+    recording ``(codes, n_total, total_cycles, final_regs, ops)`` that
+    :func:`repro.batch.record.record_run` made under ``costs``: its
+    skeleton is built first, and the family's cycle prefix sum must end
+    on the recording's ``total_cycles`` (threaded under ``costs`` with
+    ``ifetch_miss=0``, which the expansion never folds into statics).
+    Every other family is covered structurally by the skeleton's
+    op-consumption assert.
     """
-    codes, n_total, total_cycles, rec_costs, final_regs, ops = recording
     meta = _program_meta(program, costs)
-    skey = (program_content_key(program),)
-    if skel is None or skel.n_total != n_total:
-        skel = _SKEL_CACHE.get(skey)
-    if skel is None or skel.n_total != n_total:
-        if len(_SKEL_CACHE) >= _SKEL_CACHE_CAP:
-            _SKEL_CACHE.pop(next(iter(_SKEL_CACHE)))
-        skel = _load_skeleton(skey[0], n_total)
-        if skel is None:
-            skel = _build_skeleton(meta, codes, n_total, final_regs, ops)
-            _SKEL_STATS["skeleton_builds"] += 1
-            _save_skeleton(skey[0], skel)
-        _SKEL_CACHE[skey] = skel
+    if isinstance(source, StreamSkeleton):
+        skel, total_cycles = source, None
+    else:
+        codes, n_total, total_cycles, final_regs, ops = source
+        skel = _build_skeleton(meta, codes, n_total, final_regs, ops)
     cost_stream = array("q")
     ext_c = cost_stream.extend
     entry = meta.entry
-    for code in codes:
+    for code in skel.codes:
         ext_c(entry(code)[1])
     cum = array("q", accumulate(cost_stream))
-    assert len(cum) == n_total, "exit codes disagree with retired count"
-    assert costs != rec_costs or not cum or cum[-1] == total_cycles, \
+    assert len(cum) == skel.n_total, "exit codes disagree with retired count"
+    assert total_cycles is None or not cum or cum[-1] == total_cycles, \
         "static cycle expansion disagrees with the recording"
-    return GuestStream(skel, cum, meta.c_mem)
+    stream = skel.streams[costs] = GuestStream(skel, cum, meta.c_mem)
+    return stream
 
 
 def event_counts(stream: GuestStream) -> array:
@@ -361,16 +312,6 @@ def event_prev(stream: GuestStream) -> array:
     return prev
 
 
-def stream_meta_stats() -> dict:
-    """Expansion-metadata cache counters (tests/benchmarks)."""
-    return {"programs": len(_META_CACHE), "skeletons": len(_SKEL_CACHE),
-            "codes": sum(len(m.codes) for m in _META_CACHE.values()),
-            **_SKEL_STATS}
-
-
 def clear_stream_meta() -> None:
-    """Drop expansion metadata and skeletons (tests)."""
+    """Drop expansion metadata (tests)."""
     _META_CACHE.clear()
-    _SKEL_CACHE.clear()
-    for k in _SKEL_STATS:
-        _SKEL_STATS[k] = 0

@@ -260,7 +260,7 @@ def cmd_campaign(args) -> int:
         if progress is not None:
             print()
         cache_stats = {k: v for k, v in batch_stats().items()
-                       if k not in ("streams", "raw_recordings")}
+                       if k != "kernels"}
         line = _cache_stats_line(cache_stats)
         if line:
             print(line)

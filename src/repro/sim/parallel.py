@@ -29,7 +29,7 @@ same way instead of hanging the sweep.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -138,21 +138,10 @@ def _init_worker(env: dict[str, str]) -> None:
     os.environ.update(env)
 
 
-def _indexed_outcomes(tasks: list[SweepTask]) -> Iterator[tuple]:
-    """:func:`~repro.batch.engine.iter_outcomes` with each outcome
-    tagged by its task's position, in completion order."""
-    where: dict[int, list[int]] = {}
-    for i, task in enumerate(tasks):
-        where.setdefault(id(task), []).append(i)
-    for task, outcome in iter_outcomes(tasks, simulate_task):
-        yield where[id(task)].pop(0), outcome
-
-
 def _counter_groups() -> dict[str, dict[str, int]]:
     """The live event-counter dicts a pool chunk ships home, by group.
-    Cache-size gauges (``batch_stats()``'s ``streams`` and
-    ``raw_recordings``) are not in them: they describe a worker's
-    caches, not the sweep."""
+    The cache-size gauge (``batch_stats()``'s ``kernels``) is not in
+    them: it describes a worker's cache, not the sweep."""
     from repro.batch import engine
     from repro.lockstep import scheduler
     from repro.store import core
@@ -182,13 +171,14 @@ def _run_chunk(chunk: list[SweepTask]) -> list[tuple]:
     parent folds them back with :func:`absorb_counters`, so sweep-wide
     counters stay observable under the pool."""
     pre = {g: dict(c) for g, c in _counter_groups().items()}
-    records: list[tuple] = [()] * len(chunk)
-    for i, outcome in _indexed_outcomes(chunk):
+    records: list[tuple] = []
+    for _task, outcome in iter_outcomes(chunk, simulate_task):
         if outcome[0] == "ok":
-            records[i] = outcome
+            records.append(outcome)
         else:
             exc = outcome[1]
-            records[i] = ("err", type(exc).__name__, str(exc), outcome[2])
+            records.append(("err", type(exc).__name__, str(exc),
+                            outcome[2]))
     delta = {g: {k: v - pre[g].get(k, 0) for k, v in c.items()}
              for g, c in _counter_groups().items()}
     records.append(("stats", delta))
@@ -268,9 +258,9 @@ def _share_images(tasks: list[SweepTask], fast: list[bool],
     holds for their ``(workload, scale)`` where it is equal, so a kernel
     dealt over several chunks still holds one image in the parent.
 
-    A cluster hands its equal images one array, so each distinct array
-    of the chunk is compared once; the first one seen for a block is
-    kept. Reference-engine results keep their private images.
+    A chunk hands a kernel's equal images one array, so each distinct
+    array of the chunk is compared once; the first one seen for a block
+    is kept. Reference-engine results keep their private images.
     """
     # id(array) -> (array, its replacement); the array stays referenced
     # so its id cannot be reused while the chunk is walked
@@ -328,7 +318,8 @@ def run_tasks(tasks: list[SweepTask], jobs: int | None = None,
     results: list = [None] * total
     done = 0
     if jobs <= 1 or total < 2:
-        for i, outcome in _indexed_outcomes(tasks):
+        for i, (_task, outcome) in enumerate(
+                iter_outcomes(tasks, simulate_task)):
             if outcome[0] != "ok":
                 raise outcome[1]
             results[i] = outcome[1]

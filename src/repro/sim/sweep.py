@@ -11,13 +11,14 @@ results are bit-identical to the serial ones.
 
 Grids are also where the fast engine pays off: ``engine="fast"`` (or
 ``REPRO_ENGINE=fast`` under an unset engine) records each kernel's
-architectural stream once per cost family and advances the grid points
-sharing it as one lockstep column, bit-identically (see
+architectural stream once and replays it for every grid point of the
+kernel, each on its own generated engine, bit-identically (see
 :mod:`repro.batch` and ``docs/batch.md``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Iterable
 
@@ -38,9 +39,9 @@ def bench_scale(default: float = 1.0) -> float:
         raise ConfigError(
             f"REPRO_BENCH_SCALE must be a number (workload size "
             f"multiplier, e.g. 0.5), got {raw!r}") from None
-    if scale <= 0:
+    if not (math.isfinite(scale) and scale > 0):
         raise ConfigError(
-            f"REPRO_BENCH_SCALE must be > 0, got {scale!r}")
+            f"REPRO_BENCH_SCALE must be > 0 and finite, got {scale!r}")
     return scale
 
 

@@ -1,6 +1,6 @@
 """On-disk content-addressed artifact store (the warm-start substrate).
 
-The batch engine's recordings and stream skeletons, and every finished
+The batch engine's stream skeletons, and every finished
 :class:`~repro.sim.results.RunResult`, are process-global and die with
 the process. This store gives each of them a durable twin: artifacts
 live under a *content key* - the full tuple of inputs that determine
@@ -48,11 +48,11 @@ ENV_VAR = "REPRO_CACHE_DIR"
 #: On-disk layout version; bumping it orphans (never corrupts) old trees.
 FORMAT = 1
 
-#: Artifact classes: pickled stream skeletons, raw guest-stream
-#: recordings, memoized RunResult payloads. Directories of any other
-#: name (an older tree's ``src/``) are never read; ``disk_usage``
-#: reports them as ``other``.
-CLASSES = ("skel", "stream", "result")
+#: Artifact classes: pickled stream skeletons and memoized RunResult
+#: payloads. Directories of any other name (an older tree's ``src/`` or
+#: ``stream/``) are never read; ``disk_usage`` reports them as
+#: ``other``, and GC and clear remove them like any entry.
+CLASSES = ("skel", "result")
 
 _OFF_VALUES = ("0", "off", "none", "disabled")
 

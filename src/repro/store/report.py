@@ -4,7 +4,7 @@
 through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
 every in-memory process-global cache (jit code cache, lockstep engines,
-batch streams, stream expansion metadata, and the shared decode memo).
+the batch engine's kernels, and the shared decode memo).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.store.core import disk_usage, store_root, store_stats
 def cache_report(include_disk: bool = True) -> dict:
     """The whole caching picture as one JSON-able dict."""
     from repro.batch.engine import batch_stats
-    from repro.batch.stream import stream_meta_stats
     from repro.cpu.core import decode_cache_stats
     from repro.jit import code_cache_stats
     from repro.lockstep.codegen import engine_cache_stats
@@ -29,7 +28,6 @@ def cache_report(include_disk: bool = True) -> dict:
             "jit": code_cache_stats(),
             "lockstep": engine_cache_stats(),
             "batch": batch_stats(),
-            "stream_meta": stream_meta_stats(),
             "decode": decode_cache_stats(),
         },
     }

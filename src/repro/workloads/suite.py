@@ -15,10 +15,11 @@ in minutes on one core.
 from __future__ import annotations
 
 import importlib
+import math
 from array import array
 from dataclasses import dataclass, field
 
-from repro.errors import ConsistencyError
+from repro.errors import ConfigError, ConsistencyError
 from repro.isa.program import Program
 
 
@@ -33,7 +34,11 @@ class Workload:
     _cache: dict[float, Program] = field(default_factory=dict, repr=False)
 
     def build(self, scale: float = 1.0) -> Program:
-        """Assemble the kernel at the given size scale (cached)."""
+        """Assemble the kernel at the given size scale (cached); a scale
+        that is not finite and positive raises :class:`ConfigError`."""
+        if not (math.isfinite(scale) and scale > 0):
+            raise ConfigError(f"{self.name}: workload scale must be "
+                              f"> 0 and finite, got {scale!r}")
         if scale not in self._cache:
             mod = importlib.import_module(self.module)
             prog = getattr(mod, self.func)(scale)

@@ -1,7 +1,7 @@
 """Structural tests of the fast engine's record-once half: engine
-resolution, grouping, every recording-bail reason, and RunResult
-equality against the reference engine (reduced grid tier-1, full grid
-tier-2).
+resolution, task-order routing, the one kernel cache, every
+recording-bail reason, and RunResult equality against the reference
+engine (reduced grid tier-1, full grid tier-2).
 
 The bit-level differentials over randomized sweep grids live in
 ``tests/test_engine_differential.py`` and
@@ -21,11 +21,12 @@ import os
 
 import pytest
 
-from repro.batch import (RecordingBail, ReplayCore, batch_stats,
-                         build_replay_system, build_stream, clear_streams,
-                         get_stream, plan, record_run, resolve_config)
+from repro.batch import (RecordingBail, ReplayCore, StreamSkeleton,
+                         batch_stats, build_replay_system, build_stream,
+                         clear_streams, get_stream, iter_outcomes,
+                         record_run, resolve_config)
 from repro.cpu.core import InOrderCore
-from repro.errors import ConfigError, SweepError
+from repro.errors import ConfigError, EnergyError, SweepError
 from repro.isa.builder import ProgramBuilder
 from repro.lockstep.scheduler import (clear_lockstep_stats, lockstep_stats,
                                       run_column)
@@ -34,7 +35,7 @@ from repro.mem.nvm import NVMainMemory
 from repro.sim.config import DESIGNS, SimConfig
 from repro.sim.factory import (build_system, effective_costs, resolve_engine,
                                runs_fast)
-from repro.sim.parallel import SweepTask, run_tasks
+from repro.sim.parallel import SweepTask, run_task, run_tasks
 from repro.sim.sweep import run_grid
 from repro.workloads import ALL_WORKLOADS, build_workload
 from tests.conftest import build_sum_program
@@ -80,9 +81,6 @@ def test_engine_resolution(monkeypatch, fields, env, engine, fast):
     config = SimConfig(**fields)
     assert resolve_engine(config) == engine
     assert runs_fast(config) is fast
-    # plan() routes by the same rule
-    kinds = [kind for kind, _ in plan([_task(config=config)])]
-    assert kinds == (["group"] if fast else ["solo"])
 
 
 def test_batch_off_by_default(monkeypatch):
@@ -152,42 +150,77 @@ def test_replay_system_attaches_nothing():
 
 
 # ---------------------------------------------------------------------------
-# grouping
+# routing: each task on its own, in task order
 # ---------------------------------------------------------------------------
 
-def test_plan_groups_by_cost_family():
-    tasks = [_task(design=d) for d in DESIGNS]
-    units = plan(tasks)
-    groups = [u for kind, u in units if kind == "group"]
-    # NVCache-WB folds nvcache_ifetch_extra into its costs, so it forms
-    # its own recording family; every other design shares one group
-    assert len(groups) == 2
-    sizes = sorted(len(g.tasks) for g in groups)
-    assert sizes == [1, len(DESIGNS) - 1]
-    base = SimConfig()
-    assert (effective_costs("NVCache-WB", base)
-            != effective_costs("WL-Cache", base))
+def test_interleaved_tasks_yield_in_task_order():
+    tasks = [_task(workload="sha"), _task(workload="qsort"),
+             _task(workload="sha", design="VCache-WT")]
+    got = [(task, oc[0]) for task, oc in iter_outcomes(tasks, run_task)]
+    assert [task for task, _ in got] == tasks
+    assert [kind for _, kind in got] == ["ok"] * 3
+    assert batch_stats()["recordings"] == 2
 
 
-def test_plan_routes_ineligible_tasks_solo():
-    eligible = _task()
-    traced = _task(config=SimConfig(engine="fast", trace=True))
-    off = _task(config=SimConfig(engine="reference"))
-    units = plan([eligible, traced, off])
-    kinds = [kind for kind, _ in units]
-    assert kinds == ["group", "solo", "solo"]
+def test_ineligible_tasks_run_solo():
+    tasks = [_task(), _task(config=SimConfig(engine="fast", trace=True)),
+             _task(config=SimConfig(engine="reference"))]
+    got = [task for task, _ in iter_outcomes(tasks, run_task)]
+    assert got == tasks
+    assert (batch_stats()["lockstep"], batch_stats()["solo"]) == (1, 2)
 
 
-def test_plan_separates_scales():
-    units = plan([_task(scale=0.2), _task(scale=0.3)])
-    assert [kind for kind, _ in units] == ["group", "group"]
+def test_serial_progress_in_task_order():
+    designs = ("VCache-WT", "NVCache-WB", "WL-Cache")
+    seen = {}
+    for engine in ("reference", "fast"):
+        keys = seen[engine] = []
+        run_grid(["sha", "qsort"], designs, None, jobs=1, scale=0.1,
+                 engine=engine,
+                 progress=lambda done, total, key, keys=keys:
+                 keys.append(key))
+    assert seen["fast"] == seen["reference"] == [
+        (w, d) for w in ("sha", "qsort") for d in designs]
 
 
-def test_group_budget_is_group_max():
-    units = plan([_task(max_instructions=1000),
-                  _task(design="VCache-WT", max_instructions=5000)])
-    (_, group), = units
-    assert group.budget == 5000
+def test_serial_grid_raises_first_failure_in_task_order():
+    designs = ("WL-Cache", "NVCache-WB", "VCache-WT", "WT+Buffer")
+    for engine in ("reference", "fast"):
+        with pytest.raises(EnergyError) as exc:
+            run_grid(["sha", "qsort"], designs, "trace1", jobs=1,
+                     scale=0.2, max_outages=3, engine=engine)
+        assert str(exc.value) == "NVCache-WB: exceeded 3 outages", engine
+
+
+@pytest.mark.parametrize("small_first", [False, True])
+def test_budgets_in_either_order_match_reference(small_first):
+    """A kernel's default-budget task and a task whose small
+    ``max_instructions`` truncates it (sha at scale 1 retires ~78k
+    instructions, past the small budget plus the recording slack):
+    whichever comes first, both end as the reference engine's
+    outcomes. Small first, its recording bails to the slow path and the
+    default budget records again; default first, the small task replays
+    the recorded stream and its engine raises the budget error."""
+    def outcomes(engine):
+        tasks = [_task(trace=None, scale=1.0,
+                       config=SimConfig(engine=engine), **overrides)
+                 for overrides in ({}, {"max_instructions": 2000})]
+        if small_first:
+            tasks.reverse()
+        return [oc[:2] for _t, oc in iter_outcomes(tasks, run_task)]
+
+    ref = outcomes("reference")
+    got = outcomes("fast")
+    assert [kind for kind, _ in got] == [kind for kind, _ in ref]
+    for (kind, want), (_, have) in zip(ref, got):
+        if kind == "ok":
+            assert have == want
+        else:
+            assert (type(have), str(have)) == (type(want), str(want))
+    stats = batch_stats()
+    assert stats["lockstep"] == 1
+    assert (stats["recordings"], stats["bails"]) \
+        == ((1, 1) if small_first else (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +270,7 @@ def test_bail_pc_escape():
 
 
 def test_bailed_group_falls_back_to_slow_path(monkeypatch):
-    """A group whose recording bails must land on the caller's slow
+    """A kernel whose recording bails must land on the caller's slow
     path, task by task, with results identical to a plain sweep."""
     import repro.batch.engine as engine
     ref = run_grid(["sha"], ("WL-Cache", "VCache-WT"), "trace1", jobs=1,
@@ -254,18 +287,45 @@ def test_bailed_group_falls_back_to_slow_path(monkeypatch):
     assert out == ref
 
 
+def test_forced_bail_records_once(monkeypatch):
+    """A kernel's bail serves every cost family of the kernel: one
+    ``record_run`` call, and every point on the slow path."""
+    import repro.batch.engine as engine
+    designs = ("NVCache-WB", "WL-Cache", "VCache-WT")
+    ref = run_grid(["sha"], designs, "trace1", jobs=1, scale=0.2,
+                   engine="reference")
+    calls = []
+
+    def always_bail(program, costs, budget):
+        calls.append(costs)
+        raise RecordingBail("forced")
+
+    monkeypatch.setattr(engine, "record_run", always_bail)
+    got = run_grid(["sha"], designs, "trace1", jobs=1, scale=0.2,
+                   engine="fast")
+    assert len(calls) == 1
+    assert batch_stats()["bails"] == 1
+    assert batch_stats()["lockstep"] == 0
+    assert got == ref
+
+
 def test_bails_are_not_cached():
-    """A budget-bound bail may succeed later with a larger budget."""
+    """A budget-bound bail is not served to a larger budget: a request
+    at the bailed budget re-raises without recording, and a larger
+    budget records again and may succeed."""
     b = ProgramBuilder("long_loop")
     i = b.reg("i")
     with b.for_range(i, 0, 100_000):
         b.nop()
     b.halt()
     prog = b.build()  # ~300k retired instructions
-    with pytest.raises(RecordingBail):  # 10 + slack < program length
-        get_stream(prog, _costs(), 10)
+    for _ in range(2):
+        with pytest.raises(RecordingBail, match="no HALT"):
+            get_stream(prog, _costs(), 10)  # 10 + slack < program length
+    assert (batch_stats()["bails"], batch_stats()["recordings"]) == (1, 0)
     stream = get_stream(prog, _costs(), 1_000_000)
     assert stream.n_total > 100_000
+    assert (batch_stats()["bails"], batch_stats()["recordings"]) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,22 +339,50 @@ def test_families_share_recording_and_skeleton():
     nvwb = effective_costs("NVCache-WB", config)
     s1 = get_stream(prog, base, config.max_instructions)
     s2 = get_stream(prog, nvwb, config.max_instructions)
+    assert get_stream(prog, base, config.max_instructions) is s1
     stats = batch_stats()
     assert stats["recordings"] == 1  # one recording, two expansions
     assert stats["expansions"] == 2
-    assert s1.events is s2.events  # skeleton shared by reference
-    assert s1.n_total == s2.n_total
+    assert (stats["hits"], stats["kernels"]) == (1, 1)
+    assert s1.skel is s2.skel  # one skeleton per kernel
+    assert s1.skel.streams == {base: s1, nvwb: s2}
     # the per-family halves differ: NVCache-WB's ifetch_extra shifts
     # every static fetch cost
     assert list(s1.cum_cycles) != list(s2.cum_cycles)
 
 
+def test_kernel_cache_cap_bounds_live_skeletons(monkeypatch):
+    """An evicted kernel is freed by reference counting: with the cyclic
+    collector off, at most the cap's worth of skeletons stay alive."""
+    import gc
+
+    import repro.batch.engine as engine
+    monkeypatch.setattr(engine, "_KERNEL_CACHE_CAP", 4)
+    kernels = ["sha", "qsort", "dijkstra", "adpcmencode", "gsmdecode",
+               "fft"]
+    gc.collect()
+    gc.disable()
+    try:
+        run_grid(kernels, ("NVCache-WB", "WL-Cache"), "trace1", jobs=1,
+                 scale=0.1, engine="fast")
+        live = [o for o in gc.get_objects()
+                if isinstance(o, StreamSkeleton)]
+    finally:
+        gc.enable()
+    assert batch_stats()["recordings"] == len(kernels)
+    assert batch_stats()["kernels"] == 4
+    assert len(live) <= 4
+
+
 def test_build_stream_cross_checks_recorded_cycles():
     prog = build_sum_program(50)
     codes, n, cycles, final_regs, ops = record_run(prog, _costs(), 10_000)
+    stream = build_stream(prog, _costs(), (codes, n, cycles, final_regs,
+                                           ops))
+    assert stream.cum_cycles[-1] == cycles
     with pytest.raises(AssertionError, match="disagrees"):
         build_stream(prog, _costs(),
-                     (codes, n, cycles + 1, _costs(), final_regs, ops))
+                     (codes, n, cycles + 1, final_regs, ops))
 
 
 # ---------------------------------------------------------------------------

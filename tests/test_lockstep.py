@@ -1,11 +1,11 @@
 """Structural tests of the lockstep engines: one generated engine per
-point (every family of a kernel on one skeleton, a wide cluster run
-point by point), each design's engine mode, bit-identity against the
-reference engine, fault isolation (a raising memory call or build ends
-only its own point, a wrapped design method sees every access), pool
-propagation of the engine switch, freeing finished points, equal final
-images sharing one array (within a cluster, and across the chunks a
-pool deals one kernel into), and the shared on-disk recording cache.
+point (a wide kernel block run point by point), each design's engine
+mode, bit-identity against the reference engine, fault isolation (a
+raising memory call or build ends only its own point, a wrapped design
+method sees every access), pool propagation of the engine switch,
+freeing finished points, equal final images sharing one array (within
+a call, and across the chunks a pool deals one kernel into), and the
+shared on-disk skeleton cache.
 
 The randomized bit-level differential lives in
 ``tests/test_engine_differential.py``; this file pins *when* engines
@@ -102,51 +102,13 @@ def test_observability_outranks_lockstep():
     assert batch_stats()["recordings"] == 0
 
 
-def test_every_family_of_a_cluster_runs_on_one_skeleton(monkeypatch):
-    """A family expanded after its kernel's skeleton left the skeleton
-    cache, while the kernel's other family is still a cached stream,
-    takes that stream's skeleton: every point of a kernel's cluster
-    walks one event list."""
-    from repro.batch.stream import stream_meta_stats
-
-    kernels = ["sha", "qsort", "dijkstra", "adpcmencode", "gsmdecode",
-               "fft"]
-    run_grid(kernels, ("VCache-WT", "ReplayCache", "NVSRAM(ideal)",
-                       "WL-Cache"), "trace1", jobs=1, scale=0.1,
-             engine="fast")
-    # some kernels' skeletons left the cache; their streams did not
-    assert stream_meta_stats()["skeletons"] < len(kernels)
-    real = scheduler.run_column
-    skeletons: dict[str, set] = {}
-
-    def run_column(program, task, config, stream):
-        skeletons.setdefault(program.name, set()).add(id(stream.skel))
-        return real(program, task, config, stream)
-
-    monkeypatch.setattr(scheduler, "run_column", run_column)
-    designs = ("NVCache-WB", "VCache-WT", "NVSRAM(ideal)", "WL-Cache")
-    before = batch_stats()
-    clear_lockstep_stats()
-    got = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
-                   engine="fast")
-    assert sorted(skeletons) == sorted(kernels)
-    assert all(len(ids) == 1 for ids in skeletons.values())
-    after = batch_stats()
-    assert after["lockstep"] - before["lockstep"] == 24
-    stats = lockstep_stats()
-    assert (stats["columns"], stats["instances"]) == (24, 24)
-    ref = run_grid(kernels, designs, "trace1", jobs=1, scale=0.1,
-                   engine="reference")
-    _assert_equal_results(ref, got, "a family expanded later")
-
-
 # ---------------------------------------------------------------------------
-# a wide cluster runs point by point, one generated engine each
+# a wide kernel block runs point by point, one generated engine each
 # ---------------------------------------------------------------------------
 
 def _bound_spec(engine="fast"):
-    """sha x 5 designs x 2 families x 2 seeds: one 20-point cluster in
-    plan order NVCache-WB, VCache-WT, ReplayCache, NVSRAM(ideal),
+    """sha x 5 designs x 2 families x 2 seeds: one 20-point kernel block
+    in task order NVCache-WB, VCache-WT, ReplayCache, NVSRAM(ideal),
     WL-Cache (4 points each)."""
     from repro.mc.engine import CampaignSpec
 
@@ -162,8 +124,8 @@ def bound_reference():
 
 
 def test_wide_cluster_runs_bounded_columns(bound_reference):
-    """A 20-point cluster runs as 20 one-point engines whose results
-    share the cluster's one final image."""
+    """A 20-point kernel block runs as 20 one-point engines whose
+    results share the kernel's one final image."""
     from repro.mc.engine import run_campaign
 
     got = run_campaign(_bound_spec(), jobs=1)
@@ -175,7 +137,7 @@ def test_wide_cluster_runs_bounded_columns(bound_reference):
 
 
 def test_every_engine_renders_one_point():
-    """Each point of a 20-point cluster runs on its own engine call, and
+    """Each point of a 20-point block runs on its own engine call, and
     every retained engine source is rendered for one point: its
     signature is one ``(mode, lru, traced, shift, smask, wmask)`` tuple
     and its one function takes the point's ``System``."""
@@ -194,7 +156,7 @@ def test_every_engine_renders_one_point():
 
 
 def test_failing_column_boxes_only_its_tasks(monkeypatch, bound_reference):
-    """A point whose build raises ends as that error; the cluster's
+    """A point whose build raises ends as that error; the kernel's
     other points run on, bit-identically."""
     from repro.mc.engine import expand_campaign
 
@@ -241,7 +203,7 @@ def test_differing_image_in_a_later_column(monkeypatch):
     from repro.verify.checker import check_crash_consistency
     from repro.workloads import build_workload
 
-    odd = ("sha", "WL-Cache", "mc-rf-office", 1)  # the cluster's last
+    odd = ("sha", "WL-Cache", "mc-rf-office", 1)  # the block's last
     prep, _seen = _flip_last_word(
         lambda task, seen: (task.design, task.trace,
                             task.overrides["trace_seed"]) == odd[1:])
@@ -368,8 +330,7 @@ def test_lifecycle_errors_match_reference(max_outages):
     """A lifecycle block that raises inside the engine (the outage cap
     of ``_outage_reboot``) ends its point with the reference engine's
     error, and every such point counts as a fault. Compared task by
-    task: a serial grid raises the first failure in completion order,
-    and the two engines complete points in different orders."""
+    task."""
     def outcomes(engine):
         tasks = [_task(workload=w, design=d, config=SimConfig(engine=engine),
                        max_outages=max_outages)
@@ -533,7 +494,7 @@ def _sha_column(engine="fast"):
 def _flip_last_word(pick):
     """A ``PREP_HOOK`` flipping the last NVM word - which sha never
     touches - of the instance ``pick(task, seen)`` selects, where
-    ``seen`` lists the designs built before it in plan order."""
+    ``seen`` lists the designs built before it in task order."""
     seen: list[str] = []
 
     def prep(task, system):
@@ -714,7 +675,7 @@ def test_engine_cached_per_signature(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# shared on-disk recording cache (campaign shards)
+# shared on-disk skeleton cache (campaign shards)
 # ---------------------------------------------------------------------------
 
 def test_disk_cache_shared_across_cold_starts(tmp_path, monkeypatch):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats_io import result_to_dict
 from repro.batch import batch_stats, clear_streams
-from repro.batch.stream import clear_stream_meta, stream_meta_stats
+from repro.batch.stream import clear_stream_meta
 from repro.cpu.costs import CycleCosts
 from repro.jit.cache import clear_code_cache, code_cache_stats
 from repro.lockstep.codegen import clear_engines
@@ -93,7 +93,6 @@ class TestRoot:
 
 _PAYLOADS = {
     "skel": (5, [1, 2], [0, 1], [0], [4], [0] * 8),
-    "stream": (b"\x01\x02", 7, 123, None, [0] * 8, 9),
     "result": {"stats": {"instructions": 1}, "verified": True},
 }
 
@@ -116,21 +115,21 @@ class TestRoundTrip:
 
     def test_contains_counts_nothing(self, store_dir):
         store = get_store()
-        assert not store.contains("stream", ("nope",))
+        assert not store.contains("skel", ("nope",))
         assert store_stats() == {}
 
     def test_distinct_keys_distinct_entries(self, store_dir):
         store = get_store()
-        store.save("stream", ("a",), "payload a")
-        store.save("stream", ("b",), "payload b")
-        assert store.load("stream", ("a",)) == "payload a"
-        assert store.load("stream", ("b",)) == "payload b"
+        store.save("skel", ("a",), "payload a")
+        store.save("skel", ("b",), "payload b")
+        assert store.load("skel", ("a",)) == "payload a"
+        assert store.load("skel", ("b",)) == "payload b"
 
     def test_interp_tag_in_layout(self, store_dir):
         store = get_store()
-        store.save("stream", ("k",), "v")
-        path = store._path("stream", key_digest(("k",)))
-        assert f"/v{FORMAT}/{interp_tag()}/stream/" in path
+        store.save("skel", ("k",), "v")
+        path = store._path("skel", key_digest(("k",)))
+        assert f"/v{FORMAT}/{interp_tag()}/skel/" in path
 
 
 class TestCorruption:
@@ -147,11 +146,11 @@ class TestCorruption:
     def test_truncated_entry(self, store_dir):
         store = get_store()
         key = ("trunc",)
-        store.save("stream", key, "x" * 4096)
-        path = self._entry_path(store, "stream", key)
+        store.save("skel", key, "x" * 4096)
+        path = self._entry_path(store, "skel", key)
         with open(path, "r+b") as fh:
             fh.truncate(os.path.getsize(path) // 2)
-        self._assert_corrupt_miss(store, "stream", key)
+        self._assert_corrupt_miss(store, "skel", key)
 
     def test_garbage_entry(self, store_dir):
         store = get_store()
@@ -174,29 +173,29 @@ class TestCorruption:
     def test_misfiled_entry(self, store_dir):
         # an entry copied to another key's path fails the digest check
         store = get_store()
-        store.save("stream", ("original",), "the payload")
-        src = self._entry_path(store, "stream", ("original",))
-        dst = self._entry_path(store, "stream", ("elsewhere",))
+        store.save("skel", ("original",), "the payload")
+        src = self._entry_path(store, "skel", ("original",))
+        dst = self._entry_path(store, "skel", ("elsewhere",))
         os.makedirs(os.path.dirname(dst), exist_ok=True)
         with open(src, "rb") as fh:
             blob = fh.read()
         with open(dst, "wb") as fh:
             fh.write(blob)
-        self._assert_corrupt_miss(store, "stream", ("elsewhere",))
+        self._assert_corrupt_miss(store, "skel", ("elsewhere",))
 
     def test_unwritable_root_is_soft(self, monkeypatch, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the tree wants a directory")
         store = ArtifactStore(str(blocker))
-        assert store.save("stream", ("k",), "v") is False  # no exception
+        assert store.save("skel", ("k",), "v") is False  # no exception
 
 
 class TestStats:
     def test_absorb_int_only(self, store_dir):
         reset_store_stats()
-        absorb_counters({"store": {"stream_hits": 3, "bytes_read": 10,
+        absorb_counters({"store": {"skel_hits": 3, "bytes_read": 10,
                                    "junk": "nope", "zero": 0, "f": 1.5}})
-        assert store_stats() == {"stream_hits": 3, "bytes_read": 10}
+        assert store_stats() == {"skel_hits": 3, "bytes_read": 10}
 
     def test_absorb_accumulates(self, store_dir):
         reset_store_stats()
@@ -227,7 +226,7 @@ class TestRacingWriters:
         def hammer(payload):
             try:
                 for _ in range(25):
-                    store.save("stream", key, payload)
+                    store.save("skel", key, payload)
             except Exception as exc:  # pragma: no cover - the assertion
                 errors.append(exc)
 
@@ -238,9 +237,9 @@ class TestRacingWriters:
         for t in threads:
             t.join()
         assert not errors
-        loaded = store.load("stream", key)
+        loaded = store.load("skel", key)
         assert loaded in payloads  # valid and complete, never torn
-        assert store_stats().get("stream_corrupt", 0) == 0
+        assert store_stats().get("skel_corrupt", 0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ class TestMaintenance:
     def _fill(self, store, n=6):
         keys = [(f"entry-{i}",) for i in range(n)]
         for i, key in enumerate(keys):
-            store.save("stream", key, f"entry {i} " * 50)
+            store.save("skel", key, f"entry {i} " * 50)
         return keys
 
     def test_disk_usage_per_class(self, store_dir):
@@ -259,7 +258,7 @@ class TestMaintenance:
         self._fill(store, 3)
         store.save("result", ("r",), {"stats": {}})
         usage = disk_usage(store_dir)
-        assert usage["classes"]["stream"]["files"] == 3
+        assert usage["classes"]["skel"]["files"] == 3
         assert usage["classes"]["result"]["files"] == 1
         assert usage["files"] == 4
         assert usage["bytes"] > 0
@@ -269,34 +268,34 @@ class TestMaintenance:
         keys = self._fill(store, 6)
         # backdate all but the last two: GC must take the stale ones
         for i, key in enumerate(keys[:-2]):
-            path = store._path("stream", key_digest(key))
+            path = store._path("skel", key_digest(key))
             os.utime(path, (1000.0 + i, 1000.0 + i))
         entry_bytes = disk_usage(store_dir)["bytes"] // 6
         report = gc_store(store_dir, max_bytes=2 * entry_bytes + 2)
         assert report["removed_files"] == 4
         assert report["kept_bytes"] <= 2 * entry_bytes + 2
         for key in keys[:-2]:
-            assert not store.contains("stream", key)
+            assert not store.contains("skel", key)
         for key in keys[-2:]:
-            assert store.contains("stream", key)
+            assert store.contains("skel", key)
 
     def test_gc_load_touches_recency(self, store_dir):
         store = get_store()
         keys = self._fill(store, 3)
         for key in keys:
-            path = store._path("stream", key_digest(key))
+            path = store._path("skel", key_digest(key))
             os.utime(path, (1000.0, 1000.0))
-        store.load("stream", keys[0])  # the hit must refresh its stamp
+        store.load("skel", keys[0])  # the hit must refresh its stamp
         entry_bytes = disk_usage(store_dir)["bytes"] // 3
         gc_store(store_dir, max_bytes=entry_bytes + 2)
-        assert store.contains("stream", keys[0])
+        assert store.contains("skel", keys[0])
 
     def test_clear_store(self, store_dir):
         store = get_store()
         self._fill(store, 4)
         assert clear_store(store_dir) == 4
         assert disk_usage(store_dir)["files"] == 0
-        assert store.load("stream", ("entry-0",)) is None
+        assert store.load("skel", ("entry-0",)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +332,33 @@ class TestWarmCodegen:
         kwargs = dict(scale=0.2, jobs=1, engine="fast")
         cold = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
                         **kwargs)
-        assert stream_meta_stats()["skeleton_builds"] >= 1
-        assert batch_stats()["recordings"] >= 1
+        assert batch_stats()["recordings"] == 1
+        assert batch_stats()["disk_writes"] == 1
 
         fresh_codegen()
         warm = run_grid(("sha",), ("WL-Cache", "NVSRAM(ideal)"), "trace1",
                         **kwargs)
-        bstats = batch_stats()
-        sstats = stream_meta_stats()
-        assert bstats["recordings"] == 0 and bstats["disk_hits"] >= 1
-        assert sstats["skeleton_builds"] == 0
-        assert sstats["skeleton_loads"] >= 1
+        stats = batch_stats()
+        assert (stats["recordings"], stats["disk_hits"]) == (0, 1)
+        assert cold == warm
+
+    def test_one_skel_entry_per_kernel(self, store_dir, fresh_codegen):
+        kwargs = dict(scale=0.2, jobs=1, engine="fast")
+        cold = run_grid(("sha",), ("NVCache-WB", "WL-Cache"), "trace1",
+                        **kwargs)
+        assert batch_stats()["expansions"] == 2
+        assert store_stats()["skel_writes"] == 1
+        assert disk_usage(store_dir)["classes"]["skel"]["files"] == 1
+        assert not any(os.path.isdir(os.path.join(d, "stream"))
+                       for d, _sub, _names in os.walk(store_dir))
+
+        fresh_codegen()  # a fresh process: in-memory caches are cold
+        reset_store_stats()
+        warm = run_grid(("sha",), ("NVCache-WB", "WL-Cache"), "trace1",
+                        **kwargs)
+        stats = batch_stats()
+        assert (stats["recordings"], stats["disk_hits"]) == (0, 1)
+        assert store_stats().get("skel_hits") == 1
         assert cold == warm
 
     def test_data_edit_rerecords(self, store_dir, fresh_codegen,
@@ -404,8 +419,8 @@ class TestWarmCodegen:
 
         fresh_codegen()
         run_grid(("sha",), ("WL-Cache",), "trace1", **kwargs)
-        assert batch_stats()["recordings"] == 1
-        assert stream_meta_stats()["skeleton_builds"] == 1
+        stats = batch_stats()
+        assert (stats["recordings"], stats["disk_hits"]) == (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +433,17 @@ class TestDataOnly:
                  scale=0.2, jobs=1, engine="fast")
         run_grid(("sha",), ("WL-Cache",), "trace1", scale=0.2, jobs=1,
                  config=SimConfig(result_cache=True))
-        assert set(disk_usage(store_dir)["classes"]) == {"skel", "stream",
-                                                         "result"}
-        assert CLASSES == ("skel", "stream", "result")
+        assert set(disk_usage(store_dir)["classes"]) == {"skel", "result"}
+        assert CLASSES == ("skel", "result")
+
+    def test_retired_stream_entries_are_other(self, store_dir):
+        # an older tree's raw recordings under ``stream/`` are never
+        # read: usage files them as ``other`` and clear removes them
+        store = get_store()
+        store.save("stream", ("old recording",), (b"\x01", 7))
+        assert disk_usage(store_dir)["classes"] == {
+            "other": {"files": 1, "bytes": disk_usage(store_dir)["bytes"]}}
+        assert clear_store(store_dir) == 1
 
     def test_old_source_entry_never_read(self, store_dir, fresh_codegen,
                                          monkeypatch):
@@ -719,8 +742,8 @@ class TestCacheCaps:
         report = cache_report(include_disk=True)
         assert report["enabled"] and report["root"] == store_dir
         caches = report["process_caches"]
-        for name in ("jit", "lockstep", "batch", "stream_meta", "decode"):
-            assert name in caches
+        assert set(caches) == {"jit", "lockstep", "batch", "decode"}
+        assert "kernels" in caches["batch"]
         assert "entries" in caches["decode"]
         assert "disk" in report
 
@@ -734,24 +757,26 @@ class TestCacheCli:
         import json
 
         from repro.cli import main
-        get_store().save("stream", ("cli",), "x")
+        get_store().save("skel", ("cli",), "x")
         assert main(["cache", "stats", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["root"] == store_dir
-        assert report["disk"]["classes"]["stream"]["files"] == 1
+        assert report["disk"]["classes"]["skel"]["files"] == 1
+        assert set(report["process_caches"]) == {"jit", "lockstep",
+                                                 "batch", "decode"}
 
     def test_stats_human(self, store_dir, capsys):
         from repro.cli import main
-        get_store().save("stream", ("cli",), "x")
+        get_store().save("skel", ("cli",), "x")
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
-        assert store_dir in out and "stream" in out
+        assert store_dir in out and "skel" in out
 
     def test_gc_and_clear(self, store_dir, capsys):
         from repro.cli import main
         store = get_store()
         for i in range(5):
-            store.save("stream", (f"cli-{i}",), "y" * 2048)
+            store.save("skel", (f"cli-{i}",), "y" * 2048)
         assert main(["cache", "gc", "--max-size", "4K"]) == 0
         assert disk_usage(store_dir)["bytes"] <= 4096
         assert main(["cache", "clear"]) == 0

@@ -1,5 +1,7 @@
 """Sweep helpers and the system factory."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -7,6 +9,7 @@ from repro.sim.config import SimConfig
 from repro.sim.factory import build_design, build_system, run_one
 from repro.sim.sweep import bench_scale, run_grid, speedups_vs_baseline
 from repro.mem.nvm import NVMainMemory
+from repro.workloads import build_workload
 from tests.conftest import build_sum_program
 
 
@@ -75,9 +78,15 @@ class TestSweep:
         monkeypatch.setenv("REPRO_BENCH_SCALE", "fast")
         with pytest.raises(ConfigError, match="REPRO_BENCH_SCALE"):
             bench_scale()
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0")
-        with pytest.raises(ConfigError, match="must be > 0"):
-            bench_scale()
+        for raw in ("0", "nan", "inf"):
+            monkeypatch.setenv("REPRO_BENCH_SCALE", raw)
+            with pytest.raises(ConfigError, match="must be > 0"):
+                bench_scale()
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0, -1])
+    def test_build_workload_rejects_bad_scale(self, scale):
+        with pytest.raises(ConfigError, match="sha: workload scale"):
+            build_workload("sha", scale)
 
     def test_empty_workload_list(self):
         assert run_grid([], ("WL-Cache",), None) == {}
