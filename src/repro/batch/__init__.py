@@ -1,7 +1,7 @@
 """The fast sweep engine's record-once machinery.
 
-Records each kernel's architectural execution once on record-mode
-compiled code, keeps it as one stream skeleton per kernel, and expands
+Records each kernel's architectural execution once on the reference
+interpreter, keeps it as one stream skeleton per kernel, and expands
 that into a guest stream per cost family, which each point's generated
 lockstep engine (:mod:`repro.lockstep`) replays cycle-accurately over
 its own :class:`~repro.batch.replay.ReplayCore` - outages, stalls,

@@ -38,7 +38,10 @@ Expansion works from per-exit-code static metadata (block length, cost
 tuple, line-crossing template, memory-op template) cached process-
 globally per (program content, cost model) - a sweep expands each
 kernel's metadata once, then every expansion replays it with C-speed
-``array.extend`` + ``itertools.accumulate``.
+``array.extend`` + ``itertools.accumulate``. An exit code's block runs
+from its start to the next leader of :func:`block_spans`, the basic-
+block partition the recorder also runs its interpreter calls by, so a
+start inside a block names that block's suffix.
 """
 
 from __future__ import annotations
@@ -52,15 +55,29 @@ from repro.cpu.core import _ILINE_SHIFT, _base_cost_table, \
 from repro.cpu.costs import CycleCosts
 from repro.isa import opcodes as oc
 from repro.isa.program import Program
-from repro.jit.blocks import block_spans
+from repro.lint.cfg import build_cfg
 
 _TERMINATORS = oc.B_FORMAT | {oc.JAL, oc.JALR, oc.HALT}
+_SPANS_KEY = "_block_spans"
 
 #: (program content key, effective costs) -> _ProgramMeta. Bounded by
 #: distinct (kernel, cost model) pairs per process; the cap is a
 #: backstop for program-fuzzing tests.
 _META_CACHE: dict[tuple, "_ProgramMeta"] = {}
 _META_CACHE_CAP = 256
+
+
+def block_spans(program: Program) -> list[tuple[int, int]]:
+    """The program's basic-block partition as ``(start, end)`` spans, in
+    order, computed via the lint CFG and cached on ``program.meta``. The
+    recorder runs one span (or the suffix of one) per call, and exit
+    codes name the span's start."""
+    spans = program.meta.get(_SPANS_KEY)
+    if spans is None:
+        cfg = build_cfg(program.instructions)
+        spans = [(b.start, b.end) for b in cfg.blocks]
+        program.meta[_SPANS_KEY] = spans
+    return spans
 
 
 class StreamSkeleton:

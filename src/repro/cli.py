@@ -13,10 +13,9 @@ Commands:
   code 0 when clean, 1 with warnings, 2 with error-severity findings
   (waived findings never gate; ``--errors-only`` stops warnings from
   gating too).
-* ``audit`` - statically audit the *generated* Python from the
-  record-mode and lockstep compilers against their structural
-  contracts (A001-A003, A005, A006, A008). Exit code 0 when every compiled
-  family verifies, 2 on any contract violation.
+* ``audit`` - statically audit the *generated* Python of the lockstep
+  engines against their structural contracts (A005, A006, A008). Exit
+  code 0 when every engine verifies, 2 on any contract violation.
 * ``cache`` - inspect and maintain the persistent artifact store
   (``REPRO_CACHE_DIR``): ``stats`` prints disk usage per artifact class
   plus this process's counters, ``gc --max-size`` evicts least-recently
@@ -396,8 +395,7 @@ def cmd_audit(args) -> int:
                                    format_findings_json,
                                    format_findings_text)
 
-    results = audit_suite(args.apps, designs=args.designs,
-                          scale=args.scale)
+    results = audit_suite(designs=args.designs, scale=args.scale)
     if args.format == "json":
         print(format_findings_json(results, names=("units", "unit")))
     elif args.format == "sarif":
@@ -543,11 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.set_defaults(func=cmd_lint)
 
     p_audit = sub.add_parser(
-        "audit", help="statically audit the generated record-mode and "
-                      "lockstep Python against its structural contracts")
-    p_audit.add_argument("--apps", nargs="+", default=None,
-                         choices=ALL_WORKLOADS,
-                         help="workload subset (default: all 23)")
+        "audit", help="statically audit the generated lockstep engines "
+                      "against their structural contracts")
     p_audit.add_argument("--designs", nargs="+", default=None,
                          choices=ALL_DESIGNS,
                          help="design subset (default: the 5 paper "

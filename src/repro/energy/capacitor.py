@@ -28,8 +28,9 @@ class Capacitor:
 
     def __init__(self, capacitance_f: float, v_max: float = 3.5,
                  v_min: float = 2.8, v_initial: float | None = None):
-        if capacitance_f <= 0:
-            raise ConfigError("capacitance must be positive")
+        if not (math.isfinite(capacitance_f) and capacitance_f > 0):
+            raise ConfigError(f"capacitance must be finite and positive, "
+                              f"got {capacitance_f!r} F")
         if not 0 < v_min < v_max:
             raise ConfigError("need 0 < v_min < v_max")
         self.capacitance_f = capacitance_f

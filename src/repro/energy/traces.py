@@ -13,6 +13,7 @@ Times are nanoseconds; power is watts (1 W = 1 nJ/ns).
 from __future__ import annotations
 
 import bisect
+import math
 
 from repro.errors import TraceError
 
@@ -33,8 +34,10 @@ class PowerTrace:
             raise TraceError("trace must start at t=0")
         if any(b <= a for a, b in zip(starts_ns, starts_ns[1:])):
             raise TraceError("segment starts must be strictly increasing")
-        if any(p < 0 for p in powers_w):
-            raise TraceError("power must be >= 0")
+        bad = [p for p in powers_w if not (math.isfinite(p) and p >= 0)]
+        if bad:
+            raise TraceError(
+                f"power must be finite and >= 0, got {bad[0]!r} W")
         self.name = name
         self.starts = list(starts_ns)
         self.powers = list(powers_w)
@@ -204,11 +207,16 @@ def load_csv(path: str, name: str | None = None) -> PowerTrace:
         header = f.readline()
         if not header.startswith("start_ns"):
             raise TraceError(f"{path}: missing trace header")
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
-            a, p = line.split(",")
-            starts.append(int(a))
-            powers.append(float(p))
+            try:
+                a, p = line.split(",")
+                start, power = int(a), float(p)
+            except ValueError:
+                raise TraceError(f"{path}: line {lineno}: expected "
+                                 f"'start_ns,power_w', got {line!r}") from None
+            starts.append(start)
+            powers.append(power)
     return PowerTrace(starts, powers, name or path)

@@ -13,9 +13,9 @@ Three layers:
   region length vs. the capacitor budget, torn subword stores, and
   dead/unreachable checkpoints.
 * **Codegen auditor** (:mod:`repro.lint.codegen_audit`): an ``ast``-based
-  static pass over the *generated* Python the record-mode and lockstep
-  layers emit, verifying the structural contracts (A001-A003, A005,
-  A006, A008) that the differential tests only sample dynamically.
+  static pass over the *generated* Python of the lockstep engines,
+  verifying the structural contracts (A005, A006, A008) that the
+  differential tests only sample dynamically.
 * **Protocol invariant checker** (:func:`attach_invariants`): a runtime
   assertion layer over WL-Cache that turns the paper's correctness
   argument (dirty-count <= maxline, DirtyQueue <-> dirty-bit coherence,

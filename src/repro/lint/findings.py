@@ -10,8 +10,8 @@ Two rule families share the registry:
 * ``L0xx`` - program lint rules over guest kernels (``repro lint``);
   L009-L014 are the intermittency-safety rules and only run under
   ``--intermittent`` (see :mod:`repro.lint.intermittent`).
-* ``A0xx`` - static audit contracts over *generated* Python from the
-  record-mode and lockstep codegen layers (``repro audit``, see
+* ``A0xx`` - static audit contracts over the lockstep engines'
+  *generated* Python (``repro audit``, see
   :mod:`repro.lint.codegen_audit`).
 
 :func:`sarif_log` renders either family (or a mix) as a SARIF 2.1.0 log
@@ -88,17 +88,10 @@ RULES_BY_NAME: dict[str, Rule] = {r.name: r for r in RULES.values()}
 #: Static codegen-audit contracts (``repro audit``); registered apart
 #: from the program-lint rules so each CLI reports its own catalogue.
 AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
-    Rule("A001", "exit-state-incomplete", ERROR,
-         "a generated exit path leaves the 9-slot st list partially "
-         "written (st[0]/st[1]/st[7] must be flushed on every exit)"),
-    Rule("A002", "retire-count-mismatch", ERROR,
-         "a generated exit reports a retired-instruction count st[7] "
-         "inconsistent with the dispatch-table block length"),
-    Rule("A003", "record-exit-codes", ERROR,
-         "a record-mode exit appends a wrong/missing exit code to _q"),
     Rule("A005", "baked-key-mismatch", ERROR,
-         "baked-in constants disagree with the code-cache keying tuple "
-         "(a fresh recompile of the same key yields different source)"),
+         "baked-in constants disagree with the engine cache's keying "
+         "tuple (a fresh render of the same signature yields different "
+         "source)"),
     Rule("A006", "ambient-state", ERROR,
          "generated code reaches outside its bound arguments (imports, "
          "wall-clock, or global mutable state)"),

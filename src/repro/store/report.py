@@ -3,8 +3,8 @@
 ``repro cache stats`` and the warm-cache CI check read everything
 through :func:`cache_report`: the store's on-disk usage per artifact
 class, this process's store event counters, and the sizes/counters of
-every in-memory process-global cache (jit code cache, lockstep engines,
-the batch engine's kernels, and the shared decode memo).
+every in-memory process-global cache (lockstep engines, the batch
+engine's kernels, and the shared decode memo).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ def cache_report(include_disk: bool = True) -> dict:
     """The whole caching picture as one JSON-able dict."""
     from repro.batch.engine import batch_stats
     from repro.cpu.core import decode_cache_stats
-    from repro.jit import code_cache_stats
     from repro.lockstep.codegen import engine_cache_stats
 
     root = store_root()
@@ -25,7 +24,6 @@ def cache_report(include_disk: bool = True) -> dict:
         "enabled": root is not None,
         "events": store_stats(),
         "process_caches": {
-            "jit": code_cache_stats(),
             "lockstep": engine_cache_stats(),
             "batch": batch_stats(),
             "decode": decode_cache_stats(),

@@ -84,6 +84,23 @@ def test_config_validation():
         Capacitor(1e-6, 3.5, 2.8, v_initial=3.6)
 
 
+@pytest.mark.parametrize("capacitance", [math.nan, math.inf])
+def test_non_finite_capacitance_rejected(capacitance):
+    # NaN passed the old "<= 0" check, and a run then chased a NaN
+    # charge target through the power trace without end
+    with pytest.raises(ConfigError, match=repr(capacitance)):
+        Capacitor(capacitance, 3.5, 2.8)
+
+
+def test_build_system_rejects_nan_capacitance():
+    # built only, never run: the run is what used to hang
+    from repro.sim.factory import build_system
+    from repro.workloads import build_workload
+    with pytest.raises(ConfigError, match="nan"):
+        build_system(build_workload("sha", 0.1), "WL-Cache", "trace1",
+                     capacitance_f=math.nan)
+
+
 def test_smaller_capacitor_smaller_window():
     big = Capacitor(1e-6, 3.5, 2.8)
     small = Capacitor(1e-7, 3.5, 2.8)

@@ -109,16 +109,24 @@ def test_lint_text(capsys):
     assert "2 programs linted, 2 clean" in out
 
 
+def test_audit_has_no_apps_flag(capsys):
+    # an engine's source names no kernel, so there is no subset to pick
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--apps", "sha"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_audit_text_counts_units(capsys, monkeypatch):
     # the summary names audit units, not the program linter's programs
     from repro.lint import codegen_audit
     from repro.lint.findings import ERROR, Finding
 
     units = {"batch:replay": [], "sha": [],
-             "lockstep:engines": [Finding("A001", ERROR, "lockstep:engines",
+             "lockstep:engines": [Finding("A008", ERROR, "lockstep:engines",
                                           "generated code raised")]}
     monkeypatch.setattr(codegen_audit, "audit_suite",
-                        lambda apps, designs, scale: units)
+                        lambda designs, scale: units)
     assert main(["audit"]) == 2
     out = capsys.readouterr().out
     assert out.rstrip().endswith(
@@ -132,10 +140,10 @@ def test_audit_json_names_units(capsys, monkeypatch):
     from repro.lint.findings import ERROR, Finding
 
     units = {"batch:replay": [], "sha": [],
-             "lockstep:engines": [Finding("A001", ERROR, "lockstep:engines",
+             "lockstep:engines": [Finding("A008", ERROR, "lockstep:engines",
                                           "generated code raised")]}
     monkeypatch.setattr(codegen_audit, "audit_suite",
-                        lambda apps, designs, scale: units)
+                        lambda designs, scale: units)
     assert main(["audit", "--format", "json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert "programs" not in payload

@@ -23,7 +23,6 @@ from repro.analysis.stats_io import result_to_dict
 from repro.batch import batch_stats, clear_streams
 from repro.batch.stream import clear_stream_meta
 from repro.cpu.costs import CycleCosts
-from repro.jit.cache import clear_code_cache, code_cache_stats
 from repro.lockstep.codegen import clear_engines
 from repro.sim.config import SimConfig
 from repro.sim.parallel import (SweepTask, _init_worker, absorb_counters,
@@ -55,7 +54,6 @@ def store_dir(tmp_path, monkeypatch):
 def fresh_codegen():
     """Cold in-memory codegen caches on both sides of the test."""
     def _clear():
-        clear_code_cache()
         clear_engines()
         clear_streams()
         clear_stream_meta()
@@ -304,16 +302,16 @@ class TestMaintenance:
 
 class TestFingerprints:
     def test_deterministic(self):
-        a = modules_fingerprint("repro.jit.blocks", "repro.cpu.core")
-        b = modules_fingerprint("repro.jit.blocks", "repro.cpu.core")
+        a = modules_fingerprint("repro.batch.stream", "repro.cpu.core")
+        b = modules_fingerprint("repro.batch.stream", "repro.cpu.core")
         assert a == b
         assert len(a) == 16 and int(a, 16) >= 0
 
     def test_distinct_module_sets(self):
-        assert (modules_fingerprint("repro.jit.blocks")
+        assert (modules_fingerprint("repro.batch.stream")
                 != modules_fingerprint("repro.cpu.core"))
-        assert (modules_fingerprint("repro.jit.blocks")
-                != modules_fingerprint("repro.jit.blocks",
+        assert (modules_fingerprint("repro.batch.stream")
+                != modules_fingerprint("repro.batch.stream",
                                        "repro.cpu.core"))
 
     def test_package_fingerprint(self):
@@ -393,15 +391,14 @@ class TestWarmCodegen:
         assert got[("sha", "WL-Cache")] == ref
 
     @pytest.mark.parametrize("module", [
-        "repro.batch.record", "repro.cpu.core", "repro.isa.opcodes",
-        "repro.isa.program", "repro.jit.blocks", "repro.jit.cache",
-        "repro.lint.cfg"])
+        "repro.batch.record", "repro.batch.stream", "repro.cpu.core",
+        "repro.isa.opcodes", "repro.isa.program", "repro.lint.cfg"])
     def test_generator_edit_rerecords(self, store_dir, fresh_codegen,
                                       monkeypatch, tmp_path_factory,
                                       module):
         # a stale fingerprint: an edit to any module a recording's
-        # content depends on (say, the record-mode XOR codegen) must not
-        # serve the recording or skeleton the old code made
+        # content depends on (say, the interpreter's XOR) must not serve
+        # the skeleton the old code made
         import importlib
 
         from repro.store import keys
@@ -445,10 +442,9 @@ class TestDataOnly:
             "other": {"files": 1, "bytes": disk_usage(store_dir)["bytes"]}}
         assert clear_store(store_dir) == 1
 
-    def test_old_source_entry_never_read(self, store_dir, fresh_codegen,
-                                         monkeypatch):
-        # an entry under the retired "src" class, at the key an older
-        # release loaded sha's record-mode blocks from; running it would
+    def test_old_source_entry_never_read(self, store_dir, fresh_codegen):
+        # an entry under the retired "src" class, keyed the way older
+        # releases keyed sha's record-mode blocks; running it would
         # raise, so a sweep that succeeds never executed it
         from repro.batch.record import recording_costs
         from repro.cpu.core import program_content_key
@@ -456,15 +452,9 @@ class TestDataOnly:
         from repro.workloads import build_workload
 
         program = build_workload("sha", 0.2)
-        # drop the per-program code memo so the sweep compiles afresh
-        monkeypatch.delitem(program.meta, "_jit_compiled", raising=False)
         costs = recording_costs(effective_costs("WL-Cache", SimConfig()))
-        fingerprint = modules_fingerprint("repro.jit.blocks",
-                                          "repro.cpu.core",
-                                          "repro.cpu.costs",
-                                          "repro.isa.opcodes")
-        digest = key_digest(("jit-blocks", fingerprint,
-                             program_content_key(program), costs))
+        digest = key_digest(("jit-blocks", program_content_key(program),
+                             costs))
         path = get_store()._path("src", digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
@@ -474,7 +464,7 @@ class TestDataOnly:
         grid = run_grid(("sha",), ("WL-Cache",), "trace1", scale=0.2,
                         jobs=1, engine="fast")
         assert grid[("sha", "WL-Cache")].halted
-        assert code_cache_stats()["compiles"] >= 1
+        assert batch_stats()["recordings"] >= 1
         assert not any(k.startswith("src_") for k in store_stats())
         usage = disk_usage(store_dir)
         assert usage["classes"]["other"] == {
@@ -654,7 +644,7 @@ class TestWarmEqualsCold:
         reset_store_stats()
         warm = run_grid(("sha",), ("NVSRAM(ideal)", "WL-Cache"), **kwargs)
         assert store_stats().get("result_hits") == 2
-        assert code_cache_stats()["compiles"] == 0
+        assert batch_stats()["recordings"] == 0
         assert _grid_stats(cold) == _grid_stats(warm)
 
     @pytest.mark.skipif(not os.environ.get("REPRO_TIER2"),
@@ -667,7 +657,7 @@ class TestWarmEqualsCold:
         reset_store_stats()
         warm = run_grid(**kwargs)
         assert store_stats().get("result_hits") == len(cold)
-        assert code_cache_stats()["compiles"] == 0
+        assert batch_stats()["recordings"] == 0
         assert _grid_stats(cold) == _grid_stats(warm)
 
 
@@ -742,7 +732,7 @@ class TestCacheCaps:
         report = cache_report(include_disk=True)
         assert report["enabled"] and report["root"] == store_dir
         caches = report["process_caches"]
-        assert set(caches) == {"jit", "lockstep", "batch", "decode"}
+        assert set(caches) == {"lockstep", "batch", "decode"}
         assert "kernels" in caches["batch"]
         assert "entries" in caches["decode"]
         assert "disk" in report
@@ -762,8 +752,8 @@ class TestCacheCli:
         report = json.loads(capsys.readouterr().out)
         assert report["root"] == store_dir
         assert report["disk"]["classes"]["skel"]["files"] == 1
-        assert set(report["process_caches"]) == {"jit", "lockstep",
-                                                 "batch", "decode"}
+        assert set(report["process_caches"]) == {"lockstep", "batch",
+                                                 "decode"}
 
     def test_stats_human(self, store_dir, capsys):
         from repro.cli import main

@@ -294,3 +294,30 @@ class TestCsv:
         path.write_text("nope\n0,1\n")
         with pytest.raises(TraceError):
             load_csv(str(path))
+
+    def test_malformed_row_names_its_line(self, tmp_path):
+        path = tmp_path / "semicolon.csv"
+        path.write_text("start_ns,power_w\n0,0.5\n1000000;0.3\n")
+        with pytest.raises(TraceError, match=r"semicolon\.csv: line 3"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("power", ["nan", "inf"])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(TraceError, match="finite"):
+            PowerTrace([0, 5000], [0.5, float(power)])
+
+    def test_nan_row_fails_alike_on_both_engines(self, tmp_path):
+        # the reference harvest read a NaN power as a full charge, while
+        # the fast engine's inlined harvest kept the NaN and crashed
+        from repro.sim.sweep import run_grid
+
+        path = tmp_path / "nan.csv"
+        path.write_text("start_ns,power_w\n0,0.5\n5000,nan\n20000,0.4\n")
+        errors = []
+        for engine in ("reference", "fast"):
+            with pytest.raises(TraceError) as info:
+                run_grid(["sha"], ["WL-Cache", "VCache-WT"], f"csv:{path}",
+                         scale=0.1, jobs=1, engine=engine)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert "finite" in errors[0]
