@@ -23,8 +23,14 @@ Event encoding (``i`` is the global retired-instruction index; events
 are ordered by ``i``, with an instruction's line-crossing event before
 its memory event, exactly the interpreter's fetch-then-execute order):
 
-* ``(i, 0, line)`` - instruction ``i`` fetches I-cache line ``line``
-  (the previous retired instruction sat on a different line);
+* ``(i, 0, line, prev)`` - instruction ``i`` fetches I-cache line
+  ``line`` (the previous retired instruction sat on a different line);
+  ``prev`` is the index in the event list of the previous fetch of the
+  same line, ``-1`` for its first. A point's I-cache residency set
+  only grows between flushes, so the line is resident iff ``prev`` is
+  at or past the event index of the point's last flush (or the line is
+  the point's post-flush synthesized fetch): the engine keeps no
+  residency set, and one comparison per fetch event decides a miss;
 * ``(i, 1, addr)`` - load;
 * ``(i, 2, addr, value)`` - store;
 * ``(i, 3, addr, bits, mask)`` - masked (sub-word) store.
@@ -37,18 +43,19 @@ computed by the lockstep engine, so events stay cost-independent.
 Expansion works from per-exit-code static metadata (block length, cost
 tuple, line-crossing template, memory-op template) cached process-
 globally per (program content, cost model) - a sweep expands each
-kernel's metadata once, then every expansion replays it with C-speed
-``array.extend`` + ``itertools.accumulate``. An exit code's block runs
-from its start to the next leader of :func:`block_spans`, the basic-
-block partition the recorder also runs its interpreter calls by, so a
-start inside a block names that block's suffix.
+kernel's metadata once, then every expansion maps the exit codes to
+their cost tuples and sums them at C speed (``map`` +
+``itertools.accumulate``). An exit code's block runs from its start to
+the next leader of :func:`block_spans`, the basic-block partition the
+recorder also runs its interpreter calls by, so a start inside a block
+names that block's suffix.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from repro.cpu.core import _ILINE_SHIFT, _base_cost_table, \
     program_content_key
@@ -85,7 +92,7 @@ class StreamSkeleton:
     families expanded from it so far."""
 
     __slots__ = ("n_total", "events", "n_events", "blk_g", "codes",
-                 "final_regs", "ev_counts", "ev_prev", "streams")
+                 "final_regs", "ev_counts", "streams")
 
     def __init__(self, n_total: int, events: list, blk_g: array,
                  codes: array, final_regs: list[int]):
@@ -101,12 +108,6 @@ class StreamSkeleton:
         #: filled by :func:`event_counts` so a chunk's fetch count is
         #: one lookup instead of a per-event increment.
         self.ev_counts: array | None = None
-        #: lazy previous-occurrence index per event (``-1`` for first
-        #: occurrences and non-fetch events), filled by
-        #: :func:`event_prev`: a line is resident for a point iff its
-        #: previous occurrence is at or past the point's last I-cache
-        #: flush, which turns residency-set lookups into one comparison.
-        self.ev_prev = None
         #: effective costs -> this kernel's GuestStream under them
         self.streams: dict[CycleCosts, GuestStream] = {}
 
@@ -212,6 +213,8 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
     ap_g = blk_g.append
     events: list[tuple] = []
     ap = events.append
+    last: dict[int, int] = {}  # line -> index of its latest fetch event
+    last_of = last.get
     gi = 0
     oi = 0
     prev_line = -1  # the first instruction always fetches (ic_last = -1)
@@ -219,11 +222,15 @@ def _build_skeleton(meta: _ProgramMeta, codes: list[int], n_total: int,
         m = entry(code)
         ap_g(gi)
         if m[2] != prev_line:
-            ap((gi, 0, m[2]))
+            line = m[2]
+            ap((gi, 0, line, last_of(line, -1)))
+            last[line] = len(events) - 1
         for t in m[4]:
             k = t[1]
             if k == 0:
-                ap((gi + t[0], 0, t[2]))
+                line = t[2]
+                ap((gi + t[0], 0, line, last_of(line, -1)))
+                last[line] = len(events) - 1
             else:
                 op = ops[oi]
                 oi += 1
@@ -260,12 +267,10 @@ def build_stream(program: Program, costs: CycleCosts,
     else:
         codes, n_total, total_cycles, final_regs, ops = source
         skel = _build_skeleton(meta, codes, n_total, final_regs, ops)
-    cost_stream = array("q")
-    ext_c = cost_stream.extend
     entry = meta.entry
-    for code in skel.codes:
-        ext_c(entry(code)[1])
-    cum = array("q", accumulate(cost_stream))
+    costs_of = {code: entry(code)[1] for code in set(skel.codes)}
+    cum = array("q", accumulate(chain.from_iterable(
+        map(costs_of.__getitem__, skel.codes))))
     assert len(cum) == skel.n_total, "exit codes disagree with retired count"
     assert total_cycles is None or not cum or cum[-1] == total_cycles, \
         "static cycle expansion disagrees with the recording"
@@ -295,38 +300,6 @@ def event_counts(stream: GuestStream) -> array:
         append(f)
     skel.ev_counts = fetches
     return fetches
-
-
-def event_prev(stream: GuestStream) -> array:
-    """Previous-occurrence index per event over the shared skeleton.
-
-    For a line event at index ``ei``, ``prev[ei]`` is the index of the
-    previous line event fetching the *same* line (``-1`` if none); for
-    other event kinds it is ``-1``. Because a point's residency set
-    only grows between flushes, a line is resident at event ``ei`` iff
-    ``prev[ei]`` is at or past the event index of the point's last
-    flush (or the line is the point's post-flush synthesized fetch), so
-    the engine keeps no residency set: one comparison per fetch event
-    decides a miss. Cached on the skeleton (fetch events are the
-    majority of a stream, so this one shared array replaces most of the
-    per-event work).
-    """
-    skel = stream.skel
-    prev = skel.ev_prev
-    if prev is not None:
-        return prev
-    prev = array("q", bytes())
-    ap = prev.append
-    last: dict[int, int] = {}
-    for idx, ev in enumerate(skel.events):
-        if ev[1] == 0:
-            line = ev[2]
-            ap(last.get(line, -1))
-            last[line] = idx
-        else:
-            ap(-1)
-    skel.ev_prev = prev
-    return prev
 
 
 def clear_stream_meta() -> None:

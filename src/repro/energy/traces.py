@@ -110,7 +110,9 @@ class PowerTrace:
             i += 1
 
     def _coverage_end_ns(self) -> int:
-        """End of generated coverage; asking :meth:`_extend` for this time
+        """End of generated coverage: the last segment runs to this time
+        (the fast engine harvests a chunk that ends before it without
+        asking :meth:`_extend`), and asking :meth:`_extend` for it
         produces at least one more segment on lazily generated traces.
         Fixed traces return a sentinel past any horizon (their last segment
         is open-ended)."""

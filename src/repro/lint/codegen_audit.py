@@ -27,10 +27,15 @@ The contracts (registered as ``A0xx`` in :mod:`repro.lint.findings`):
 * **A008 lockstep-engine-protocol** - an engine is one plain function
   ``_run`` (no ``yield``), and every ``_sys._outage_reboot(...)`` and
   ``_sys._halt_finalize(...)`` call follows writes of ``_cap._e_nj``,
-  ``_core.instret`` and ``_core.cycle`` in its own block. The engine
-  keeps energy, position and cycle in locals, and the lifecycle blocks
-  read them from the capacitor and the point's core, so a missing
-  write silently forks the lifecycle's state from the engine's.
+  ``_core.instret`` and ``_core.cycle`` in its own block or an
+  enclosing ``if`` block of the same loop body, and no local a write
+  read is reassigned in between. The engine keeps energy, position and
+  cycle in locals, and the lifecycle blocks read them from the
+  capacitor and the point's core, so a missing or stale write silently
+  forks the lifecycle's state from the engine's. The energy write is
+  the chunk epilogue's, after the harvest: a design may also read the
+  capacitor from inside a memory call of the next chunk (WL-Cache's
+  dynamic maxline policy).
 
 Entry points: :func:`audit_lockstep_engine` (one engine source),
 :func:`audit_lockstep_engines` (every retained engine source), and
@@ -145,28 +150,42 @@ def _scope_findings(tree: ast.Module, loc: str) -> list[Finding]:
 def _lifecycle_findings(engine: ast.FunctionDef,
                         unit: str) -> list[Finding]:
     """A008: every ``System`` lifecycle call the engine makes sits in a
-    plain statement of a block that writes the capacitor energy, the
-    position and the cycle before it."""
+    plain statement that follows current writes of the capacitor
+    energy, the position and the cycle. A write counts in its own block
+    and in the ``if`` blocks after it (a loop body starts afresh: it
+    also runs after its own later statements), until a statement
+    reassigns a local the written value read."""
     calls = {"_sys._outage_reboot", "_sys._halt_finalize"}
     sync = {"_cap._e_nj", "_core.instret", "_core.cycle"}
     synced: set[int] = set()
-    for node in ast.walk(engine):
-        for field in ("body", "orelse", "finalbody"):
-            suite = getattr(node, field, None)
-            if not isinstance(suite, list):
-                continue
-            written: set[str] = set()
-            for stmt in suite:
-                if (sync <= written and not isinstance(
-                        stmt, (ast.If, ast.For, ast.While, ast.Try))):
+
+    def visit(suite: list, written: dict) -> None:
+        written = dict(written)  # target -> the locals its value read
+        for stmt in suite:
+            if not hasattr(stmt, "body"):
+                if sync <= written.keys():
                     synced.update(id(n) for n in ast.walk(stmt))
-                if isinstance(stmt, ast.Assign):
-                    written.update(ast.unparse(t) for t in stmt.targets)
+            else:
+                inherit = written if isinstance(stmt, ast.If) else {}
+                for field in ("body", "orelse", "finalbody"):
+                    visit(getattr(stmt, field, []), inherit)
+                for handler in getattr(stmt, "handlers", []):
+                    visit(handler.body, {})
+            stored = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            written = {t: read for t, read in written.items()
+                       if not read & stored}
+            if isinstance(stmt, ast.Assign):
+                read = {n.id for n in ast.walk(stmt.value)
+                        if isinstance(n, ast.Name)}
+                written.update((ast.unparse(t), read) for t in stmt.targets)
+
+    visit(engine.body, {})
     return [make_finding(
         "A008", f"{unit} line {node.lineno}",
-        f"{ast.unparse(node.func)} does not follow writes of "
-        f"{', '.join(sorted(sync))} in its own block (the "
-        f"lifecycle would read a stale energy, position or cycle)")
+        f"{ast.unparse(node.func)} does not follow current writes of "
+        f"{', '.join(sorted(sync))} (the lifecycle would read a stale "
+        f"energy, position or cycle)")
         for node in ast.walk(engine)
         if isinstance(node, ast.Call)
         and ast.unparse(node.func) in calls

@@ -98,8 +98,9 @@ AUDIT_RULES: dict[str, Rule] = {r.id: r for r in [
     Rule("A008", "lockstep-engine-protocol", ERROR,
          "a generated lockstep engine breaks the lifecycle contract "
          "(not one plain function _run, or an _outage_reboot / "
-         "_halt_finalize call not preceded in its block by writes of "
-         "the capacitor energy, instret and cycle)"),
+         "_halt_finalize call not preceded, in its block or an "
+         "enclosing if block, by current writes of the capacitor "
+         "energy, instret and cycle)"),
 ]}
 
 #: Every registered rule, both families, for SARIF/driver lookups.

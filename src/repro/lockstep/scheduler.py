@@ -20,7 +20,7 @@ from __future__ import annotations
 import traceback
 
 from repro.batch.engine import build_replay_system
-from repro.batch.stream import event_counts, event_prev
+from repro.batch.stream import event_counts
 from repro.lockstep.codegen import engine_signature, get_engine
 from repro.sim.results import EnergyBreakdown, RunResult
 
@@ -65,7 +65,7 @@ def run_column(program, task, config, stream) -> tuple:
         return ("err", exc, traceback.format_exc())
     _STATS["instances"] += 1
     try:
-        return ("ok", run(system, res, EnergyBreakdown(), event_prev(stream),
+        return ("ok", run(system, res, EnergyBreakdown(),
                           event_counts(stream), _STATS))
     except Exception as exc:
         _STATS["faults"] += 1

@@ -10,6 +10,7 @@ maxline 6 / waterline 5, FIFO DirtyQueue cleaning, LRU cache replacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.caches.params import CacheParams
@@ -180,6 +181,12 @@ class SimConfig:
             raise ConfigError("chunk_instrs must be >= 1")
         if not 0 < self.v_min < self.v_max:
             raise ConfigError("need 0 < v_min < v_max")
+        for name in ("off_leakage_w", "von_headroom_v"):
+            value = getattr(self, name)
+            # a NaN leak never lets charge_until finish
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {value!r}")
         if self.register_backend not in ("nvff", "nvm"):
             raise ConfigError("register_backend must be 'nvff' or 'nvm'")
         if self.engine is not None and self.engine not in ENGINES:

@@ -48,7 +48,7 @@ class TestAmbientState(_EngineHarness):
         assert any("import" in f.message for f in findings)
 
     def test_global_flagged(self):
-        header = "def _run(_sys, res, bd, po, evf, cnt):\n"
+        header = "def _run(_sys, res, bd, evf, cnt):\n"
         findings = self._mutated(header, header + "    global _x\n")
         assert "A006" in rules_of(findings)
         assert any("global" in f.message for f in findings)
@@ -94,15 +94,30 @@ class TestLockstepEngineContract(_EngineHarness):
         assert any("_sys._outage_reboot" in f.message for f in findings)
 
     def test_halt_without_energy_write(self):
+        # the chunk epilogue's write is the only one the halt follows
         findings = self._mutated(
-            "        if _p == _ntot:\n"
-            "            _cap._e_nj = _en\n",
+            "        _cap._e_nj = _en\n"
+            "        if _p == _ntot:\n",
             "        if _p == _ntot:\n")
         assert "A008" in rules_of(findings)
         assert any("_sys._halt_finalize" in f.message for f in findings)
 
+    def test_energy_write_before_the_harvest(self):
+        # a write the harvest then changes is stale for both calls
+        def mangle(src):
+            late = "        _cap._e_nj = _en\n        if _p == _ntot:\n"
+            assert late in src and "        _en += _hv\n" in src
+            src = src.replace(late, "        if _p == _ntot:\n")
+            return src.replace("        _en += _hv\n",
+                               "        _cap._e_nj = _en\n"
+                               "        _en += _hv\n")
+        findings = self._findings(mangle)
+        assert {f.message.split()[0] for f in findings
+                if f.rule == "A008"} == {"_sys._halt_finalize",
+                                         "_sys._outage_reboot"}
+
     def test_injected_yield(self):
-        header = "def _run(_sys, res, bd, po, evf, cnt):\n"
+        header = "def _run(_sys, res, bd, evf, cnt):\n"
         findings = self._mutated(header, header + "    yield None\n")
         assert "A008" in rules_of(findings)
         assert any("yields" in f.message for f in findings)

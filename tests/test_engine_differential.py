@@ -2,10 +2,11 @@
 reference engine.
 
 Randomized small grids - kernel subsets, design subsets spanning every
-engine shape (wl/wb fast stores, base, call) and both recording
-families (NVCache-WB folds ``nvcache_ifetch_extra`` into its costs),
-power condition, scale, instruction budget - run twice, once with
-``SimConfig(engine="reference")`` on the interpreter and once with
+engine shape (wl/wb fast stores, the wt and rc inline stores, call) and
+both recording families (NVCache-WB folds ``nvcache_ifetch_extra`` into
+its costs), power condition (named and stochastic traces), scale,
+instruction budget, WL-Cache's dynamic maxline policy - run twice, once
+with ``SimConfig(engine="reference")`` on the interpreter and once with
 ``engine="fast"`` on generated per-point engines, and every
 :class:`~repro.sim.results.RunResult` field is compared exactly
 (including the float energy breakdown, which is sensitive to chunk
@@ -15,11 +16,13 @@ accounting blocks, so the condition draw covers both epilogues.
 
 Every example also draws a cache geometry (512/1024/2048 B, 16/32/64 B
 lines, 1/2/4-way, so every cache holds at least 8 lines), a replacement
-policy (LRU/FIFO) and WL-Cache thresholds (``maxline`` 2/4/6 with
-``waterline = maxline - 1``). The engine bakes each geometry's
-shift and masks into its source and inlines the LRU stamp and the
-below-waterline insert, so these draws check every specialization of
-the inline hit path against the interpreter.
+policy (LRU/FIFO), WL-Cache thresholds (``maxline`` 2/4/6 with
+``waterline = maxline - 1``) and ReplayCache's persist queue depth
+(2/8) and region length (3/8/64 stores). The engine bakes each
+geometry's shift and masks into its source and inlines the LRU stamp,
+the below-waterline insert and the persist queue's stall, so these
+draws check every specialization of the inline hit path against the
+interpreter.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from repro.mem.setassoc import CacheGeometry
 from repro.sim.sweep import run_grid
 
 _APPS = ("sha", "qsort", "adpcmdecode", "dijkstra")
-#: every engine shape: wl, wb (two cost families), base, call
-_DESIGNS = ("WL-Cache", "NVCache-WB", "VCache-WT", "NVSRAM(ideal)",
-            "WT+Buffer")
+#: every engine shape: wl, wb (two cost families), wt, rc, call
+_DESIGNS = ("WL-Cache", "NVCache-WB", "VCache-WT", "ReplayCache",
+            "NVSRAM(ideal)", "WT+Buffer")
 
 
 @st.composite
@@ -45,7 +48,8 @@ def grid_st(draw):
                          unique=True))
     designs = draw(st.lists(st.sampled_from(_DESIGNS), min_size=1,
                             max_size=3, unique=True))
-    trace = draw(st.sampled_from([None, "trace1", "trace2"]))
+    trace = draw(st.sampled_from([None, "trace1", "trace2", "trace3",
+                                  "mc-rf-office"]))
     scale = draw(st.sampled_from([0.1, 0.15]))
     maxline = draw(st.sampled_from([2, 4, 6]))
     overrides = {
@@ -56,6 +60,12 @@ def grid_st(draw):
         "cache_replacement": draw(st.sampled_from(["lru", "fifo"])),
         "maxline": maxline,
         "waterline": maxline - 1,
+        # the policy reads the capacitor from inside a store
+        "dynamic": draw(st.booleans()),
+        # ReplayCache's queue-full stall runs only with a queue
+        # shallower than a region
+        "persist_depth": draw(st.sampled_from([2, 8])),
+        "region_stores": draw(st.sampled_from([3, 8, 64])),
     }
     if draw(st.booleans()):
         # a tight budget exercises the group-budget plumbing (and, when

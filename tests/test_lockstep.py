@@ -26,6 +26,7 @@ import pytest
 import repro.lockstep.scheduler as scheduler
 from repro.batch import batch_stats, clear_streams
 from repro.batch.engine import iter_outcomes
+from repro.caches.vcache_wt import VCacheWT
 from repro.lockstep.codegen import (clear_engines, column_mode,
                                     engine_cache_stats, engine_sources)
 from repro.lockstep.scheduler import clear_lockstep_stats, lockstep_stats
@@ -36,9 +37,11 @@ from repro.sim.parallel import SweepTask, run_task
 from repro.sim.sweep import run_grid
 from repro.workloads import ALL_WORKLOADS
 
-#: covers every engine shape: wl + wb inline store hits, base (inline
-#: load hits, stores call the design), and call (every access calls it)
-_DESIGNS = ("WL-Cache", "NVSRAM(ideal)", "VCache-WT", "WT+Buffer")
+#: covers the wl and wb inline store hits, wt (every store inline), rc
+#: (inline store hits with the persist queue) and call (every access
+#: calls the design)
+_DESIGNS = ("WL-Cache", "NVSRAM(ideal)", "VCache-WT", "ReplayCache",
+            "WT+Buffer")
 
 
 @pytest.fixture(autouse=True)
@@ -151,7 +154,7 @@ def test_every_engine_renders_one_point():
     assert sources
     for sig, src in sources.items():
         assert len(sig) == 6 and isinstance(sig[0], str), sig
-        assert src.startswith("def _run(_sys, res, bd, po, evf, cnt):")
+        assert src.startswith("def _run(_sys, res, bd, evf, cnt):")
         assert "yield" not in src
 
 
@@ -229,7 +232,7 @@ def test_differing_image_in_a_later_column(monkeypatch):
 _MODES = {
     "WL-Cache": "wl", "WL-Cache(eager)": "wl",
     "NVSRAM(ideal)": "wb", "NVSRAM(full)": "wb", "NVCache-WB": "wb",
-    "VCache-WT": "base", "ReplayCache": "base",
+    "VCache-WT": "wt", "ReplayCache": "rc",
     "NoCache": "call", "WT+Buffer": "call", "NVSRAM(practical)": "call",
 }
 
@@ -252,6 +255,39 @@ def test_shadowed_load_runs_as_call():
     assert column_mode(m) == "call"
 
 
+class _CountingWT(VCacheWT):
+    """A VCache-WT with its own ``store_masked``, which no store shape
+    inlines."""
+
+    calls = 0
+
+    def store_masked(self, addr, bits, mask, now):
+        type(self).calls += 1
+        return super().store_masked(addr, bits, mask, now)
+
+
+def test_overridden_store_runs_as_call(monkeypatch):
+    """A subclass that overrides a store method runs in ``call`` mode,
+    so every store reaches its override, and matches the reference."""
+    m = _design("VCache-WT")
+    m.__class__ = _CountingWT
+    assert column_mode(m) == "call"
+
+    def prep(task, system):
+        system.design.__class__ = _CountingWT
+
+    monkeypatch.setattr(scheduler, "PREP_HOOK", prep)
+    monkeypatch.setattr(_CountingWT, "calls", 0)
+    grid = (["sha"], ("VCache-WT",), "trace1")
+    ref = run_grid(*grid, jobs=1, scale=0.1, engine="reference")
+    clear_engines()
+    got = run_grid(*grid, jobs=1, scale=0.1, engine="fast")
+    _assert_equal_results(ref, got, "VCache-WT subclass in call mode")
+    res = got["sha", "VCache-WT"]
+    assert _CountingWT.calls == res.write_hits + res.write_misses > 0
+    assert {sig[0] for sig in engine_sources()} == {"call"}
+
+
 # ---------------------------------------------------------------------------
 # bit-identity: reference == fast (reduced grid tier-1)
 # ---------------------------------------------------------------------------
@@ -266,6 +302,36 @@ def test_reduced_grid_identical(trace):
     stats = lockstep_stats()
     assert stats["columns"] == stats["instances"] == len(_DESIGNS)
     assert batch_stats()["lockstep"] == len(_DESIGNS)
+
+
+@pytest.mark.parametrize("trace", [None, "trace1"])
+def test_persist_queue_stall_identical(trace):
+    """ReplayCache's queue-full stall runs only when the persist queue is
+    shallower than a region (the region wait empties it every
+    ``region_stores`` stores): the inline store hit must stall exactly
+    as ``store_masked`` does."""
+    grid = (["sha"], ("ReplayCache",), trace)
+    ref = run_grid(*grid, jobs=1, scale=0.2, engine="reference",
+                   persist_depth=2, region_stores=16)
+    got = run_grid(*grid, jobs=1, scale=0.2, engine="fast",
+                   persist_depth=2, region_stores=16)
+    _assert_equal_results(ref, got, f"ReplayCache persist_depth 2 {trace}")
+    no_stall = run_grid(*grid, jobs=1, scale=0.2, engine="fast",
+                        persist_depth=16, region_stores=16)
+    key = ("sha", "ReplayCache")
+    assert got[key].store_stall_cycles > no_stall[key].store_stall_cycles
+
+
+def test_dynamic_policy_sees_the_chunk_boundary_energy():
+    """WL-Cache(dyn) reads the capacitor from inside a store (the
+    maxline raise); the engine writes its energy back every chunk, so
+    the policy sees the last chunk boundary's energy on both engines."""
+    grid = (["fft"], ["WL-Cache"], "trace3")
+    ref = run_grid(*grid, jobs=1, scale=0.1, engine="reference",
+                   dynamic=True)
+    got = run_grid(*grid, jobs=1, scale=0.1, engine="fast", dynamic=True)
+    _assert_equal_results(ref, got, "WL-Cache(dyn)")
+    assert ref["fft", "WL-Cache"].dyn_raises > 0
 
 
 def test_single_task_column_identical_to_reference():

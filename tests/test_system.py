@@ -1,5 +1,7 @@
 """Full-system simulation: no-failure runs, outage lifecycle, invariants."""
 
+import math
+
 import pytest
 
 from repro.energy.traces import ConstantTrace
@@ -154,3 +156,12 @@ class TestRegisterBackend:
     def test_invalid_backend_rejected(self, small_sha):
         with pytest.raises(ConfigError):
             build_system(small_sha, "WL-Cache", register_backend="flash")
+
+
+@pytest.mark.parametrize("field", ["off_leakage_w", "von_headroom_v"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.01])
+def test_config_rejects_bad_leakage_and_headroom(field, value):
+    """A NaN off-period leak would never let ``charge_until`` finish, so
+    both fields must be finite and >= 0 (built only, never run)."""
+    with pytest.raises(ConfigError, match=f"{field} .*{value!r}"):
+        SimConfig(**{field: value})
